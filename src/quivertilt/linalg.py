@@ -60,7 +60,12 @@ class Mat:
         self.p = p
         self.rows = rows
         self.cols = cols
-        data = tuple(x % p for x in data)
+        data = tuple(data)
+        # Reduce only when some entry lies outside [0, p): most callers
+        # pass kernel output or slices of existing matrices, which are
+        # reduced already, and min/max find that without a Python loop.
+        if data and (min(data) < 0 or max(data) >= p):
+            data = tuple(x % p for x in data)
         if len(data) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(data)}"
@@ -154,8 +159,13 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.p != other.p:
             raise ValueError("hstack mismatch")
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        return Mat.from_rows(self.p, rows, cols=self.cols + other.cols)
+        a, b = self.data, other.data
+        ca, cb = self.cols, other.cols
+        flat: list[int] = []
+        for i in range(self.rows):
+            flat += a[i * ca : (i + 1) * ca]
+            flat += b[i * cb : (i + 1) * cb]
+        return Mat(self.p, self.rows, ca + cb, flat)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols or self.p != other.p:
@@ -207,15 +217,20 @@ class Subspace:
     __slots__ = ("p", "ambient", "basis", "pivots")
 
     def __init__(self, p: int, ambient: int, vectors: Iterable[Iterable[int]]):
-        rows = [tuple(x % p for x in v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient:
+        flat: list[int] = []
+        count = 0
+        for v in vectors:
+            start = len(flat)
+            flat += v
+            if len(flat) - start != ambient:
                 raise ValueError("vector does not match ambient dimension")
-        reduced, pivots = rref(Mat.from_rows(p, rows, cols=ambient))
+            count += 1
+        reduced, pivots = rref(Mat(p, count, ambient, flat))
         self.p = p
         self.ambient = ambient
-        self.basis = Mat.from_rows(p, [reduced.row(i) for i in range(len(pivots))],
-                                   cols=ambient)
+        # The nonzero rows of a reduced echelon form come first.
+        self.basis = Mat(p, len(pivots), ambient,
+                         reduced.data[: len(pivots) * ambient])
         self.pivots = pivots
 
     @classmethod
@@ -309,15 +324,17 @@ def kernel_basis(m: Mat) -> Subspace:
     """Right kernel {v : m v^T = 0} as a subspace of F_p^cols."""
     reduced, pivots = rref(m)
     p = m.p
-    free_cols = [j for j in range(m.cols) if j not in pivots]
+    cols = m.cols
+    data = reduced.data
+    free_cols = [j for j in range(cols) if j not in pivots]
     vecs = []
     for j in free_cols:
-        v = [0] * m.cols
+        v = [0] * cols
         v[j] = 1
         for i, c in enumerate(pivots):
-            v[c] = -reduced.entry(i, j) % p
+            v[c] = -data[i * cols + j] % p
         vecs.append(v)
-    return Subspace(p, m.cols, vecs)
+    return Subspace(p, cols, vecs)
 
 
 def image_basis(m: Mat) -> Subspace:
@@ -393,20 +410,17 @@ def quotient_maps(s: Subspace) -> tuple[Mat, Mat]:
     """
     n = s.ambient
     p = s.p
+    basis = s.basis.data
     free = [j for j in range(n) if j not in s.pivots]
     q = len(free)
-    proj = [[0] * n for _ in range(q)]
+    proj = [0] * (q * n)
+    sect = [0] * (n * q)
     for t, j in enumerate(free):
-        proj[t][j] = 1
+        proj[t * n + j] = 1
         for i, c in enumerate(s.pivots):
-            proj[t][c] = -s.basis.entry(i, j) % p
-    sect = [[0] * q for _ in range(n)]
-    for t, j in enumerate(free):
-        sect[j][t] = 1
-    return (
-        Mat.from_rows(p, proj, cols=n),
-        Mat.from_rows(p, sect, cols=q),
-    )
+            proj[t * n + c] = -basis[i * n + j] % p
+        sect[j * q + t] = 1
+    return Mat(p, q, n, proj), Mat(p, n, q, sect)
 
 
 def complement_in(v: Subspace, r: Subspace) -> list[tuple[int, ...]]:

@@ -306,22 +306,23 @@ def _hom_basis_cached(m: Module, n: Module) -> tuple[ModuleMap, ...]:
     nm = n.dim * m.dim
     if nm == 0:
         return ()
-    rows = []
+    md, nd = m.dim, n.dim
+    flat: list[int] = []
     for t in range(alg.dim):
-        rm = m.action[t]
-        rn = n.action[t]
-        # Entry (i, j) of X @ rm - rn @ X as a functional in X.
-        for i in range(n.dim):
-            for j in range(m.dim):
+        rm = m.action[t].data
+        rn = n.action[t].data
+        # Entry (i, j) of X @ rm - rn @ X as a functional in X: column j
+        # of rm at X's row i, minus row i of rn at X's column j.
+        for i in range(nd):
+            rn_i = rn[i * nd : (i + 1) * nd]
+            for j in range(md):
                 row = [0] * nm
-                for b in range(m.dim):
-                    row[i * m.dim + b] = (row[i * m.dim + b]
-                                          + rm.entry(b, j)) % p
-                for a in range(n.dim):
-                    row[a * m.dim + j] = (row[a * m.dim + j]
-                                          - rn.entry(i, a)) % p
-                rows.append(row)
-    ker = kernel_basis(Mat.from_rows(p, rows, cols=nm))
+                row[i * md : (i + 1) * md] = rm[j::md]
+                for a, x in enumerate(rn_i):
+                    if x:
+                        row[a * md + j] = (row[a * md + j] - x) % p
+                flat += row
+    ker = kernel_basis(Mat(p, alg.dim * nm, nm, flat))
     out = []
     for i in range(ker.dim):
         out.append(ModuleMap(m, n, Mat(p, n.dim, m.dim, ker.basis.row(i)),
@@ -347,8 +348,9 @@ def submodule_from_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     incl = s.basis.transpose()
     action = []
     for b in range(m.algebra.dim):
-        restr = solve(incl, m.action[b] @ incl)
-        if restr is None or incl @ restr != m.action[b] @ incl:
+        moved = m.action[b] @ incl
+        restr = solve(incl, moved)
+        if restr is None or incl @ restr != moved:
             raise ValueError("subspace is not action-stable")
         action.append(restr)
     sub = Module(m.algebra, s.dim, action, validate=False)
@@ -358,12 +360,17 @@ def submodule_from_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
 def quotient_by_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     """The quotient module by an action-stable subspace, with projection."""
     proj, sect = quotient_maps(s)
+    labels = m.algebra.labels
     action = []
     for b in range(m.algebra.dim):
-        action.append(proj @ m.action[b] @ sect)
+        moved = proj @ m.action[b]
+        act = moved @ sect
+        # The intertwining check of ModuleMap, on the product just made.
+        if moved != act @ proj:
+            raise ValueError(f"matrix does not intertwine {labels[b]}")
+        action.append(act)
     quo = Module(m.algebra, proj.rows, action, validate=False)
-    out = ModuleMap(m, quo, proj, validate=True)
-    return quo, out
+    return quo, ModuleMap(m, quo, proj, validate=False)
 
 
 def kernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
@@ -394,10 +401,11 @@ def direct_sum(alg: Algebra, parts: list[Module]) -> tuple[Module, list[ModuleMa
     for b in range(alg.dim):
         data = [0] * (total * total)
         for t, m in enumerate(parts):
-            a = m.action[b]
-            for i in range(m.dim):
-                for j in range(m.dim):
-                    data[(off[t] + i) * total + (off[t] + j)] = a.entry(i, j)
+            a = m.action[b].data
+            d = m.dim
+            for i in range(d):
+                start = (off[t] + i) * total + off[t]
+                data[start : start + d] = a[i * d : (i + 1) * d]
         action.append(Mat(p, total, total, data))
     whole = Module(alg, total, action, validate=False)
     incls = []

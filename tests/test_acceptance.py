@@ -13,7 +13,7 @@ import itertools
 
 import pytest
 
-from quivertilt.algebras import corner_algebra
+from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt.complexes import cohomology, enumerate_complexes
 from quivertilt.derived import derived_hom0, derived_hom_dim
 from quivertilt.enumeration import enumerate_submodules, universe
@@ -35,13 +35,14 @@ from quivertilt.heart import (
     t_structure_report,
     tilted_pair_report,
 )
-from quivertilt.linalg import Mat, rank
+from quivertilt.linalg import Field, Mat, rank
 from quivertilt.modules import (
     ext1_basis,
     hom_dim,
     quotient_by_subspace,
     submodule_from_subspace,
 )
+from quivertilt.quivers import Quiver
 from quivertilt.tiltbridge import (
     dl_commutation_report,
     heart_class_reps,
@@ -303,16 +304,22 @@ def test_acceptance_12_independent_hom_oracles(fix2, fix3):
                 for i in (-1, 0))
             ok &= derived_hom_dim(x, y) == split
         details.append(f"{len(two_term)}^2 derived pairs")
-        mods = uni.nonzero_members()
+    # Hom dimensions against a count of all candidate matrices; over F_3
+    # the bound 2 keeps it to at most 3^4 candidates per pair.
+    a2_f3 = path_algebra(Field(3), Quiver((1, 2), ((1, 2, "a"),)))
+    for alg in (fix2.alg, fix3.alg, a2_f3):
+        p = alg.field.p
+        mods = universe(alg, 2).nonzero_members()
         for m, n in itertools.product(mods, mods):
             count = 0
-            for entries in itertools.product(range(2),
+            for entries in itertools.product(range(p),
                                              repeat=m.dim * n.dim):
-                cand = Mat(2, n.dim, m.dim, list(entries))
+                cand = Mat(p, n.dim, m.dim, list(entries))
                 if all(cand @ m.action[b] == n.action[b] @ cand
-                       for b in range(fx.alg.dim)):
+                       for b in range(alg.dim)):
                     count += 1
-            ok &= count == 2 ** hom_dim(m, n)
+            ok &= count == p ** hom_dim(m, n)
+        details.append(f"{len(mods)}^2 hom pairs over F_{p}")
     _verdict(12, ok, ", ".join(details))
 
 

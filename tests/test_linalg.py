@@ -16,6 +16,7 @@ from quivertilt.linalg import (
     image_basis,
     invert,
     kernel_basis,
+    kron,
     pullback_linear,
     quotient_maps,
     rank,
@@ -192,14 +193,92 @@ def test_quotient_maps_contract():
             assert kernel_basis(proj) == s
 
 
+def test_construction_reduces_mod_p():
+    a = Mat(3, 1, 3, [-1, 7, 3])
+    b = Mat(3, 1, 3, [2, 1, 0])
+    assert a == b
+    assert a.data == (2, 1, 0)
+    assert hash(a) == hash(b)
+
+
+def _reduced(m, p):
+    return all(0 <= x < p for x in m.data)
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_outputs_are_reduced(p):
+    rng = random.Random(41 + p)
+
+    def raw(rows, cols):
+        # Entries on both sides of [0, p), so construction must reduce.
+        return Mat(p, rows, cols,
+                   [rng.randrange(-2 * p, 2 * p) for _ in range(rows * cols)])
+
+    for _ in range(20):
+        m, n, k = (rng.randrange(0, 5) for _ in range(3))
+        a, a_alt, b, c = raw(m, n), raw(m, n), raw(n, k), raw(m, k)
+        outs = [
+            a @ b, a + a_alt, a - a_alt, a.scale(rng.randrange(-p, 2 * p)),
+            -a, a.transpose(), a.hstack(c), a.vstack(a_alt), kron(a, b),
+            rref(a)[0],
+        ]
+        x = solve(a, c)
+        if x is not None:
+            outs.append(x)
+        for out in outs:
+            assert _reduced(out, p), out
+        vecs = [[rng.randrange(-2 * p, 2 * p) for _ in range(n)]
+                for _ in range(rng.randrange(0, 4))]
+        s = Subspace(p, n, vecs)
+        proj, sect = quotient_maps(s)
+        for out in (s.basis, proj, sect):
+            assert _reduced(out, p), out
+
+
+def _schoolbook(p, m, n, k, a, b):
+    return [sum(a[i * n + t] * b[t * k + j] for t in range(n)) % p
+            for i in range(m) for j in range(k)]
+
+
+def _gauss_jordan(p, rows, cols, data):
+    """Reduced row echelon form by elimination on a list of rows."""
+    a = [[x % p for x in data[i * cols : (i + 1) * cols]] for i in range(rows)]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return [x for row in a for x in row], pivots
+
+
 def test_backends_agree():
+    # Each backend against references written here: with only the pure
+    # backend installed, comparing the backends would compare _pure
+    # with itself.
+    for impl in (_pure, kernels):
+        _check_against_references(impl)
+
+
+def _check_against_references(impl):
     rng = random.Random(37)
     for p in (2, 3, 251):
-        for _ in range(30):
-            m, n, k = (rng.randrange(1, 6) for _ in range(3))
-            a = [rng.randrange(p) for _ in range(m * n)]
+        shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)]
+        shapes += [tuple(rng.randrange(1, 7) for _ in range(3))
+                   for _ in range(40)]
+        for m, n, k in shapes:
+            # Sparse entries too, so that rank-deficient cases occur.
+            a = [rng.choice((0, 0, rng.randrange(p))) for _ in range(m * n)]
             b = [rng.randrange(p) for _ in range(n * k)]
-            assert kernels.mat_mul(p, m, n, k, a, b) == _pure.mat_mul(p, m, n, k, a, b)
-            got = kernels.rref(p, m, n, a[: m * n])
-            want = _pure.rref(p, m, n, a[: m * n])
-            assert (list(got[0]), list(got[1])) == (list(want[0]), list(want[1]))
+            assert list(impl.mat_mul(p, m, n, k, a, b)) == \
+                _schoolbook(p, m, n, k, a, b)
+            got = impl.rref(p, m, n, a)
+            assert (list(got[0]), list(got[1])) == _gauss_jordan(p, m, n, a)

@@ -8,9 +8,21 @@ from __future__ import annotations
 
 import pytest
 
-from quivertilt.algebras import Bimodule, corner_algebra, opposite_algebra
-from quivertilt.enumeration import is_isomorphic
-from quivertilt.linalg import Mat, Subspace, image_basis
+from quivertilt.algebras import (
+    Bimodule,
+    corner_algebra,
+    opposite_algebra,
+    path_algebra,
+)
+from quivertilt.enumeration import is_isomorphic, universe
+from quivertilt.linalg import (
+    Field,
+    Mat,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    kron,
+)
 from quivertilt.modules import (
     Module,
     ModuleMap,
@@ -32,6 +44,7 @@ from quivertilt.modules import (
     presentation_arrows,
     projective_cover,
     projective_module,
+    quotient_by_subspace,
     ses_from_submodule,
     ses_is_split,
     simple_module,
@@ -234,8 +247,16 @@ def test_submodule_rejects_unstable(a2):
     p1 = projective_module(a2, 0)
     # The span of the top basis vector is not closed under the arrow.
     unstable = Subspace(2, 2, [(1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not action-stable"):
         submodule_from_subspace(p1, unstable)
+
+
+def test_quotient_rejects_unstable(a2):
+    p1 = projective_module(a2, 0)
+    # Dividing out the top leaves the arrow's image with nowhere to go.
+    unstable = Subspace(2, 2, [(1, 0)])
+    with pytest.raises(ValueError, match="does not intertwine a$"):
+        quotient_by_subspace(p1, unstable)
 
 
 def test_hom_basis_is_deterministic(a3):
@@ -244,3 +265,26 @@ def test_hom_basis_is_deterministic(a3):
     maps2 = hom_basis(p1, p1)
     assert [h.mat for h in maps1] == [h.mat for h in maps2]
     assert hom_dim(p1, p1) == 1
+
+
+def _kron_hom_space(m, n):
+    """Hom(m, n) as the kernel of the stacked systems
+    kron(I, A_b^T) - kron(B_b, I), with X flattened row-major."""
+    p = m.algebra.field.p
+    system = Mat.zeros(p, 0, n.dim * m.dim)
+    for a_b, b_b in zip(m.action, n.action):
+        system = system.vstack(kron(Mat.identity(p, n.dim), a_b.transpose())
+                               - kron(b_b, Mat.identity(p, m.dim)))
+    return kernel_basis(system)
+
+
+@pytest.mark.parametrize("p, vertices, bound", [(2, 3, 3), (3, 2, 2)])
+def test_hom_basis_is_kernel_of_kron_system(p, vertices, bound):
+    arrows = tuple((v, v + 1, f"a{v}") for v in range(1, vertices))
+    alg = path_algebra(Field(p), Quiver(tuple(range(1, vertices + 1)), arrows))
+    members = universe(alg, bound).members
+    for m in members:
+        for n in members:
+            want = _kron_hom_space(m, n)
+            assert [h.mat.data for h in hom_basis(m, n)] == \
+                want.basis.row_list()
