@@ -34,19 +34,16 @@ from .enumeration import (
     universe,
 )
 from .giraud import (
+    AnyGiraudContext,
     CoGiraudContext,
     GiraudContext,
     co_giraud_context,
-    co_hat_pair,
-    co_push_pair,
     giraud_context,
     hat_pair,
     push_pair,
     verify_bijection,
-    verify_co_bijection,
 )
 from .heart import (
-    InducedTStructure,
     heart_cokernel,
     heart_kernel,
     heart_les_ok,
@@ -67,13 +64,7 @@ from .modules import (
     ses_from_submodule,
 )
 from .quivers import Quiver
-from .tiltbridge import (
-    heart_co_giraud_context,
-    heart_giraud_context,
-    reconstruct_serre,
-    verify_heart_cogiraud,
-    verify_heart_giraud,
-)
+from .tiltbridge import heart_giraud_context, reconstruct_serre, verify_heart_giraud
 from .torsion import (
     ClassSpec,
     TorsionPair,
@@ -131,9 +122,6 @@ class Environment:
     heart_bound: int
     modules: dict[str, Module] = field(default_factory=dict)
     pairs: dict[str, TorsionPair] = field(default_factory=dict)
-
-    def structures(self, pair: TorsionPair) -> InducedTStructure:
-        return induced_t_structure(pair)
 
 
 def _module_from_descriptor(alg: Algebra, table: dict[str, Module],
@@ -308,17 +296,9 @@ def cmd_transport_hat(env: Environment, cmd: dict) -> dict:
                               == _indices(pair, env.uni_d)}
 
 
-def cmd_verify_tt11(env: Environment, cmd: dict) -> dict:
-    rep = verify_bijection(env.ctx, env.uni_d, env.uni_c)
-    return {"ok": rep.ok, "parent_pairs": rep.parent_pairs,
-            "corner_pairs": rep.corner_pairs,
-            "compatible": [[list(t), list(f)] for t, f in rep.compatible],
-            "matching": [list(m) for m in rep.matching],
-            "failures": list(rep.failures)}
-
-
-def cmd_verify_co_tt11(env: Environment, cmd: dict) -> dict:
-    rep = verify_co_bijection(env.co, env.uni_d, env.uni_c)
+def cmd_verify_tt11(env: Environment, cmd: dict,
+                    ctx: AnyGiraudContext) -> dict:
+    rep = verify_bijection(ctx, env.uni_d, env.uni_c)
     return {"ok": rep.ok, "parent_pairs": rep.parent_pairs,
             "corner_pairs": rep.corner_pairs,
             "compatible": [[list(t), list(f)] for t, f in rep.compatible],
@@ -328,7 +308,7 @@ def cmd_verify_co_tt11(env: Environment, cmd: dict) -> dict:
 
 def cmd_truncate(env: Environment, cmd: dict) -> dict:
     name, pair = _named_pair(env, cmd)
-    ts = env.structures(pair)
+    ts = induced_t_structure(pair)
     c = _stalk(env, cmd, "complex")
     low, _ = truncate_le0(ts, c)
     high, _ = truncate_ge1(ts, c)
@@ -339,7 +319,7 @@ def cmd_truncate(env: Environment, cmd: dict) -> dict:
 
 def cmd_t_cohomology(env: Environment, cmd: dict) -> dict:
     name, pair = _named_pair(env, cmd)
-    ts = env.structures(pair)
+    ts = induced_t_structure(pair)
     c = _stalk(env, cmd, "complex")
     degrees = cmd.get("degrees", [-1, 0, 1, 2])
     out = []
@@ -362,7 +342,7 @@ def cmd_heart_hom(env: Environment, cmd: dict) -> dict:
 
 def cmd_heart_kernel(env: Environment, cmd: dict) -> dict:
     name, pair = _named_pair(env, cmd)
-    ts = env.structures(pair)
+    ts = induced_t_structure(pair)
     x = _stalk(env, cmd, "x")
     y = _stalk(env, cmd, "y")
     hom = derived_hom0(x, y)
@@ -382,13 +362,13 @@ def cmd_heart_kernel(env: Environment, cmd: dict) -> dict:
 
 def cmd_tilted_pair(env: Environment, cmd: dict) -> dict:
     name, pair = _named_pair(env, cmd)
-    rep = tilted_pair_report(env.structures(pair), env.uni_d, env.heart_bound)
+    rep = tilted_pair_report(induced_t_structure(pair), env.uni_d, env.heart_bound)
     return {"pair": name, "ok": rep.ok, "failures": list(rep.failures)}
 
 
 def cmd_les_check(env: Environment, cmd: dict) -> dict:
     name, pair = _named_pair(env, cmd)
-    ts = env.structures(pair)
+    ts = induced_t_structure(pair)
     if "module" in cmd:
         mods = [_module_from_descriptor(env.algebra, env.modules,
                                         cmd["module"])]
@@ -417,7 +397,7 @@ def cmd_kv_roundtrip(env: Environment, cmd: dict) -> dict:
                  enumerate(enumerate_torsion_pairs(env.uni_d))]
     failures = []
     for label, pair in named:
-        t_idx, f_idx = kv_classes(env.structures(pair), env.uni_d)
+        t_idx, f_idx = kv_classes(induced_t_structure(pair), env.uni_d)
         want = (torsion_indec_indices(pair, env.uni_d),
                 free_indec_indices(pair, env.uni_d))
         if (t_idx, f_idx) != want:
@@ -427,24 +407,14 @@ def cmd_kv_roundtrip(env: Environment, cmd: dict) -> dict:
             "checked": len(named)}
 
 
-def cmd_verify_adjhearts(env: Environment, cmd: dict) -> dict:
+def cmd_verify_adjhearts(env: Environment, cmd: dict,
+                         ctx: AnyGiraudContext) -> dict:
     name, pair = _named_pair(env, cmd)
     try:
-        hctx = heart_giraud_context(env.ctx, pair, env.uni_d, env.uni_c)
+        hctx = heart_giraud_context(ctx, pair, env.uni_d, env.uni_c)
     except ValueError as exc:
         return {"pair": name, "ok": False, "failures": [str(exc)]}
     rep = verify_heart_giraud(hctx, env.uni_d, env.uni_c, env.heart_bound)
-    return {"pair": name, "ok": rep.ok, "failures": list(rep.failures)}
-
-
-def cmd_verify_cadjhearts(env: Environment, cmd: dict) -> dict:
-    name, pair = _named_pair(env, cmd)
-    try:
-        co_hctx = heart_co_giraud_context(env.co, pair, env.uni_d, env.uni_c)
-    except ValueError as exc:
-        return {"pair": name, "ok": False, "failures": [str(exc)]}
-    rep = verify_heart_cogiraud(co_hctx, env.uni_d, env.uni_c,
-                                env.heart_bound)
     return {"pair": name, "ok": rep.ok, "failures": list(rep.failures)}
 
 
@@ -497,8 +467,8 @@ _COMMANDS: dict[str, Callable[[Environment, dict], dict]] = {
     "validate-pair": cmd_validate_pair,
     "transport-hat": cmd_transport_hat,
     "transport-push": cmd_transport_push,
-    "verify-tt11": cmd_verify_tt11,
-    "verify-co-tt11": cmd_verify_co_tt11,
+    "verify-tt11": lambda env, cmd: cmd_verify_tt11(env, cmd, env.ctx),
+    "verify-co-tt11": lambda env, cmd: cmd_verify_tt11(env, cmd, env.co),
     "truncate": cmd_truncate,
     "t-cohomology": cmd_t_cohomology,
     "heart-hom": cmd_heart_hom,
@@ -506,8 +476,10 @@ _COMMANDS: dict[str, Callable[[Environment, dict], dict]] = {
     "tilted-pair": cmd_tilted_pair,
     "les-check": cmd_les_check,
     "kv-roundtrip": cmd_kv_roundtrip,
-    "verify-adjhearts": cmd_verify_adjhearts,
-    "verify-cadjhearts": cmd_verify_cadjhearts,
+    "verify-adjhearts":
+        lambda env, cmd: cmd_verify_adjhearts(env, cmd, env.ctx),
+    "verify-cadjhearts":
+        lambda env, cmd: cmd_verify_adjhearts(env, cmd, env.co),
     "reconstruct": cmd_reconstruct,
     "enumerate-modules": cmd_enumerate_modules,
     "enumerate-pairs": cmd_enumerate_pairs,

@@ -7,17 +7,23 @@ situations between A-modules and eAe-modules:
   localization whose kernel S consists of the modules killed by e;
 * restriction r = e(-) with left adjoint j = Ae (x) -, the co-dual.
 
-Torsion pairs are pulled back along l (the "hat" construction, with a
+A colocalization context is a localization context of the opposite
+category: there r plays the part of l, j that of i, the torsion class
+that of the free class, and the surjective counit that of the injective
+unit.  Each context class states its side as data (restriction,
+section, admissibility test, the class that is cut down, message text),
+so one transport and one certificate serve both sides.  Torsion pairs
+are pulled back along the restriction (the "hat" construction, with a
 fiber-product or pushout decomposition witness) and pushed forward by
-applying l to both classes; the compatible pairs on the two sides
-biject, which verify_bijection and verify_co_bijection certify
-exhaustively on bounded universes.
+applying it to both classes; the compatible pairs on the two sides
+biject, which verify_bijection certifies exhaustively on bounded
+universes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional, Union
 
 from .algebras import CornerData
 from .enumeration import ModuleUniverse
@@ -44,6 +50,7 @@ from .modules import (
 from .torsion import (
     ClassSpec,
     TorsionPair,
+    enumerate_torsion_pairs,
     free_indec_indices,
     is_torsion_pair,
     torsion_indec_indices,
@@ -209,6 +216,24 @@ class GiraudContext:
     l: CornerFunctor
     i: HomSectionFunctor
 
+    # The side: the free class (index 1 of a pair) is cut down to the
+    # modules with injective unit.
+    constrained: ClassVar[int] = 1
+    prefix: ClassVar[str] = ""
+    composite: ClassVar[str] = "i(l(-))"
+    adjunction: ClassVar[str] = "counit"
+
+    @property
+    def restriction(self) -> CornerFunctor:
+        return self.l
+
+    @property
+    def section(self) -> HomSectionFunctor:
+        return self.i
+
+    def admissible(self, m: Module) -> bool:
+        return self.in_s_perp(m)
+
     def unit(self, m: Module) -> ModuleMap:
         """m -> i(l(m)), sending x to the map (a |-> restriction of a.x)."""
         cd = self.corner
@@ -266,6 +291,24 @@ class CoGiraudContext:
     j: TensorSectionFunctor
     r: CornerFunctor
 
+    # The side: the torsion class (index 0 of a pair) is cut down to the
+    # modules with surjective counit.
+    constrained: ClassVar[int] = 0
+    prefix: ClassVar[str] = "co-"
+    composite: ClassVar[str] = "j(r(-))"
+    adjunction: ClassVar[str] = "unit"
+
+    @property
+    def restriction(self) -> CornerFunctor:
+        return self.r
+
+    @property
+    def section(self) -> TensorSectionFunctor:
+        return self.j
+
+    def admissible(self, m: Module) -> bool:
+        return self.in_perp_s(m)
+
     def unit(self, n: Module) -> ModuleMap:
         """n -> r(j(n)), sending x to the class of e (x) x."""
         cd = self.corner
@@ -316,16 +359,25 @@ def co_giraud_context(corner: CornerData) -> CoGiraudContext:
                            CornerFunctor(corner))
 
 
+AnyGiraudContext = Union[GiraudContext, CoGiraudContext]
+_CLASS_NAMES = ("torsion", "free")
+_CLASS_INDICES = (torsion_indec_indices, free_indec_indices)
+
+
 # -- transport of torsion pairs --
 
-def hat_pair(ctx: GiraudContext, pair_c: TorsionPair,
+def hat_pair(ctx: AnyGiraudContext, pair_c: TorsionPair,
              uni_d: ModuleUniverse) -> TorsionPair:
-    """Pull a corner pair back: torsion class l^{-1}(T), free class
-    l^{-1}(F) cut down to the modules with injective unit."""
-    t_gens = tuple(d for d in uni_d.indecs if pair_c.in_torsion(ctx.l.apply(d)))
-    f_gens = tuple(d for d in uni_d.indecs
-                   if pair_c.in_free(ctx.l.apply(d)) and ctx.in_s_perp(d))
-    return TorsionPair(ClassSpec(t_gens, "torsion"), ClassSpec(f_gens, "free"))
+    """Pull a corner pair back: both classes are preimages under the
+    restriction, and the constrained class is cut down to the admissible
+    modules (l^{-1}(F) to injective unit, or r^{-1}(T) to surjective
+    counit)."""
+    gens = [tuple(d for d in uni_d.indecs
+                  if pair_c.in_class(k, ctx.restriction.apply(d)))
+            for k in (0, 1)]
+    k = ctx.constrained
+    gens[k] = tuple(d for d in gens[k] if ctx.admissible(d))
+    return TorsionPair(ClassSpec(gens[0], "torsion"), ClassSpec(gens[1], "free"))
 
 
 def hat_decompose(ctx: GiraudContext, pair_c: TorsionPair,
@@ -340,16 +392,6 @@ def hat_decompose(ctx: GiraudContext, pair_c: TorsionPair,
     x, p_t, p_m = fiber_product(it_incl, eta)
     assert p_m.is_injective(), "fiber product failed to embed in m"
     return ses_from_submodule(m, image_basis(p_m.mat))
-
-
-def co_hat_pair(co: CoGiraudContext, pair_c: TorsionPair,
-                uni_d: ModuleUniverse) -> TorsionPair:
-    """Pull a corner pair back along the colocalization: free class
-    r^{-1}(F), torsion class r^{-1}(T) cut down by surjective counit."""
-    t_gens = tuple(d for d in uni_d.indecs
-                   if pair_c.in_torsion(co.r.apply(d)) and co.in_perp_s(d))
-    f_gens = tuple(d for d in uni_d.indecs if pair_c.in_free(co.r.apply(d)))
-    return TorsionPair(ClassSpec(t_gens, "torsion"), ClassSpec(f_gens, "free"))
 
 
 def co_hat_decompose(co: CoGiraudContext, pair_c: TorsionPair,
@@ -386,47 +428,31 @@ class PushResult:
     preimage_matches: bool
 
 
-def push_pair(ctx: GiraudContext, pair_d: TorsionPair, uni_d: ModuleUniverse,
-              uni_c: ModuleUniverse) -> PushResult:
+def push_pair(ctx: AnyGiraudContext, pair_d: TorsionPair,
+              uni_d: ModuleUniverse, uni_c: ModuleUniverse) -> PushResult:
     """Push a parent pair down to the corner.
 
-    Requires the free class to be closed under i . l on the enumerated
-    universe; the free class of the image is then also the i-preimage
-    of the free class upstairs, which is checked as well.
+    Requires the constrained class to be closed under the composite of
+    section and restriction (i . l or j . r) on the enumerated universe;
+    the constrained class of the image is then also the section-preimage
+    of that class upstairs, which is checked as well.
     """
+    k = ctx.constrained
     witness = None
     for d in uni_d.nonzero_members():
-        if pair_d.in_free(d) and not pair_d.in_free(ctx.i.apply(ctx.l.apply(d))):
-            witness = f"free class not closed under i(l(-)) at {uni_d.signature(d)}"
+        if pair_d.in_class(k, d) and not pair_d.in_class(
+                k, ctx.section.apply(ctx.restriction.apply(d))):
+            witness = (f"{_CLASS_NAMES[k]} class not closed under "
+                       f"{ctx.composite} at {uni_d.signature(d)}")
             break
     closed = witness is None
     if not closed:
         return PushResult(False, False, witness, None, False, False)
-    pair_c = push_pair_classes(ctx.l, pair_d, uni_d)
+    pair_c = push_pair_classes(ctx.restriction, pair_d, uni_d)
     valid = is_torsion_pair(pair_c, uni_c).ok
     preimage = tuple(i for i, c in enumerate(uni_c.indecs)
-                     if pair_d.in_free(ctx.i.apply(c)))
-    matches = preimage == free_indec_indices(pair_c, uni_c)
-    return PushResult(valid and matches, True, None, pair_c, valid, matches)
-
-
-def co_push_pair(co: CoGiraudContext, pair_d: TorsionPair,
-                 uni_d: ModuleUniverse, uni_c: ModuleUniverse) -> PushResult:
-    """Dual push: requires the torsion class closed under j . r, and the
-    torsion class of the image equals the j-preimage upstairs."""
-    witness = None
-    for d in uni_d.nonzero_members():
-        if pair_d.in_torsion(d) and not pair_d.in_torsion(co.j.apply(co.r.apply(d))):
-            witness = f"torsion class not closed under j(r(-)) at {uni_d.signature(d)}"
-            break
-    closed = witness is None
-    if not closed:
-        return PushResult(False, False, witness, None, False, False)
-    pair_c = push_pair_classes(co.r, pair_d, uni_d)
-    valid = is_torsion_pair(pair_c, uni_c).ok
-    preimage = tuple(i for i, c in enumerate(uni_c.indecs)
-                     if pair_d.in_torsion(co.j.apply(c)))
-    matches = preimage == torsion_indec_indices(pair_c, uni_c)
+                     if pair_d.in_class(k, ctx.section.apply(c)))
+    matches = preimage == _CLASS_INDICES[k](pair_c, uni_c)
     return PushResult(valid and matches, True, None, pair_c, valid, matches)
 
 
@@ -446,13 +472,15 @@ def _pair_key(pair: TorsionPair, uni: ModuleUniverse):
     return (torsion_indec_indices(pair, uni), free_indec_indices(pair, uni))
 
 
-def verify_bijection(ctx: GiraudContext, uni_d: ModuleUniverse,
+def verify_bijection(ctx: AnyGiraudContext, uni_d: ModuleUniverse,
                      uni_c: ModuleUniverse) -> BijectionReport:
     """Check that push and hat are mutually inverse bijections between
-    corner pairs and the compatible parent pairs (free class between
-    i(l(Y)) and the unit-injective modules)."""
-    from .torsion import enumerate_torsion_pairs
-
+    corner pairs and the compatible parent pairs: those whose constrained
+    class lies between the section of its restriction and the admissible
+    modules (the free class between i(l(Y)) and the unit-injective
+    modules, or the torsion class between j(r(X)) and the modules with
+    surjective counit)."""
+    k, pre = ctx.constrained, ctx.prefix
     failures: list[str] = []
     d_pairs = enumerate_torsion_pairs(uni_d)
     c_pairs = enumerate_torsion_pairs(uni_c)
@@ -461,10 +489,10 @@ def verify_bijection(ctx: GiraudContext, uni_d: ModuleUniverse,
 
     compatible: list[int] = []
     for t, pr in enumerate(d_pairs):
-        f_idx = d_keys[t][1]
-        closed = all(pr.in_free(ctx.i.apply(ctx.l.apply(uni_d.indecs[i])))
-                     for i in f_idx)
-        perp = all(ctx.in_s_perp(uni_d.indecs[i]) for i in f_idx)
+        members = [uni_d.indecs[i] for i in d_keys[t][k]]
+        closed = all(pr.in_class(k, ctx.section.apply(ctx.restriction.apply(d)))
+                     for d in members)
+        perp = all(ctx.admissible(d) for d in members)
         if closed and perp:
             compatible.append(t)
 
@@ -472,28 +500,28 @@ def verify_bijection(ctx: GiraudContext, uni_d: ModuleUniverse,
     for t in compatible:
         res = push_pair(ctx, d_pairs[t], uni_d, uni_c)
         if not res.ok:
-            failures.append(f"push fails on compatible pair {d_keys[t]}: "
+            failures.append(f"{pre}push fails on compatible pair {d_keys[t]}: "
                             f"{res.witness or 'axioms'}")
             continue
         key = _pair_key(res.pair, uni_c)
         if key not in c_keys:
-            failures.append(f"pushed pair {key} not among corner pairs")
+            failures.append(f"{pre}pushed pair {key} not among corner pairs")
             continue
         u = c_keys.index(key)
         back = hat_pair(ctx, c_pairs[u], uni_d)
         if _pair_key(back, uni_d) != d_keys[t]:
-            failures.append(f"hat(push) moved pair {d_keys[t]}")
+            failures.append(f"{pre}hat({pre}push) moved pair {d_keys[t]}")
         matching.append((t, u))
 
     for u, pc in enumerate(c_pairs):
         lifted = hat_pair(ctx, pc, uni_d)
         key = _pair_key(lifted, uni_d)
         if key not in d_keys or d_keys.index(key) not in compatible:
-            failures.append(f"hat of corner pair {c_keys[u]} is not compatible")
+            failures.append(f"{pre}hat of corner pair {c_keys[u]} is not compatible")
             continue
         res = push_pair(ctx, lifted, uni_d, uni_c)
         if not res.ok or _pair_key(res.pair, uni_c) != c_keys[u]:
-            failures.append(f"push(hat) moved corner pair {c_keys[u]}")
+            failures.append(f"{pre}push({pre}hat) moved corner pair {c_keys[u]}")
 
     hit_c = {u for _, u in matching}
     if len(matching) != len(compatible) or len(hit_c) != len(c_pairs):
@@ -504,58 +532,6 @@ def verify_bijection(ctx: GiraudContext, uni_d: ModuleUniverse,
                            tuple(matching), tuple(failures))
 
 
-def verify_co_bijection(co: CoGiraudContext, uni_d: ModuleUniverse,
-                        uni_c: ModuleUniverse) -> BijectionReport:
-    """Dual certificate: torsion class between j(r(X)) and the modules
-    with surjective counit."""
-    from .torsion import enumerate_torsion_pairs
-
-    failures: list[str] = []
-    d_pairs = enumerate_torsion_pairs(uni_d)
-    c_pairs = enumerate_torsion_pairs(uni_c)
-    d_keys = [_pair_key(pr, uni_d) for pr in d_pairs]
-    c_keys = [_pair_key(pr, uni_c) for pr in c_pairs]
-
-    compatible: list[int] = []
-    for t, pr in enumerate(d_pairs):
-        t_idx = d_keys[t][0]
-        closed = all(pr.in_torsion(co.j.apply(co.r.apply(uni_d.indecs[i])))
-                     for i in t_idx)
-        perp = all(co.in_perp_s(uni_d.indecs[i]) for i in t_idx)
-        if closed and perp:
-            compatible.append(t)
-
-    matching: list[tuple[int, int]] = []
-    for t in compatible:
-        res = co_push_pair(co, d_pairs[t], uni_d, uni_c)
-        if not res.ok:
-            failures.append(f"co-push fails on compatible pair {d_keys[t]}: "
-                            f"{res.witness or 'axioms'}")
-            continue
-        key = _pair_key(res.pair, uni_c)
-        if key not in c_keys:
-            failures.append(f"co-pushed pair {key} not among corner pairs")
-            continue
-        u = c_keys.index(key)
-        back = co_hat_pair(co, c_pairs[u], uni_d)
-        if _pair_key(back, uni_d) != d_keys[t]:
-            failures.append(f"co-hat(co-push) moved pair {d_keys[t]}")
-        matching.append((t, u))
-
-    for u, pc in enumerate(c_pairs):
-        lifted = co_hat_pair(co, pc, uni_d)
-        key = _pair_key(lifted, uni_d)
-        if key not in d_keys or d_keys.index(key) not in compatible:
-            failures.append(f"co-hat of corner pair {c_keys[u]} is not compatible")
-            continue
-        res = co_push_pair(co, lifted, uni_d, uni_c)
-        if not res.ok or _pair_key(res.pair, uni_c) != c_keys[u]:
-            failures.append(f"co-push(co-hat) moved corner pair {c_keys[u]}")
-
-    hit_c = {u for _, u in matching}
-    if len(matching) != len(compatible) or len(hit_c) != len(c_pairs):
-        failures.append(
-            f"counts differ: {len(compatible)} compatible vs {len(c_pairs)} corner")
-    return BijectionReport(not failures, len(d_pairs), len(c_pairs),
-                           tuple(d_keys[t] for t in compatible),
-                           tuple(matching), tuple(failures))
+# The colocalization certificate is the same certificate; the name stays
+# for callers that spell the side out.
+verify_co_bijection = verify_bijection

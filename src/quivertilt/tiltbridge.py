@@ -10,11 +10,18 @@ being invertible, full faithfulness of the section, adjunction hom
 spaces matching, the kernel on hearts being a Serre class, and the
 original corner datum being recoverable from the heart datum -- is
 checked exhaustively over enumerated universes.
+
+A colocalization is read as a localization of the opposite category:
+its homs and compositions are reversed, its unit plays the counit's
+part, and the shifted free stalks play the torsion stalks' part.  So one
+context class, one descended functor and one adjunction certificate
+serve both sides; the side is data chosen when the context is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .complexes import (
     ChainMap,
@@ -26,6 +33,7 @@ from .complexes import (
     is_quasi_iso,
 )
 from .derived import (
+    DerivedHom,
     DerivedMorphism,
     derived_hom0,
     derived_hom_dim,
@@ -36,12 +44,7 @@ from .derived import (
     transport_exact,
 )
 from .enumeration import ModuleUniverse, enumerate_submodules
-from .giraud import (
-    CoGiraudContext,
-    GiraudContext,
-    co_push_pair,
-    push_pair,
-)
+from .giraud import AnyGiraudContext, CoGiraudContext, GiraudContext, push_pair
 from .heart import (
     InducedTStructure,
     enumerate_heart_objects,
@@ -65,29 +68,35 @@ SECTION_DEPTH = 3
 
 # -- contexts ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class HeartSide:
+    """A side read as a localization: the section on hearts with its
+    action on morphisms, the adjunction map that must be invertible,
+    and the homs and composition (f after g) of the category that is
+    localized -- the opposite one for a colocalization."""
+
+    section: Callable[[HeartGiraudContext, Complex], Complex]
+    section_map: Callable[[HeartGiraudContext, DerivedMorphism],
+                          DerivedMorphism]
+    adjunction: Callable[[HeartGiraudContext, Complex], DerivedMorphism]
+    hom: Callable[[Complex, Complex], DerivedHom]
+    after: Callable[[DerivedMorphism, DerivedMorphism], DerivedMorphism]
+
+
 @dataclass
 class HeartGiraudContext:
-    """The corner localization descended to tilted hearts."""
+    """A corner localization or colocalization descended to tilted
+    hearts."""
 
-    base: GiraudContext
+    base: AnyGiraudContext
     pair_d: TorsionPair
     pair_c: TorsionPair
     ts_d: InducedTStructure
     ts_c: InducedTStructure
+    side: HeartSide
 
 
-@dataclass
-class HeartCoGiraudContext:
-    """The dual: corner colocalization descended to tilted hearts."""
-
-    base: CoGiraudContext
-    pair_d: TorsionPair
-    pair_c: TorsionPair
-    ts_d: InducedTStructure
-    ts_c: InducedTStructure
-
-
-def heart_giraud_context(ctx: GiraudContext, pair_d: TorsionPair,
+def heart_giraud_context(ctx: AnyGiraudContext, pair_d: TorsionPair,
                          uni_d: ModuleUniverse, uni_c: ModuleUniverse,
                          ) -> HeartGiraudContext:
     """Validate compatibility of the pair and set up both hearts."""
@@ -96,43 +105,42 @@ def heart_giraud_context(ctx: GiraudContext, pair_d: TorsionPair,
         raise ValueError(pushed.witness or "pushed classes are not a pair")
     return HeartGiraudContext(ctx, pair_d, pushed.pair,
                               induced_t_structure(pair_d),
-                              induced_t_structure(pushed.pair))
-
-
-def heart_co_giraud_context(co: CoGiraudContext, pair_d: TorsionPair,
-                            uni_d: ModuleUniverse, uni_c: ModuleUniverse,
-                            ) -> HeartCoGiraudContext:
-    pushed = co_push_pair(co, pair_d, uni_d, uni_c)
-    if not pushed.ok:
-        raise ValueError(pushed.witness or "pushed classes are not a pair")
-    return HeartCoGiraudContext(co, pair_d, pushed.pair,
-                                induced_t_structure(pair_d),
-                                induced_t_structure(pushed.pair))
+                              induced_t_structure(pushed.pair),
+                              _side_of(ctx))
 
 
 # -- the exact descent ------------------------------------------------------
 
 def l_heart(hctx: HeartGiraudContext, x: Complex) -> Complex:
-    """Levelwise corner functor on a heart object."""
-    c = apply_functor(hctx.base.l, x)
+    """Levelwise corner functor (l or r) on a heart object."""
+    c = apply_functor(hctx.base.restriction, x)
     assert hctx.ts_c.in_heart(c), "corner image left the heart"
     return c
 
 
 def l_heart_map(hctx: HeartGiraudContext,
                 m: DerivedMorphism) -> DerivedMorphism:
-    return transport_exact(hctx.base.l, m)
+    return transport_exact(hctx.base.restriction, m)
 
 
-def r_heart(co_hctx: HeartCoGiraudContext, x: Complex) -> Complex:
-    c = apply_functor(co_hctx.base.r, x)
-    assert co_hctx.ts_c.in_heart(c), "corner image left the heart"
-    return c
-
-
-def r_heart_map(co_hctx: HeartCoGiraudContext,
-                m: DerivedMorphism) -> DerivedMorphism:
-    return transport_exact(co_hctx.base.r, m)
+def heart_unit(hctx: HeartGiraudContext, x: Complex) -> DerivedMorphism:
+    """x -> i_heart(l_heart(x)), transposed through the adjunction from
+    the identity of l_heart(x).  Read in the opposite category, for a
+    colocalization this is the counit j_heart(r(x)) -> x."""
+    side = hctx.side
+    lx = l_heart(hctx, x)
+    hom_up = side.hom(x, side.section(hctx, lx))
+    hom_down = side.hom(lx, lx)
+    eps = side.adjunction(hctx, lx)
+    p = x.algebra.field.p
+    cols = [hom_down.class_coords(side.after(eps, l_heart_map(hctx, b)))
+            for b in hom_up.basis()]
+    ident = hom_down.class_coords(
+        DerivedMorphism.from_chain_map(ChainMap.identity(lx)))
+    a = Mat.from_rows(p, cols, cols=hom_down.dim).transpose()
+    sol = solve(a, Mat(p, hom_down.dim, 1, ident))
+    assert sol is not None, "identity is not in the adjunction image"
+    return hom_up.element(sol.col(0))
 
 
 # -- the right section on hearts --------------------------------------------
@@ -180,55 +188,37 @@ def heart_counit(hctx: HeartGiraudContext, n: Complex) -> DerivedMorphism:
     return DerivedMorphism(l_h, n, rep)
 
 
-def heart_unit(hctx: HeartGiraudContext, x: Complex) -> DerivedMorphism:
-    """x -> i_heart(l_heart(x)), transposed through the adjunction."""
-    lx = l_heart(hctx, x)
-    ih = i_heart(hctx, lx)
-    hom_up = derived_hom0(x, ih)
-    hom_down = derived_hom0(lx, lx)
-    eps = heart_counit(hctx, lx)
-    p = x.algebra.field.p
-    cols = [hom_down.class_coords(eps.compose(l_heart_map(hctx, b)))
-            for b in hom_up.basis()]
-    ident = hom_down.class_coords(
-        DerivedMorphism.from_chain_map(ChainMap.identity(lx)))
-    a = Mat.from_rows(p, cols, cols=hom_down.dim).transpose()
-    sol = solve(a, Mat(p, hom_down.dim, 1, ident))
-    assert sol is not None, "identity is not in the adjunction image"
-    return hom_up.element(sol.col(0))
-
-
 # -- the left section on hearts ---------------------------------------------
 
-def j_heart(co_hctx: HeartCoGiraudContext, n: Complex) -> Complex:
+def j_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
     """Heart cohomology of the left-derived section: the left adjoint
     of the descended corner functor."""
     res, _ = projective_resolution(n, depth=SECTION_DEPTH)
-    lifted = apply_functor(co_hctx.base.j, res)
-    h = h0_lower(co_hctx.ts_d, lifted).h
-    assert co_hctx.ts_d.in_heart(h)
+    lifted = apply_functor(hctx.base.j, res)
+    h = h0_lower(hctx.ts_d, lifted).h
+    assert hctx.ts_d.in_heart(h)
     return h
 
 
-def j_heart_map(co_hctx: HeartCoGiraudContext,
+def j_heart_map(hctx: HeartGiraudContext,
                 f: DerivedMorphism) -> DerivedMorphism:
     res, cmp3 = projective_resolution(f.source, depth=SECTION_DEPTH)
     res2, cmp32 = projective_resolution(f.target, depth=SECTION_DEPTH)
     _, cmp = projective_resolution(f.source)
     down = lift_postcompose(cmp, cmp3)
     g = lift_postcompose(cmp32, f.rep.compose(down))
-    lifted = apply_functor_map(co_hctx.base.j, g)
-    return DerivedMorphism.from_chain_map(h0_lower_map(co_hctx.ts_d, lifted))
+    lifted = apply_functor_map(hctx.base.j, g)
+    return DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
 
 
-def heart_co_unit(co_hctx: HeartCoGiraudContext,
+def heart_co_unit(hctx: HeartGiraudContext,
                   n: Complex) -> DerivedMorphism:
-    """The coinsertion n -> r_heart(j_heart(n)); invertible over a
+    """The coinsertion n -> r(j_heart(n)); invertible over a
     colocalization context."""
-    base = co_hctx.base
+    base = hctx.base
     res, cmp3 = projective_resolution(n, depth=SECTION_DEPTH)
     lifted = apply_functor(base.j, res)
-    data = h0_lower(co_hctx.ts_d, lifted)
+    data = h0_lower(hctx.ts_d, lifted)
     r_h = apply_functor(base.r, data.h)
     r_proj = apply_functor_map(base.r, data.proj)
     r_incl = apply_functor_map(base.r, data.incl)
@@ -243,23 +233,24 @@ def heart_co_unit(co_hctx: HeartCoGiraudContext,
     return DerivedMorphism(n, r_h, r_proj.compose(z))
 
 
-def heart_co_counit(co_hctx: HeartCoGiraudContext,
-                    x: Complex) -> DerivedMorphism:
-    """j_heart(r_heart(x)) -> x, transposed through the adjunction."""
-    rx = r_heart(co_hctx, x)
-    jh = j_heart(co_hctx, rx)
-    hom_up = derived_hom0(jh, x)
-    hom_down = derived_hom0(rx, rx)
-    eta = heart_co_unit(co_hctx, rx)
-    p = x.algebra.field.p
-    cols = [hom_down.class_coords(r_heart_map(co_hctx, b).compose(eta))
-            for b in hom_up.basis()]
-    ident = hom_down.class_coords(
-        DerivedMorphism.from_chain_map(ChainMap.identity(rx)))
-    a = Mat.from_rows(p, cols, cols=hom_down.dim).transpose()
-    sol = solve(a, Mat(p, hom_down.dim, 1, ident))
-    assert sol is not None, "identity is not in the adjunction image"
-    return hom_up.element(sol.col(0))
+def _op_hom(x: Complex, y: Complex) -> DerivedHom:
+    return derived_hom0(y, x)
+
+
+def _side_of(ctx: AnyGiraudContext) -> HeartSide:
+    """The side of ctx read as a localization.  The table is built per
+    call, so it holds the module's current bindings of its functions."""
+    return {
+        GiraudContext: HeartSide(i_heart, i_heart_map, heart_counit,
+                                 derived_hom0, lambda f, g: f.compose(g)),
+        CoGiraudContext: HeartSide(j_heart, j_heart_map, heart_co_unit,
+                                   _op_hom, lambda f, g: g.compose(f)),
+    }[type(ctx)]
+
+# The stalks of the class that is not cut down, for the messages: the
+# torsion class of a localization, the free class of a colocalization.
+_STALKS = (("torsion stalk", "torsion stalks"),
+           ("shifted stalk", "shifted free stalks"))
 
 
 # -- enumeration helpers -----------------------------------------------------
@@ -312,30 +303,32 @@ def verify_heart_giraud(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
                         uni_c: ModuleUniverse, dim_bound: int = 3,
                         ) -> PairReport:
     """Exhaustive certificate that the descended context is a
-    localization: adjunction hom spaces match through the explicit
-    transpose, the counit is a natural isomorphism, the section is
-    fully faithful, and the composite section of a torsion stalk stays
-    a torsion stalk."""
+    localization, of the hearts or of their opposites: adjunction hom
+    spaces match through the explicit transpose, the counit (the unit of
+    a colocalization) is a natural isomorphism, the section is fully
+    faithful, and the composite section of a stalk of the class that is
+    not cut down stays such a stalk."""
+    side, name = hctx.side, hctx.base.adjunction
+    hom, after = side.hom, side.after
     p = uni_d.algebra.field.p
     failures: list[str] = []
     ups = heart_class_reps(hctx.ts_d, uni_d, dim_bound)
     downs = heart_class_reps(hctx.ts_c, uni_c, dim_bound)
 
-    counits = {k: heart_counit(hctx, n) for k, n in enumerate(downs)}
-    for k, n in enumerate(downs):
-        if not counits[k].is_iso():
-            failures.append(f"counit at corner object #{k} is not invertible")
+    adj = [side.adjunction(hctx, n) for n in downs]
+    for k, eps in enumerate(adj):
+        if not eps.is_iso():
+            failures.append(f"{name} at corner object #{k} is not invertible")
 
     for a, x in enumerate(ups):
+        lx = l_heart(hctx, x)
         for b, n in enumerate(downs):
-            hom_up = derived_hom0(x, i_heart(hctx, n))
-            down_dim = derived_hom_dim(l_heart(hctx, x), n)
-            if hom_up.dim != down_dim:
+            hom_up = hom(x, side.section(hctx, n))
+            hom_down = hom(lx, n)
+            if hom_up.dim != hom_down.dim:
                 failures.append(f"adjunction dimensions differ at ({a},{b})")
                 continue
-            hom_down = derived_hom0(l_heart(hctx, x), n)
-            cols = [hom_down.class_coords(
-                        counits[b].compose(l_heart_map(hctx, f)))
+            cols = [hom_down.class_coords(after(adj[b], l_heart_map(hctx, f)))
                     for f in hom_up.basis()]
             if not _bijective(p, cols, hom_up.dim):
                 failures.append(f"adjunction transpose at ({a},{b}) "
@@ -343,82 +336,30 @@ def verify_heart_giraud(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
 
     for a, n in enumerate(downs):
         for b, n2 in enumerate(downs):
-            hom = derived_hom0(n, n2)
-            images = [i_heart_map(hctx, f) for f in hom.basis()]
-            up = derived_hom0(i_heart(hctx, n), i_heart(hctx, n2))
-            if up.dim != hom.dim or not _bijective(
-                    p, [up.class_coords(g) for g in images], hom.dim):
+            hom_n = hom(n, n2)
+            images = [side.section_map(hctx, f) for f in hom_n.basis()]
+            up = hom(side.section(hctx, n), side.section(hctx, n2))
+            if up.dim != hom_n.dim or not _bijective(
+                    p, [up.class_coords(g) for g in images], hom_n.dim):
                 failures.append(f"section is not fully faithful at ({a},{b})")
-            for f, g in zip(hom.basis(), images):
-                lhs = counits[b].compose(l_heart_map(hctx, g))
-                rhs = f.compose(counits[a])
-                if not lhs.equals(rhs):
-                    failures.append(f"counit is not natural at ({a},{b})")
+            for f, g in zip(hom_n.basis(), images):
+                lhs = after(adj[b], l_heart_map(hctx, g))
+                if not lhs.equals(after(f, adj[a])):
+                    failures.append(f"{name} is not natural at ({a},{b})")
                     break
 
+    # The class that is not cut down has index k, and its members sit
+    # in the heart as stalks in degree -k.
+    k = 1 - hctx.base.constrained
     for m in uni_d.nonzero_members():
-        if not hctx.pair_d.in_torsion(m):
+        if not hctx.pair_d.in_class(k, m):
             continue
-        back = i_heart(hctx, l_heart(hctx, one_term(m)))
-        if cohomology(back, -1).dim != 0 \
-                or not hctx.pair_d.in_torsion(cohomology(back, 0)):
-            failures.append("section of a collapsed torsion stalk left "
-                            f"the torsion stalks at {uni_d.signature(m)}")
-    return PairReport(not failures, tuple(failures))
-
-
-def verify_heart_cogiraud(co_hctx: HeartCoGiraudContext,
-                          uni_d: ModuleUniverse, uni_c: ModuleUniverse,
-                          dim_bound: int = 3) -> PairReport:
-    """Mirror certificate for the descended colocalization."""
-    p = uni_d.algebra.field.p
-    failures: list[str] = []
-    ups = heart_class_reps(co_hctx.ts_d, uni_d, dim_bound)
-    downs = heart_class_reps(co_hctx.ts_c, uni_c, dim_bound)
-
-    units = {k: heart_co_unit(co_hctx, n) for k, n in enumerate(downs)}
-    for k, n in enumerate(downs):
-        if not units[k].is_iso():
-            failures.append(f"unit at corner object #{k} is not invertible")
-
-    for a, x in enumerate(ups):
-        for b, n in enumerate(downs):
-            hom_up = derived_hom0(j_heart(co_hctx, n), x)
-            down_dim = derived_hom_dim(n, r_heart(co_hctx, x))
-            if hom_up.dim != down_dim:
-                failures.append(f"adjunction dimensions differ at ({a},{b})")
-                continue
-            hom_down = derived_hom0(n, r_heart(co_hctx, x))
-            cols = [hom_down.class_coords(
-                        r_heart_map(co_hctx, g).compose(units[b]))
-                    for g in hom_up.basis()]
-            if not _bijective(p, cols, hom_up.dim):
-                failures.append(f"adjunction transpose at ({a},{b}) "
-                                "is not bijective")
-
-    for a, n in enumerate(downs):
-        for b, n2 in enumerate(downs):
-            hom = derived_hom0(n, n2)
-            images = [j_heart_map(co_hctx, f) for f in hom.basis()]
-            up = derived_hom0(j_heart(co_hctx, n), j_heart(co_hctx, n2))
-            if up.dim != hom.dim or not _bijective(
-                    p, [up.class_coords(g) for g in images], hom.dim):
-                failures.append(f"section is not fully faithful at ({a},{b})")
-            for f, g in zip(hom.basis(), images):
-                lhs = r_heart_map(co_hctx, g).compose(units[a])
-                rhs = units[b].compose(f)
-                if not lhs.equals(rhs):
-                    failures.append(f"unit is not natural at ({a},{b})")
-                    break
-
-    for m in uni_d.nonzero_members():
-        if not co_hctx.pair_d.in_free(m):
-            continue
-        back = j_heart(co_hctx, r_heart(co_hctx, one_term(m, 1)))
-        if cohomology(back, 0).dim != 0 \
-                or not co_hctx.pair_d.in_free(cohomology(back, -1)):
-            failures.append("section of a collapsed shifted stalk left "
-                            f"the shifted free stalks at {uni_d.signature(m)}")
+        back = side.section(hctx, l_heart(hctx, one_term(m, k)))
+        if cohomology(back, k - 1).dim != 0 \
+                or not hctx.pair_d.in_class(k, cohomology(back, -k)):
+            stalk, stalks = _STALKS[k]
+            failures.append(f"section of a collapsed {stalk} left the "
+                            f"{stalks} at {uni_d.signature(m)}")
     return PairReport(not failures, tuple(failures))
 
 

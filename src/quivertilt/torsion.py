@@ -117,6 +117,10 @@ class TorsionPair:
     def in_free(self, m: Module) -> bool:
         return self.free.contains(m)
 
+    def in_class(self, k: int, m: Module) -> bool:
+        """Membership in class k: 0 the torsion class, 1 the free class."""
+        return (self.torsion, self.free)[k].contains(m)
+
 
 @dataclass(frozen=True)
 class PairReport:

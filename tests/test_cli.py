@@ -9,13 +9,21 @@ without producing a report.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import quivertilt
 from quivertilt.cli import main
 
 BUNDLED = str(files("quivertilt").joinpath("scenarios/a2_full.json"))
+# The --no-timing --json-only report of the bundled scenario at its own
+# bounds, byte for byte; a change to any field must update it on purpose.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "a2_full.json"
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +70,28 @@ def test_bundled_scenario_passes(capsys):
     assert by_op["reconstruct"]["membership"] == [True, False, True,
                                                   False, False, True, False]
     assert "17 commands, all passed" in err
+
+
+def test_bundled_report_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, BUNDLED, "--no-timing", "--json-only")
+    assert code == 0
+    assert out == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_bundled_report_matches_golden_without_asserts():
+    # Under -O every assert is stripped, so the report must not depend
+    # on one.
+    src = str(Path(quivertilt.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "quivertilt.cli", BUNDLED,
+         "--no-timing", "--json-only"],
+        capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == GOLDEN.read_bytes()
 
 
 def test_reports_are_deterministic(capsys):

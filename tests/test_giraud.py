@@ -17,8 +17,6 @@ from quivertilt.enumeration import is_isomorphic, universe
 from quivertilt.giraud import (
     co_giraud_context,
     co_hat_decompose,
-    co_hat_pair,
-    co_push_pair,
     giraud_context,
     hat_decompose,
     hat_pair,
@@ -169,7 +167,7 @@ def test_co_hat_decompose_a2(co2, a2):
     uni_d = universe(a2, 2)
     uni_c = universe(co2.corner.sub, 2)
     for pair_c in enumerate_torsion_pairs(uni_c):
-        hat = co_hat_pair(co2, pair_c, uni_d)
+        hat = hat_pair(co2, pair_c, uni_d)
         assert is_torsion_pair(hat, uni_d).ok
         for m in uni_d.nonzero_members():
             ses = co_hat_decompose(co2, pair_c, m)
@@ -239,13 +237,35 @@ def test_co_bijection_a3(co3, a3):
     assert len(report.compatible) == 5
 
 
+def test_bijection_failures_on_truncated_corner(ctx3, co3, a3):
+    # At corner bound 1 only 4 corner pairs remain against 5 compatible
+    # parent pairs on each side: two compatible pairs push to the same
+    # corner pair, and one corner pair lifts to an incompatible pair.
+    uni_d = universe(a3, 3)
+    uni_c = universe(ctx3.corner.sub, 1)
+    report = verify_bijection(ctx3, uni_d, uni_c)
+    assert not report.ok
+    assert report.corner_pairs == 4
+    assert report.failures == (
+        "hat(push) moved pair ((1, 2, 4), (0, 3, 5))",
+        "hat(push) moved pair ((1, 2, 4, 5), (0, 3))",
+        "hat of corner pair ((1,), (0,)) is not compatible")
+    co_report = verify_co_bijection(co3, uni_d, uni_c)
+    assert not co_report.ok
+    assert co_report.corner_pairs == 4
+    assert co_report.failures == (
+        "co-hat(co-push) moved pair ((2, 4), (0, 1, 3, 5))",
+        "co-hat(co-push) moved pair ((2, 4, 5), (0, 1, 3))",
+        "co-hat of corner pair ((1,), (0,)) is not compatible")
+
+
 def test_co_push_pair_a2(co2, a2):
     uni_d = universe(a2, 2)
     uni_c = universe(co2.corner.sub, 2)
     s1 = simple_module(a2, 0)
     s2 = simple_module(a2, 1)
     pair = TorsionPair(ClassSpec((s2,), "torsion"), ClassSpec((s1,), "free"))
-    res = co_push_pair(co2, pair, uni_d, uni_c)
+    res = push_pair(co2, pair, uni_d, uni_c)
     assert res.ok
     assert torsion_indec_indices(res.pair, uni_c) == (0,)
     assert free_indec_indices(res.pair, uni_c) == ()
