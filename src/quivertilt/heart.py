@@ -558,12 +558,24 @@ def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
     return PairReport(not failures, tuple(failures))
 
 
+def _distinct(items: list[Complex]) -> tuple[list[int], list[Complex]]:
+    """The distinct members of items in order of first occurrence, and
+    the position of each item among them."""
+    ids: dict[Complex, int] = {}
+    at = [ids.setdefault(c, len(ids)) for c in items]
+    return at, list(ids)
+
+
 def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
                        ) -> PairReport:
     """Axioms of the induced t-structure over a finite set of test
     complexes: truncation memberships, levelwise exactness of the
     truncation sequence, and orthogonality of aisle against shifted
-    coaisle."""
+    coaisle.
+
+    Orthogonality is evaluated once per distinct (aisle, coaisle) pair
+    of nonzero truncations; a failing pair is still reported at every
+    index pair where it occurs, in row-major order."""
     failures: list[str] = []
     lows = []
     highs = []
@@ -585,11 +597,22 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
             if kernel_basis(epi.mat) != image_basis(mono.mat):
                 failures.append(f"truncation of #{k} not exact at {i}")
                 break
-    for ka, a in enumerate(lows):
-        for kb, b in enumerate(highs):
-            if a.is_zero() or b.is_zero():
-                continue
-            if derived_hom_dim(a, b):
-                failures.append(
-                    f"aisle #{ka} maps onto shifted coaisle #{kb}")
+    # Equal truncations recur across the sample, so the sweep runs over
+    # the distinct ones, numbered in order of first occurrence.
+    low_ids, distinct_lows = _distinct(lows)
+    high_ids, distinct_highs = _distinct(highs)
+    nonzero_highs = [(j, b) for j, b in enumerate(distinct_highs)
+                     if not b.is_zero()]
+    hits: dict[int, set[int]] = {}
+    for i, a in enumerate(distinct_lows):
+        if a.is_zero():
+            continue
+        row = {j for j, b in nonzero_highs if derived_hom_dim(a, b)}
+        if row:
+            hits[i] = row
+    for ka, i in enumerate(low_ids):
+        row = hits.get(i)
+        if row:
+            failures.extend(f"aisle #{ka} maps onto shifted coaisle #{kb}"
+                            for kb, j in enumerate(high_ids) if j in row)
     return PairReport(not failures, tuple(failures))

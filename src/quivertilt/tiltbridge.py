@@ -109,6 +109,17 @@ def heart_giraud_context(ctx: AnyGiraudContext, pair_d: TorsionPair,
                               _side_of(ctx))
 
 
+_SIDE_NAMES = {GiraudContext: "localization",
+               CoGiraudContext: "colocalization"}
+
+
+def _require_side(hctx: HeartGiraudContext, side: type, fn: str) -> None:
+    """Reject a context of the other side before fn reaches for the
+    functors that only one side has."""
+    if not isinstance(hctx.base, side):
+        raise ValueError(f"{fn} needs a {_SIDE_NAMES[side]} context")
+
+
 # -- the exact descent ------------------------------------------------------
 
 def l_heart(hctx: HeartGiraudContext, x: Complex) -> Complex:
@@ -148,6 +159,7 @@ def heart_unit(hctx: HeartGiraudContext, x: Complex) -> DerivedMorphism:
 def i_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
     """Heart cohomology of the derived section: the right adjoint of
     the descended corner functor."""
+    _require_side(hctx, GiraudContext, "i_heart")
     cores, _ = injective_coresolution(n, depth=SECTION_DEPTH)
     lifted = apply_functor(hctx.base.i, cores)
     h = h0_lower(hctx.ts_d, lifted).h
@@ -158,6 +170,7 @@ def i_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
 def i_heart_map(hctx: HeartGiraudContext,
                 f: DerivedMorphism) -> DerivedMorphism:
     """Functorial image of a heart morphism under the right section."""
+    _require_side(hctx, GiraudContext, "i_heart_map")
     cores, into = injective_coresolution(f.source, depth=SECTION_DEPTH)
     cores2, into2 = injective_coresolution(f.target, depth=SECTION_DEPTH)
     _, cmp = projective_resolution(f.source)
@@ -169,6 +182,7 @@ def i_heart_map(hctx: HeartGiraudContext,
 def heart_counit(hctx: HeartGiraudContext, n: Complex) -> DerivedMorphism:
     """The evaluation l_heart(i_heart(n)) -> n; invertible over a
     localization context."""
+    _require_side(hctx, GiraudContext, "heart_counit")
     base = hctx.base
     cores, into = injective_coresolution(n, depth=SECTION_DEPTH)
     lifted = apply_functor(base.i, cores)
@@ -193,6 +207,7 @@ def heart_counit(hctx: HeartGiraudContext, n: Complex) -> DerivedMorphism:
 def j_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
     """Heart cohomology of the left-derived section: the left adjoint
     of the descended corner functor."""
+    _require_side(hctx, CoGiraudContext, "j_heart")
     res, _ = projective_resolution(n, depth=SECTION_DEPTH)
     lifted = apply_functor(hctx.base.j, res)
     h = h0_lower(hctx.ts_d, lifted).h
@@ -202,6 +217,8 @@ def j_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
 
 def j_heart_map(hctx: HeartGiraudContext,
                 f: DerivedMorphism) -> DerivedMorphism:
+    """Functorial image of a heart morphism under the left section."""
+    _require_side(hctx, CoGiraudContext, "j_heart_map")
     res, cmp3 = projective_resolution(f.source, depth=SECTION_DEPTH)
     res2, cmp32 = projective_resolution(f.target, depth=SECTION_DEPTH)
     _, cmp = projective_resolution(f.source)
@@ -215,6 +232,7 @@ def heart_co_unit(hctx: HeartGiraudContext,
                   n: Complex) -> DerivedMorphism:
     """The coinsertion n -> r(j_heart(n)); invertible over a
     colocalization context."""
+    _require_side(hctx, CoGiraudContext, "heart_co_unit")
     base = hctx.base
     res, cmp3 = projective_resolution(n, depth=SECTION_DEPTH)
     lifted = apply_functor(base.j, res)
@@ -271,6 +289,7 @@ def heart_class_reps(ts: InducedTStructure, uni: ModuleUniverse,
 def s_heart_membership(hctx: HeartGiraudContext, x: Complex) -> bool:
     """Whether a heart object dies in the corner heart: both of its
     cohomologies are killed by the corner functor."""
+    _require_side(hctx, GiraudContext, "s_heart_membership")
     if is_exact_complex(x):
         return True
     assert hctx.ts_d.in_heart(x), "membership is defined on heart objects"
@@ -284,6 +303,7 @@ def s_heart_membership(hctx: HeartGiraudContext, x: Complex) -> bool:
 def l_heart_preimage(hctx: HeartGiraudContext, n: Complex) -> Complex:
     """A heart object upstairs whose corner image is isomorphic to n,
     witnessing essential surjectivity."""
+    _require_side(hctx, GiraudContext, "l_heart_preimage")
     lifted = apply_functor(hctx.base.i, n)
     return h0_lower(hctx.ts_d, lifted).h
 
@@ -384,6 +404,7 @@ def verify_heart_quotient(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
     """The descended functor is exact and essentially surjective, and
     its kernel satisfies two-out-of-three on enumerated heart-exact
     sequences."""
+    _require_side(hctx, GiraudContext, "verify_heart_quotient")
     failures: list[str] = []
     ups = heart_class_reps(hctx.ts_d, uni_d, dim_bound)
     downs = heart_class_reps(hctx.ts_c, uni_c, dim_bound)
@@ -415,6 +436,7 @@ def dl_commutation_report(hctx: HeartGiraudContext,
     """The corner functor commutes with both truncations and with heart
     cohomology on the given complexes: the truncation subobjects agree
     levelwise, and the cohomologies are isomorphic."""
+    _require_side(hctx, GiraudContext, "dl_commutation_report")
     failures: list[str] = []
     for k, c in enumerate(complexes):
         lc = apply_functor(hctx.base.l, c)
@@ -477,6 +499,7 @@ def reconstruct_serre(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
                       ) -> ReconstructionReport:
     """Recover the corner datum from the heart-level one and certify
     the roundtrip claims on the enumerated universes."""
+    _require_side(hctx, GiraudContext, "reconstruct_serre")
     base = hctx.base
     for m in uni_d.nonzero_members():
         if not hctx.pair_d.in_torsion(m):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from quivertilt import heart
 from quivertilt.complexes import (
     ChainMap,
     Complex,
@@ -377,8 +378,49 @@ def test_t_structure_report_all_pairs(a2):
     sample = enumerate_complexes(uni1, -1, 1, 1, total_bound=3)
     assert len(sample) == 39
     for pair in enumerate_torsion_pairs(uni2):
-        report = t_structure_report(induced_t_structure(pair), sample)
+        ts = induced_t_structure(pair)
+        report = t_structure_report(ts, sample)
         assert report.ok, report.failures
+        # Repeated complexes repeat every truncation; the verdict stays.
+        repeated = t_structure_report(ts, sample + sample[::-1])
+        assert repeated.ok == report.ok
+        assert repeated.failures == ()
+
+
+def test_t_structure_report_lists_every_failing_index_pair(a2, monkeypatch):
+    # Orthogonality holds on a genuine induced t-structure, so a stub
+    # that claims homs on a chosen subset of (low, high) pairs drives
+    # the failure path; the messages must be those of a plain double
+    # loop over all index pairs, duplicates included.
+    sample = enumerate_complexes(universe(a2, 1), -1, 1, 1, total_bound=3)
+    sample = sample + sample[::-1]
+    pair = pair_from_torsion_indecs(universe(a2, 2), (1,))
+    ts = induced_t_structure(pair)
+    lows = [truncate_le0(ts, c)[0] for c in sample]
+    highs = [truncate_ge1(ts, c)[0] for c in sample]
+    assert len(set(lows)) < len(lows)
+    assert len(set(highs)) < len(highs)
+    assert any(a.is_zero() for a in lows) and any(b.is_zero() for b in highs)
+
+    def chosen(a, b):
+        return (a.total_dim() + b.total_dim()) % 2 == 0
+
+    calls = []
+
+    def stub(a, b):
+        calls.append((a, b))
+        return 1 if chosen(a, b) else 0
+
+    monkeypatch.setattr(heart, "derived_hom_dim", stub)
+    report = t_structure_report(ts, sample)
+    expected = tuple(f"aisle #{ka} maps onto shifted coaisle #{kb}"
+                     for ka, a in enumerate(lows)
+                     for kb, b in enumerate(highs)
+                     if not a.is_zero() and not b.is_zero() and chosen(a, b))
+    assert expected
+    assert not report.ok
+    assert report.failures == expected
+    assert len(calls) == len(set(calls))
 
 
 def test_tilted_pair_report_all_pairs(a2):

@@ -18,7 +18,8 @@ from __future__ import annotations
 import pytest
 
 from quivertilt.algebras import corner_algebra
-from quivertilt.complexes import enumerate_complexes
+from quivertilt.complexes import ChainMap, enumerate_complexes
+from quivertilt.derived import DerivedMorphism
 from quivertilt.enumeration import universe
 from quivertilt.giraud import co_giraud_context, giraud_context
 from quivertilt.heart import (
@@ -33,9 +34,13 @@ from quivertilt.tiltbridge import (
     dl_commutation_report,
     heart_class_reps,
     heart_counit,
+    heart_co_unit,
     heart_giraud_context,
     heart_unit,
     i_heart,
+    i_heart_map,
+    j_heart,
+    j_heart_map,
     l_heart,
     l_heart_preimage,
     reconstruct_serre,
@@ -82,6 +87,47 @@ def test_incompatible_pair_is_rejected(a2, g2):
         heart_giraud_context(g2.ctx, bad, g2.uni_d, g2.uni_c)
     with pytest.raises(ValueError, match="torsion class not closed"):
         heart_giraud_context(g2.co, bad, g2.uni_d, g2.uni_c)
+
+
+def _corner_stalk(g):
+    return one_term(g.ctx.l.apply(g.uni_d.indecs[0]), 1)
+
+
+def _corner_identity(g):
+    return DerivedMorphism.from_chain_map(
+        ChainMap.identity(_corner_stalk(g)))
+
+
+# Each function that only one side has, with arguments it accepts on
+# that side.
+_ONE_SIDED = {
+    "i_heart": (i_heart, lambda g: (_corner_stalk(g),)),
+    "i_heart_map": (i_heart_map, lambda g: (_corner_identity(g),)),
+    "heart_counit": (heart_counit, lambda g: (_corner_stalk(g),)),
+    "s_heart_membership": (s_heart_membership,
+                           lambda g: (one_term(g.uni_d.indecs[1]),)),
+    "l_heart_preimage": (l_heart_preimage, lambda g: (_corner_stalk(g),)),
+    "verify_heart_quotient": (verify_heart_quotient,
+                              lambda g: (g.uni_d, g.uni_c)),
+    "dl_commutation_report": (dl_commutation_report,
+                              lambda g: ([one_term(g.uni_d.indecs[1])],)),
+    "reconstruct_serre": (reconstruct_serre, lambda g: (g.uni_d, g.uni_c)),
+    "j_heart": (j_heart, lambda g: (_corner_stalk(g),)),
+    "j_heart_map": (j_heart_map, lambda g: (_corner_identity(g),)),
+    "heart_co_unit": (heart_co_unit, lambda g: (_corner_stalk(g),)),
+}
+_COLOCALIZATION_ONLY = ("j_heart", "j_heart_map", "heart_co_unit")
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_SIDED))
+def test_one_sided_functions_reject_the_other_side(g2, name):
+    fn, args = _ONE_SIDED[name]
+    if name in _COLOCALIZATION_ONLY:
+        wrong, needed = g2.hctx, "colocalization"
+    else:
+        wrong, needed = g2.co_hctx, "localization"
+    with pytest.raises(ValueError, match=f"^{name} needs a {needed} context$"):
+        fn(wrong, *args(g2))
 
 
 def test_descended_pair_is_trivial_on_corner(g2):
