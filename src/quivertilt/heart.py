@@ -464,8 +464,8 @@ def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
             and is_heart_epi(ts, m5))
 
 
-def enumerate_heart_objects(ts: InducedTStructure, uni: ModuleUniverse,
-                            dedupe: bool = False) -> list[Complex]:
+def enumerate_heart_objects(ts: InducedTStructure,
+                            uni: ModuleUniverse) -> list[Complex]:
     """All two-term heart objects with components from the universe."""
     pair = ts.pair
     p = uni.algebra.field.p
@@ -486,12 +486,6 @@ def enumerate_heart_objects(ts: InducedTStructure, uni: ModuleUniverse,
                     continue
                 out.append(Complex(uni.algebra, -1, [a, b], [d],
                                    validate=False))
-    if dedupe:
-        reps: list[Complex] = []
-        for c in out:
-            if not any(heart_is_isomorphic(c, r) for r in reps):
-                reps.append(c)
-        return reps
     return out
 
 
@@ -511,6 +505,19 @@ def heart_is_isomorphic(x: Complex, y: Complex) -> bool:
         if any(coeffs) and h.element(coeffs).is_iso():
             return True
     return False
+
+
+def heart_class_reps(ts: InducedTStructure, uni: ModuleUniverse,
+                     dim_bound: int = 3) -> list[Complex]:
+    """Representatives of the isomorphism classes of heart objects with
+    total dimension within the bound."""
+    bounded = [c for c in enumerate_heart_objects(ts, uni)
+               if c.total_dim() <= dim_bound]
+    reps: list[Complex] = []
+    for c in bounded:
+        if not any(heart_is_isomorphic(c, r) for r in reps):
+            reps.append(c)
+    return reps
 
 
 def kv_classes(ts: InducedTStructure, uni: ModuleUniverse,

@@ -47,9 +47,9 @@ from .enumeration import ModuleUniverse, enumerate_submodules
 from .giraud import AnyGiraudContext, CoGiraudContext, GiraudContext, push_pair
 from .heart import (
     InducedTStructure,
-    enumerate_heart_objects,
     h0_lower,
     h0_lower_map,
+    heart_class_reps,
     heart_decompose,
     heart_is_isomorphic,
     heart_ses_ok,
@@ -269,21 +269,6 @@ def _side_of(ctx: AnyGiraudContext) -> HeartSide:
 # torsion class of a localization, the free class of a colocalization.
 _STALKS = (("torsion stalk", "torsion stalks"),
            ("shifted stalk", "shifted free stalks"))
-
-
-# -- enumeration helpers -----------------------------------------------------
-
-def heart_class_reps(ts: InducedTStructure, uni: ModuleUniverse,
-                     dim_bound: int = 3) -> list[Complex]:
-    """Representatives of the isomorphism classes of heart objects with
-    total dimension within the bound."""
-    bounded = [c for c in enumerate_heart_objects(ts, uni)
-               if c.total_dim() <= dim_bound]
-    reps: list[Complex] = []
-    for c in bounded:
-        if not any(heart_is_isomorphic(c, r) for r in reps):
-            reps.append(c)
-    return reps
 
 
 def s_heart_membership(hctx: HeartGiraudContext, x: Complex) -> bool:

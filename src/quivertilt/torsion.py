@@ -4,8 +4,15 @@ A class is given by generators plus a polarity: a torsion class is the
 closure of its generators under quotients, finite sums and extensions,
 detected by an iterated trace; a torsion-free class is the closure under
 submodules, finite products and extensions, detected by an iterated
-reject.  Pair axioms are certified by exhaustive checks over a bounded
-module universe.
+reject.
+
+A pair is decided by its definition over a bounded module universe:
+``is_torsion_pair`` checks hom-orthogonality and maximality on the
+indecomposables and the canonical trace decomposition of every member.
+Closure under quotients, submodules and extensions holds by construction
+of the trace and the reject, so it is not part of the decision;
+``self_test`` sweeps it exhaustively, member by member, as an oracle for
+the trace/reject implementation.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse
+from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse, enumerate_submodules
 from .linalg import Subspace, all_vectors, image_basis, kernel_basis, quotient_maps
 from .modules import (
     Module,
@@ -144,14 +151,52 @@ def all_extension_middles(m: Module, n: Module) -> tuple[Module, ...]:
     return tuple(out)
 
 
-def is_torsion_pair(pair: TorsionPair, uni: ModuleUniverse,
-                    check_closures: bool = True) -> PairReport:
-    """Certify the pair axioms over every member of the universe.
+def is_torsion_pair(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
+    """Decide whether the pair is a torsion pair on the universe.
 
-    Checks hom-orthogonality, mutual maximality of the two classes, the
-    canonical decomposition of every module, and (optionally) closure of
-    the torsion class under quotients and extensions and of the free
-    class under submodules and extensions.
+    Checks the definition and nothing else: hom-orthogonality of the two
+    classes and mutual maximality, both on the indecomposables (Hom is
+    additive and the universe is Krull-Schmidt), and the canonical
+    decomposition 0 -> t(m) -> m -> m/t(m) -> 0 of every nonzero member.
+    Closure of the classes holds by construction of the trace and the
+    reject; ``self_test`` checks that construction.
+    """
+    failures: list[str] = []
+    indecs = uni.indecs
+    t_ind = [i for i, m in enumerate(indecs) if pair.in_torsion(m)]
+    f_ind = [i for i, m in enumerate(indecs) if pair.in_free(m)]
+
+    for a in t_ind:
+        for b in f_ind:
+            if hom_dim(indecs[a], indecs[b]) != 0:
+                failures.append(f"hom-orthogonality: Hom({(a,)}, {(b,)}) != 0")
+
+    for i, m in enumerate(indecs):
+        if (i in t_ind) != all(hom_dim(m, indecs[b]) == 0 for b in f_ind):
+            failures.append(f"torsion maximality fails at {(i,)}")
+        if (i in f_ind) != all(hom_dim(indecs[a], m) == 0 for a in t_ind):
+            failures.append(f"free maximality fails at {(i,)}")
+
+    for m in uni.nonzero_members():
+        ses = pair.decompose(m)
+        if not pair.in_torsion(ses.sub):
+            failures.append(f"decomposition: trace part of {uni.signature(m)} not torsion")
+        if not pair.in_free(ses.quot):
+            failures.append(f"decomposition: trace quotient of {uni.signature(m)} not free")
+
+    return PairReport(not failures, tuple(failures))
+
+
+def self_test(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
+    """Check the trace/reject implementation against the pair axioms.
+
+    Sweeps every member of the universe: hom-orthogonality and mutual
+    maximality member by member, closure of the torsion class under
+    quotients and extensions, and closure of the free class under
+    submodules and extensions.  These hold by construction for any pair
+    that ``is_torsion_pair`` accepts, so a failure here is a fault of
+    ``trace_subspace``/``reject_subspace`` or of membership, not of the
+    pair.  Exhaustive and slow; it is a test oracle, not a decision.
     """
     failures: list[str] = []
     members = uni.nonzero_members()
@@ -174,42 +219,32 @@ def is_torsion_pair(pair: TorsionPair, uni: ModuleUniverse,
         if in_f != no_maps_from_t:
             failures.append(f"free maximality fails at {uni.signature(m)}")
 
-    for m in members:
-        ses = pair.decompose(m)
-        if not pair.in_torsion(ses.sub):
-            failures.append(f"decomposition: trace part of {uni.signature(m)} not torsion")
-        if not pair.in_free(ses.quot):
-            failures.append(f"decomposition: trace quotient of {uni.signature(m)} not free")
-
-    if check_closures:
-        from .enumeration import enumerate_submodules
-
-        for m in t_mem:
-            for s in enumerate_submodules(m):
-                quo, _ = quotient_by_subspace(m, s)
-                if not pair.in_torsion(quo):
-                    failures.append(
-                        f"torsion class not closed under quotients at {uni.signature(m)}")
-                    break
-        for m in f_mem:
-            for s in enumerate_submodules(m):
-                sub, _ = submodule_from_subspace(m, s)
-                if not pair.in_free(sub):
-                    failures.append(
-                        f"free class not closed under submodules at {uni.signature(m)}")
-                    break
-        for a in t_mem:
-            for b in t_mem:
-                if any(not pair.in_torsion(e) for e in all_extension_middles(a, b)):
-                    failures.append(
-                        f"torsion class not closed under extensions "
-                        f"({uni.signature(a)} by {uni.signature(b)})")
-        for a in f_mem:
-            for b in f_mem:
-                if any(not pair.in_free(e) for e in all_extension_middles(a, b)):
-                    failures.append(
-                        f"free class not closed under extensions "
-                        f"({uni.signature(a)} by {uni.signature(b)})")
+    for m in t_mem:
+        for s in enumerate_submodules(m):
+            quo, _ = quotient_by_subspace(m, s)
+            if not pair.in_torsion(quo):
+                failures.append(
+                    f"torsion class not closed under quotients at {uni.signature(m)}")
+                break
+    for m in f_mem:
+        for s in enumerate_submodules(m):
+            sub, _ = submodule_from_subspace(m, s)
+            if not pair.in_free(sub):
+                failures.append(
+                    f"free class not closed under submodules at {uni.signature(m)}")
+                break
+    for a in t_mem:
+        for b in t_mem:
+            if any(not pair.in_torsion(e) for e in all_extension_middles(a, b)):
+                failures.append(
+                    f"torsion class not closed under extensions "
+                    f"({uni.signature(a)} by {uni.signature(b)})")
+    for a in f_mem:
+        for b in f_mem:
+            if any(not pair.in_free(e) for e in all_extension_middles(a, b)):
+                failures.append(
+                    f"free class not closed under extensions "
+                    f"({uni.signature(a)} by {uni.signature(b)})")
 
     return PairReport(not failures, tuple(failures))
 
@@ -231,13 +266,12 @@ def free_indec_indices(pair: TorsionPair, uni: ModuleUniverse) -> tuple[int, ...
 
 
 @lru_cache(maxsize=None)
-def enumerate_torsion_pairs(uni: ModuleUniverse,
-                            check_closures: bool = True) -> tuple[TorsionPair, ...]:
+def enumerate_torsion_pairs(uni: ModuleUniverse) -> tuple[TorsionPair, ...]:
     """All torsion pairs whose classes are generated inside the universe.
 
     Scans subsets of the indecomposables; a subset survives if it equals
-    the double hom-perp of itself and the resulting pair passes the full
-    axiom certification.
+    the double hom-perp of itself and ``is_torsion_pair`` accepts the
+    resulting pair.
     """
     n = len(uni.indecs)
     if (1 << n) > SEARCH_CAP:
@@ -250,7 +284,7 @@ def enumerate_torsion_pairs(uni: ModuleUniverse,
         closed = torsion_indec_indices(cand, uni)
         if closed != t_idx or closed in seen:
             continue
-        if is_torsion_pair(cand, uni, check_closures=check_closures).ok:
+        if is_torsion_pair(cand, uni).ok:
             seen.add(closed)
             pairs.append(cand)
     pairs.sort(key=lambda pr: (len(torsion_indec_indices(pr, uni)),

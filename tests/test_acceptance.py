@@ -57,6 +57,7 @@ from quivertilt.torsion import (
     free_indec_indices,
     is_torsion_pair,
     pair_from_torsion_indecs,
+    self_test,
     torsion_indec_indices,
 )
 
@@ -133,6 +134,7 @@ def test_acceptance_03_lifted_pairs_and_decompositions(fix2, fix3):
         for pc in enumerate_torsion_pairs(fx.uni_c):
             hat = hat_pair(fx.ctx, pc, fx.uni_d)
             ok &= is_torsion_pair(hat, fx.uni_d).ok
+            ok &= self_test(hat, fx.uni_d).ok
             for m in fx.uni_d.nonzero_members():
                 if hat.in_torsion(m):
                     ok &= pc.in_torsion(fx.ctx.l.apply(m))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from quivertilt import enumeration, torsion
 from quivertilt.algebras import corner_algebra
 from quivertilt.enumeration import is_isomorphic, universe
 from quivertilt.giraud import (
@@ -31,6 +32,7 @@ from quivertilt.torsion import (
     enumerate_torsion_pairs,
     free_indec_indices,
     is_torsion_pair,
+    self_test,
     torsion_indec_indices,
 )
 
@@ -142,11 +144,13 @@ def test_hat_pair_a2(ctx2, a2):
     assert torsion_indec_indices(hat, uni_d) == (1,)
     assert free_indec_indices(hat, uni_d) == (0, 2)
     assert is_torsion_pair(hat, uni_d).ok
+    assert self_test(hat, uni_d).ok
     all_zero = pairs[1]
     hat2 = hat_pair(ctx2, all_zero, uni_d)
     assert torsion_indec_indices(hat2, uni_d) == (0, 1, 2)
     assert free_indec_indices(hat2, uni_d) == ()
     assert is_torsion_pair(hat2, uni_d).ok
+    assert self_test(hat2, uni_d).ok
 
 
 def test_hat_decompose_a2(ctx2, a2):
@@ -169,6 +173,7 @@ def test_co_hat_decompose_a2(co2, a2):
     for pair_c in enumerate_torsion_pairs(uni_c):
         hat = hat_pair(co2, pair_c, uni_d)
         assert is_torsion_pair(hat, uni_d).ok
+        assert self_test(hat, uni_d).ok
         for m in uni_d.nonzero_members():
             ses = co_hat_decompose(co2, pair_c, m)
             ses.check()
@@ -235,6 +240,31 @@ def test_co_bijection_a3(co3, a3):
     assert report.parent_pairs == 14
     assert report.corner_pairs == 5
     assert len(report.compatible) == 5
+
+
+def test_certificates_run_no_closure_sweep(ctx3, co3, a3, monkeypatch):
+    # Deciding a pair needs neither extension middles nor submodule
+    # lattices; those belong to torsion.self_test alone.
+    calls = {"all_extension_middles": 0, "enumerate_submodules": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for mod, name in ((torsion, "all_extension_middles"),
+                      (torsion, "enumerate_submodules"),
+                      (enumeration, "enumerate_submodules")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    # Start from an empty pair cache, so that the enumerations run here.
+    enumerate_torsion_pairs.cache_clear()
+    uni_d = universe(a3, 3)
+    uni_c = universe(ctx3.corner.sub, 2)
+    assert len(enumerate_torsion_pairs(uni_d)) == 14
+    assert verify_bijection(ctx3, uni_d, uni_c).ok
+    assert verify_co_bijection(co3, uni_d, uni_c).ok
+    assert calls == {"all_extension_middles": 0, "enumerate_submodules": 0}
 
 
 def test_bijection_failures_on_truncated_corner(ctx3, co3, a3):

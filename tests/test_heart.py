@@ -34,6 +34,7 @@ from quivertilt.heart import (
     h0_lower,
     h0_lower_map,
     h0_upper,
+    heart_class_reps,
     heart_cokernel,
     heart_decompose,
     heart_is_isomorphic,
@@ -336,7 +337,7 @@ def test_enumerate_heart_objects_counts(a2_setup):
     raw = enumerate_heart_objects(ts, uni)
     assert len(raw) == 50
     assert all(ts.in_heart(c) for c in raw)
-    classes = enumerate_heart_objects(ts, uni, dedupe=True)
+    classes = heart_class_reps(ts, uni, max(c.total_dim() for c in raw))
     assert len(classes) == 12
 
 
@@ -347,7 +348,7 @@ def test_standard_pair_heart_matches_modules(a2):
     ts = induced_t_structure(pair_from_torsion_indecs(uni, (0, 1, 2)))
     raw = enumerate_heart_objects(ts, uni)
     assert len(raw) == 32
-    classes = enumerate_heart_objects(ts, uni, dedupe=True)
+    classes = heart_class_reps(ts, uni, max(c.total_dim() for c in raw))
     assert len(classes) == len(uni.members)
 
 
