@@ -8,6 +8,16 @@ composes the two truncations, and kernels and cokernels in the heart
 are truncations of shifted cones.  Objects of the heart are represented
 by two-term complexes in degrees [-1, 0] whose outer cohomologies land
 in the free and torsion classes.
+
+Over a hereditary algebra every heart object splits as F[1] + T with F
+free and T torsion (Happel-Reiten-Smalo, Mem. AMS 575, 1996): the
+extension 0 -> F[1] -> X -> T -> 0 is classified by
+Hom_D(T, F[2]) = Ext^2(T, F) = 0.  So the isomorphism classes of heart
+objects are the pairs (free member, torsion member) of a universe, and
+`heart_class_reps` lists them in closed form once global dimension at
+most one is certified.  The exhaustive `enumerate_heart_objects` and
+`heart_is_isomorphic` stay for the reports that test the enumeration
+itself and as the oracle of that closed form.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .algebras import Algebra
 from .complexes import (
     ChainMap,
     Complex,
@@ -48,9 +59,12 @@ from .modules import (
     cokernel,
     hom_basis,
     hom_dim,
+    is_projective,
     kernel,
     quotient_by_subspace,
+    simple_module,
     submodule_from_subspace,
+    syzygy,
 )
 from .torsion import PairReport, TorsionPair
 
@@ -464,14 +478,17 @@ def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
             and is_heart_epi(ts, m5))
 
 
-def enumerate_heart_objects(ts: InducedTStructure,
-                            uni: ModuleUniverse) -> list[Complex]:
-    """All two-term heart objects with components from the universe."""
+def enumerate_heart_objects(ts: InducedTStructure, uni: ModuleUniverse,
+                            dim_bound: int) -> list[Complex]:
+    """All two-term heart objects with components from the universe and
+    total dimension within the bound, by a scan of every differential."""
     pair = ts.pair
     p = uni.algebra.field.p
     out: list[Complex] = []
     for a in uni.members:
         for b in uni.members:
+            if a.dim + b.dim > dim_bound:
+                continue
             maps = hom_basis(a, b)
             if p ** len(maps) > SEARCH_CAP:
                 raise BoundExceeded("heart object scan too large")
@@ -507,17 +524,45 @@ def heart_is_isomorphic(x: Complex, y: Complex) -> bool:
     return False
 
 
+class NotHereditary(ValueError):
+    """The algebra has a simple of projective dimension above one, so
+    heart objects need not split into their cohomology stalks."""
+
+
+def _check_hereditary(alg: Algebra) -> None:
+    """Certify global dimension at most one: the syzygy of every simple
+    is projective.  Raises NotHereditary naming the first simple that
+    fails."""
+    for pos, e in enumerate(alg.idem):
+        omega, _, _ = syzygy(simple_module(alg, pos))
+        if not is_projective(omega):
+            raise NotHereditary(f"the simple at {alg.labels[e]} has "
+                                "projective dimension above one")
+
+
 def heart_class_reps(ts: InducedTStructure, uni: ModuleUniverse,
                      dim_bound: int = 3) -> list[Complex]:
     """Representatives of the isomorphism classes of heart objects with
-    total dimension within the bound."""
-    bounded = [c for c in enumerate_heart_objects(ts, uni)
-               if c.total_dim() <= dim_bound]
-    reps: list[Complex] = []
-    for c in bounded:
-        if not any(heart_is_isomorphic(c, r) for r in reps):
-            reps.append(c)
-    return reps
+    total dimension within the bound: the split stalk sums F[1] + T, as
+    complexes f -> t with zero differential, for f free and t torsion
+    among the universe members with dim f + dim t within the bound.
+
+    Over a hereditary algebra every heart object is isomorphic to the
+    sum of its cohomology stalks, so these are all the classes, each
+    once.  They come ordered by (members index of f, members index of
+    t), which is the first-occurrence order of the exhaustive scan that
+    `enumerate_heart_objects` followed by a `heart_is_isomorphic`
+    dedupe performs: members are sorted by (dim, signature), and a
+    complex a -> b with kernel f has dim a >= dim f, with equality only
+    when the differential is zero.  Raises NotHereditary otherwise.
+    """
+    alg = uni.algebra
+    _check_hereditary(alg)
+    pair = ts.pair
+    free = [f for f in uni.members if pair.in_free(f)]
+    tors = [t for t in uni.members if pair.in_torsion(t)]
+    return [Complex(alg, -1, [f, t], [ModuleMap.zero(f, t)], validate=False)
+            for f in free for t in tors if f.dim + t.dim <= dim_bound]
 
 
 def kv_classes(ts: InducedTStructure, uni: ModuleUniverse,
@@ -537,7 +582,8 @@ def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
     """The pair (shifted free class, torsion stalks) as a torsion pair
     on the heart: orthogonality, shift-equivalences preserving hom
     dimensions, and the canonical decomposition of every enumerated
-    heart object as a heart-exact sequence."""
+    heart object within the bound as a heart-exact sequence; a failure
+    names the object by its position #k among those."""
     pair = ts.pair
     failures: list[str] = []
     t_mods = [m for m in uni.nonzero_members() if pair.in_torsion(m)]
@@ -555,9 +601,7 @@ def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
                     failures.append(f"{label} shift is not fully faithful "
                                     f"at ({uni.signature(a)}, "
                                     f"{uni.signature(b)})")
-    for k, x in enumerate(enumerate_heart_objects(ts, uni)):
-        if x.total_dim() > dim_bound:
-            continue
+    for k, x in enumerate(enumerate_heart_objects(ts, uni, dim_bound)):
         dec = heart_decompose(ts, x)
         if not heart_ses_ok(ts, dec.t_incl, dec.q_proj):
             failures.append(f"decomposition of heart object #{k} "

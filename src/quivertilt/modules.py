@@ -350,7 +350,7 @@ def submodule_from_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     for b in range(m.algebra.dim):
         moved = m.action[b] @ incl
         restr = solve(incl, moved)
-        if restr is None or incl @ restr != moved:
+        if restr is None:
             raise ValueError("subspace is not action-stable")
         action.append(restr)
     sub = Module(m.algebra, s.dim, action, validate=False)

@@ -353,19 +353,28 @@ def verify_heart_giraud(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
                     failures.append(f"{name} is not natural at ({a},{b})")
                     break
 
-    # The class that is not cut down has index k, and its members sit
-    # in the heart as stalks in degree -k.
+    failures += _stalk_failures(hctx, uni_d)
+    return PairReport(not failures, tuple(failures))
+
+
+def _stalk_failures(hctx: HeartGiraudContext,
+                    uni_d: ModuleUniverse) -> list[str]:
+    """The members of the class that is not cut down whose stalk, sent
+    to the corner and back by the section, is no longer such a stalk."""
+    # That class has index k, and its members sit in the heart as
+    # stalks in degree -k.
     k = 1 - hctx.base.constrained
+    failures: list[str] = []
     for m in uni_d.nonzero_members():
         if not hctx.pair_d.in_class(k, m):
             continue
-        back = side.section(hctx, l_heart(hctx, one_term(m, k)))
+        back = hctx.side.section(hctx, l_heart(hctx, one_term(m, k)))
         if cohomology(back, k - 1).dim != 0 \
                 or not hctx.pair_d.in_class(k, cohomology(back, -k)):
             stalk, stalks = _STALKS[k]
             failures.append(f"section of a collapsed {stalk} left the "
                             f"{stalks} at {uni_d.signature(m)}")
-    return PairReport(not failures, tuple(failures))
+    return failures
 
 
 # -- verification: exactness, surjectivity, the Serre kernel -----------------

@@ -24,6 +24,9 @@ BUNDLED = str(files("quivertilt").joinpath("scenarios/a2_full.json"))
 # The --no-timing --json-only report of the bundled scenario at its own
 # bounds, byte for byte; a change to any field must update it on purpose.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "a2_full.json"
+# The same report with the dimension bound overridden to 3, which pins
+# the order of the 13 heart objects in the reconstruct hom_table.
+GOLDEN_BOUND3 = GOLDEN.with_name("a2_full_bound3.json")
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +79,13 @@ def test_bundled_report_matches_golden(capsys):
     code, out, _ = run_cli(capsys, BUNDLED, "--no-timing", "--json-only")
     assert code == 0
     assert out == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_bundled_report_at_bound3_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, BUNDLED, "--bound", "3", "--no-timing",
+                           "--json-only")
+    assert code == 0
+    assert out == GOLDEN_BOUND3.read_text(encoding="utf-8")
 
 
 def test_bundled_report_matches_golden_without_asserts():

@@ -13,9 +13,16 @@ freezing.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import quivertilt
 from quivertilt import heart
+from quivertilt.algebras import Algebra, corner_algebra, path_algebra
 from quivertilt.complexes import (
     ChainMap,
     Complex,
@@ -27,6 +34,7 @@ from quivertilt.complexes import (
 from quivertilt.derived import DerivedMorphism
 from quivertilt.enumeration import universe
 from quivertilt.heart import (
+    NotHereditary,
     connecting_morphism,
     enumerate_heart_objects,
     factor_through_epi,
@@ -55,7 +63,7 @@ from quivertilt.heart import (
     truncate_le,
     truncate_le0,
 )
-from quivertilt.linalg import image_basis
+from quivertilt.linalg import Field, image_basis
 from quivertilt.modules import (
     ModuleMap,
     ShortExactSeq,
@@ -65,6 +73,7 @@ from quivertilt.modules import (
     simple_module,
     syzygy,
 )
+from quivertilt.quivers import Quiver
 from quivertilt.torsion import (
     enumerate_torsion_pairs,
     free_indec_indices,
@@ -334,7 +343,7 @@ def test_heart_les_all_pairs(a2):
 
 def test_enumerate_heart_objects_counts(a2_setup):
     uni, ts, _, _, _ = a2_setup
-    raw = enumerate_heart_objects(ts, uni)
+    raw = enumerate_heart_objects(ts, uni, 4)
     assert len(raw) == 50
     assert all(ts.in_heart(c) for c in raw)
     classes = heart_class_reps(ts, uni, max(c.total_dim() for c in raw))
@@ -346,10 +355,90 @@ def test_standard_pair_heart_matches_modules(a2):
     # isomorphism classes at bound 2 are exactly the universe members.
     uni = universe(a2, 2)
     ts = induced_t_structure(pair_from_torsion_indecs(uni, (0, 1, 2)))
-    raw = enumerate_heart_objects(ts, uni)
+    raw = enumerate_heart_objects(ts, uni, 4)
     assert len(raw) == 32
     classes = heart_class_reps(ts, uni, max(c.total_dim() for c in raw))
     assert len(classes) == len(uni.members)
+
+
+def _scanned_class_reps(ts, uni, dim_bound):
+    """The exhaustive reference for heart_class_reps: every heart object
+    within the bound, deduped by the isomorphism scan in order of first
+    occurrence."""
+    reps = []
+    for c in enumerate_heart_objects(ts, uni, dim_bound):
+        if not any(heart_is_isomorphic(c, r) for r in reps):
+            reps.append(c)
+    return reps
+
+
+_A2 = Quiver((1, 2), ((1, 2, "a"),))
+_A3 = Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b")))
+_ORACLE_UNIVERSES = {
+    "A2/F_2 bound 2": lambda: universe(path_algebra(Field(2), _A2), 2),
+    "A2/F_2 bound 3": lambda: universe(path_algebra(Field(2), _A2), 3),
+    "A2/F_3 bound 2": lambda: universe(path_algebra(Field(3), _A2), 2),
+    "A3/F_2 bound 2": lambda: universe(path_algebra(Field(2), _A3), 2),
+    "A3 corner {1,3} bound 2": lambda: universe(
+        corner_algebra(path_algebra(Field(2), _A3), (0, 2)).sub, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_UNIVERSES))
+def test_closed_form_reps_equal_the_scan(name):
+    # The split stalk sums F[1] + T are the scan's first occurrences,
+    # complex for complex and in the same order, for every pair.
+    uni = _ORACLE_UNIVERSES[name]()
+    for pair in enumerate_torsion_pairs(uni):
+        ts = induced_t_structure(pair)
+        for bound in (2, 3):
+            assert heart_class_reps(ts, uni, bound) \
+                == _scanned_class_reps(ts, uni, bound), (pair, bound)
+
+
+def _a3_with_zero_relation():
+    """Linear A3, 1 --a--> 2 --b--> 3 over F_2, with the path b*a set to
+    zero.  The syzygy of the simple at e_1 is the radical of its
+    projective cover, the simple at e_2, which is not projective: global
+    dimension two."""
+    labels = ("e_1", "e_2", "e_3", "a", "b")
+    mult = [[() for _ in labels] for _ in labels]
+    for i in range(3):
+        mult[i][i] = ((i, 1),)
+    mult[1][3] = mult[3][0] = ((3, 1),)  # e_2 a = a = a e_1
+    mult[2][4] = mult[4][1] = ((4, 1),)  # e_3 b = b = b e_2
+    return Algebra(Field(2), labels, mult, (1, 1, 1, 0, 0), (0, 1, 2), (3, 4))
+
+
+def _non_hereditary_reps():
+    alg = _a3_with_zero_relation()
+    alg.check()
+    uni = universe(alg, 1)
+    ts = induced_t_structure(enumerate_torsion_pairs(uni)[0])
+    return heart_class_reps(ts, uni, 2)
+
+
+def test_heart_class_reps_rejects_non_hereditary():
+    with pytest.raises(NotHereditary, match="simple at e_1 "):
+        _non_hereditary_reps()
+
+
+def test_heart_class_reps_rejects_non_hereditary_without_asserts():
+    # The guard must not be an assert, which -O strips.
+    src = str(Path(quivertilt.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import runpy, sys\n"
+              "ns = runpy.run_path(sys.argv[1])\n"
+              "try:\n"
+              "    ns['_non_hereditary_reps']()\n"
+              "except ns['NotHereditary'] as exc:\n"
+              "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert b"simple at e_1 " in proc.stdout
 
 
 def test_heart_is_isomorphic_basics(a2_setup):

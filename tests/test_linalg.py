@@ -116,6 +116,35 @@ def test_solve_multiple_right_hand_sides():
             assert a @ x == b
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_solve_is_exact_or_none(p):
+    # The oracle that lets callers trust solve without re-multiplying:
+    # a returned x satisfies a @ x == b, and None means b leaves the
+    # column space of a.
+    rng = random.Random(23 + p)
+    cases = [
+        # The action-unstable case of a submodule: the span of the top
+        # of P1 over A2 cannot absorb the image of the arrow.
+        (Mat(p, 2, 1, [1, 0]), Mat(p, 2, 1, [0, 1])),
+    ]
+    for _ in range(200):
+        rows, cols, rhs = (rng.randrange(0, 5) for _ in range(3))
+        a = rand_mat(rng, p, rows, cols)
+        if rng.randrange(2) and cols:
+            # Rank-deficient: repeat a column.
+            a = a.hstack(Mat(p, rows, 1, [a.entry(i, 0)
+                                           for i in range(rows)]))
+        cases.append((a, rand_mat(rng, p, rows, rhs)))
+    for a, b in cases:
+        x = solve(a, b)
+        if x is None:
+            assert rank(a.hstack(b)) > rank(a)
+        else:
+            assert (x.rows, x.cols) == (a.cols, b.cols)
+            assert a @ x == b
+    assert solve(*cases[0]) is None
+
+
 def test_invert_round_trip():
     rng = random.Random(19)
     found = 0

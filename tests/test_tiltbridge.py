@@ -15,6 +15,8 @@ generate, so the context roundtrip is not forced for it.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from quivertilt.algebras import corner_algebra
@@ -31,6 +33,7 @@ from quivertilt.heart import (
 )
 from quivertilt.modules import Module
 from quivertilt.tiltbridge import (
+    _stalk_failures,
     dl_commutation_report,
     heart_class_reps,
     heart_counit,
@@ -207,6 +210,28 @@ def test_co_adjunction_report(g2):
     report = verify_heart_giraud(g2.co_hctx, g2.uni_d, g2.uni_c)
     assert report.ok
     assert report.failures == ()
+
+
+def _with_section(hctx, section):
+    return replace(hctx, side=replace(hctx.side, section=section))
+
+
+def test_stalk_check_flags_the_class_not_cut_down(g2):
+    # A section that sends every corner object to a stalk of the class
+    # that is cut down must be caught on each stalk of the other class:
+    # the torsion stalks of the localization, the shifted free stalks of
+    # the colocalization.
+    s2, s1, _ = g2.uni_d.indecs
+    loc = _with_section(g2.hctx, lambda hctx, n: one_term(s2, 1))
+    assert _stalk_failures(loc, g2.uni_d) == [
+        f"section of a collapsed torsion stalk left the torsion stalks at "
+        f"{sig}" for sig in ((1,), (1, 1))]
+    co = _with_section(g2.co_hctx, lambda hctx, n: one_term(s1))
+    assert _stalk_failures(co, g2.uni_d) == [
+        f"section of a collapsed shifted stalk left the shifted free "
+        f"stalks at {sig}" for sig in ((0,), (0, 0), (2,))]
+    assert _stalk_failures(g2.hctx, g2.uni_d) == []
+    assert _stalk_failures(g2.co_hctx, g2.uni_d) == []
 
 
 def test_quotient_report(g2):
