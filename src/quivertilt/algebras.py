@@ -154,6 +154,8 @@ class Algebra:
         return [b for b in range(self.dim) if self.endpoints[b][1] == ipos]
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Algebra)
             and self.field == other.field

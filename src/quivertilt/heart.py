@@ -18,6 +18,14 @@ objects are the pairs (free member, torsion member) of a universe, and
 most one is certified.  The exhaustive `enumerate_heart_objects` and
 `heart_is_isomorphic` stay for the reports that test the enumeration
 itself and as the oracle of that closed form.
+
+The same splitting holds for every bounded complex: it is isomorphic in
+D^b to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
+so Hom_D(a, b) depends only on the isomorphism classes of the H^i of a
+and of b.  `t_structure_report` therefore evaluates the orthogonality of
+aisle against shifted coaisle once per pair of such cohomology classes,
+behind the same certificate: it raises NotHereditary on an algebra of
+global dimension above one, with no fallback sweep.
 """
 
 from __future__ import annotations
@@ -42,7 +50,12 @@ from .derived import (
     lift_postcompose,
     projective_resolution,
 )
-from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse
+from .enumeration import (
+    SEARCH_CAP,
+    BoundExceeded,
+    ModuleUniverse,
+    is_isomorphic,
+)
 from .linalg import (
     Mat,
     Subspace,
@@ -609,12 +622,39 @@ def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
     return PairReport(not failures, tuple(failures))
 
 
-def _distinct(items: list[Complex]) -> tuple[list[int], list[Complex]]:
-    """The distinct members of items in order of first occurrence, and
-    the position of each item among them."""
-    ids: dict[Complex, int] = {}
-    at = [ids.setdefault(c, len(ids)) for c in items]
-    return at, list(ids)
+def _cohomology_key(c: Complex, reps: list[Module]
+                    ) -> tuple[tuple[int, int], ...]:
+    """The degrees where c has nonzero cohomology, each paired with the
+    position of that cohomology's isomorphism class among reps; a module
+    of a class not yet in reps is appended to it.  Empty for an acyclic
+    complex."""
+    key = []
+    for i in c.degrees():
+        h = cohomology(c, i)
+        if h.dim == 0:
+            continue
+        cls = next((k for k, r in enumerate(reps) if is_isomorphic(r, h)),
+                   len(reps))
+        if cls == len(reps):
+            reps.append(h)
+        key.append((i, cls))
+    return tuple(key)
+
+
+def _first_by_key(items: list[Complex], keys: dict[Complex, tuple],
+                  ) -> tuple[list[int], list[Complex]]:
+    """The first item of each key, in order of first occurrence, and the
+    position of each item's key among them."""
+    ids: dict[tuple, int] = {}
+    firsts: list[Complex] = []
+    at = []
+    for c in items:
+        k = keys[c]
+        if k not in ids:
+            ids[k] = len(firsts)
+            firsts.append(c)
+        at.append(ids[k])
+    return at, firsts
 
 
 def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
@@ -624,9 +664,17 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
     truncation sequence, and orthogonality of aisle against shifted
     coaisle.
 
-    Orthogonality is evaluated once per distinct (aisle, coaisle) pair
-    of nonzero truncations; a failing pair is still reported at every
-    index pair where it occurs, in row-major order."""
+    Over a hereditary algebra every complex is isomorphic in D^b to the
+    sum of its shifted cohomologies (Happel, LMS LN 119, 1988), so
+    Hom_D(a, b) depends only on the isomorphism classes of the H^i of a
+    and b.  Orthogonality is therefore evaluated once per pair of
+    cohomology classes of nonzero truncations, on the first truncation
+    of each class; a failing class pair is still reported at every
+    index pair where it occurs, in row-major order.  Global dimension at
+    most one is certified first, and NotHereditary is raised otherwise.
+    """
+    if complexes:
+        _check_hereditary(complexes[0].algebra)
     failures: list[str] = []
     lows = []
     highs = []
@@ -648,15 +696,19 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
             if kernel_basis(epi.mat) != image_basis(mono.mat):
                 failures.append(f"truncation of #{k} not exact at {i}")
                 break
-    # Equal truncations recur across the sample, so the sweep runs over
-    # the distinct ones, numbered in order of first occurrence.
-    low_ids, distinct_lows = _distinct(lows)
-    high_ids, distinct_highs = _distinct(highs)
-    nonzero_highs = [(j, b) for j, b in enumerate(distinct_highs)
-                     if not b.is_zero()]
+    # One cohomology class key per distinct truncation, against the
+    # module classes seen in this report.
+    reps: list[Module] = []
+    keys: dict[Complex, tuple] = {}
+    for c in lows + highs:
+        if c not in keys:
+            keys[c] = _cohomology_key(c, reps)
+    low_ids, low_firsts = _first_by_key(lows, keys)
+    high_ids, high_firsts = _first_by_key(highs, keys)
+    nonzero_highs = [(j, b) for j, b in enumerate(high_firsts) if keys[b]]
     hits: dict[int, set[int]] = {}
-    for i, a in enumerate(distinct_lows):
-        if a.is_zero():
+    for i, a in enumerate(low_firsts):
+        if not keys[a]:
             continue
         row = {j for j, b in nonzero_highs if derived_hom_dim(a, b)}
         if row:

@@ -80,6 +80,8 @@ class Module:
         return self.dim == 0
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Module)
             and self.algebra == other.algebra

@@ -31,7 +31,7 @@ from quivertilt.complexes import (
     enumerate_complexes,
     is_quasi_iso,
 )
-from quivertilt.derived import DerivedMorphism
+from quivertilt.derived import DerivedMorphism, derived_hom_dim
 from quivertilt.enumeration import universe
 from quivertilt.heart import (
     NotHereditary,
@@ -423,8 +423,17 @@ def test_heart_class_reps_rejects_non_hereditary():
         _non_hereditary_reps()
 
 
-def test_heart_class_reps_rejects_non_hereditary_without_asserts():
-    # The guard must not be an assert, which -O strips.
+def _non_hereditary_report():
+    alg = _a3_with_zero_relation()
+    uni = universe(alg, 1)
+    ts = induced_t_structure(enumerate_torsion_pairs(uni)[0])
+    return t_structure_report(ts, [one_term(m) for m in uni.indecs])
+
+
+def _raised_without_asserts(helper: str) -> bytes:
+    """Run a helper of this file under python -O and return the message
+    of the NotHereditary it raises; a guard written as an assert, which
+    -O strips, would raise nothing."""
     src = str(Path(quivertilt.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -432,13 +441,28 @@ def test_heart_class_reps_rejects_non_hereditary_without_asserts():
     script = ("import runpy, sys\n"
               "ns = runpy.run_path(sys.argv[1])\n"
               "try:\n"
-              "    ns['_non_hereditary_reps']()\n"
+              "    ns[sys.argv[2]]()\n"
               "except ns['NotHereditary'] as exc:\n"
               "    print(exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__,
+                           helper],
                           capture_output=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert b"simple at e_1 " in proc.stdout
+    return proc.stdout
+
+
+def test_heart_class_reps_rejects_non_hereditary_without_asserts():
+    assert b"simple at e_1 " in _raised_without_asserts("_non_hereditary_reps")
+
+
+def test_t_structure_report_rejects_non_hereditary():
+    with pytest.raises(NotHereditary, match="simple at e_1 "):
+        _non_hereditary_report()
+
+
+def test_t_structure_report_rejects_non_hereditary_without_asserts():
+    assert b"simple at e_1 " in _raised_without_asserts(
+        "_non_hereditary_report")
 
 
 def test_heart_is_isomorphic_basics(a2_setup):
@@ -462,26 +486,40 @@ def test_kv_roundtrip_all_pairs(a2):
                        free_indec_indices(pair, uni))
 
 
-def test_t_structure_report_all_pairs(a2):
+def test_t_structure_report_all_pairs(a2, monkeypatch):
     uni1 = universe(a2, 1)
     uni2 = universe(a2, 2)
     sample = enumerate_complexes(uni1, -1, 1, 1, total_bound=3)
     assert len(sample) == 39
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return derived_hom_dim(a, b)
+
+    monkeypatch.setattr(heart, "derived_hom_dim", counted)
+    counts = []
     for pair in enumerate_torsion_pairs(uni2):
         ts = induced_t_structure(pair)
+        calls.clear()
         report = t_structure_report(ts, sample)
+        counts.append(len(calls))
         assert report.ok, report.failures
         # Repeated complexes repeat every truncation; the verdict stays.
         repeated = t_structure_report(ts, sample + sample[::-1])
         assert repeated.ok == report.ok
         assert repeated.failures == ()
+    # One orthogonality evaluation per (aisle class, coaisle class) pair.
+    assert counts == [16, 25, 25, 25, 16]
 
 
 def test_t_structure_report_lists_every_failing_index_pair(a2, monkeypatch):
     # Orthogonality holds on a genuine induced t-structure, so a stub
     # that claims homs on a chosen subset of (low, high) pairs drives
     # the failure path; the messages must be those of a plain double
-    # loop over all index pairs, duplicates included.
+    # loop over all index pairs, duplicates included.  Like a real hom,
+    # the stub depends only on cohomology, and acyclic truncations map
+    # nowhere.
     sample = enumerate_complexes(universe(a2, 1), -1, 1, 1, total_bound=3)
     sample = sample + sample[::-1]
     pair = pair_from_torsion_indecs(universe(a2, 2), (1,))
@@ -492,8 +530,12 @@ def test_t_structure_report_lists_every_failing_index_pair(a2, monkeypatch):
     assert len(set(highs)) < len(highs)
     assert any(a.is_zero() for a in lows) and any(b.is_zero() for b in highs)
 
+    def h_dim(c):
+        return sum(cohomology(c, i).dim for i in c.degrees())
+
     def chosen(a, b):
-        return (a.total_dim() + b.total_dim()) % 2 == 0
+        ha, hb = h_dim(a), h_dim(b)
+        return ha and hb and (ha + hb) % 2 == 0
 
     calls = []
 
@@ -506,11 +548,70 @@ def test_t_structure_report_lists_every_failing_index_pair(a2, monkeypatch):
     expected = tuple(f"aisle #{ka} maps onto shifted coaisle #{kb}"
                      for ka, a in enumerate(lows)
                      for kb, b in enumerate(highs)
-                     if not a.is_zero() and not b.is_zero() and chosen(a, b))
+                     if chosen(a, b))
     assert expected
     assert not report.ok
     assert report.failures == expected
     assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cohomology_class_decides_derived_homs(p):
+    # The premise of the orthogonality dedupe: over a hereditary algebra
+    # complexes with the same cohomology class key have the same derived
+    # homs to and from any complex.
+    alg = path_algebra(Field(p), _A2)
+    pool = enumerate_complexes(universe(alg, 2), -2, 1, 2, total_bound=3)
+    targets = [one_term(m, s) for m in universe(alg, 2).indecs
+               for s in (-1, 0, 1)]
+    reps = []
+    classes = {}
+    for c in pool:
+        classes.setdefault(heart._cohomology_key(c, reps), []).append(c)
+    shared = [cs for cs in classes.values() if len(cs) > 1]
+    assert shared
+    nonzero = 0
+    for cs in shared:
+        dims = {tuple(derived_hom_dim(c, t) for t in targets)
+                + tuple(derived_hom_dim(t, c) for t in targets) for c in cs}
+        assert len(dims) == 1, cs
+        nonzero += any(dims.pop())
+    assert nonzero
+
+
+def _all_distinct_pairs_failures(ts, complexes):
+    """The orthogonality sweep run once per distinct (aisle, coaisle)
+    pair of nonzero truncations, reported at every index pair: the
+    reference for the cohomology-class dedupe."""
+    lows = [truncate_le0(ts, c)[0] for c in complexes]
+    highs = [truncate_ge1(ts, c)[0] for c in complexes]
+    low_ids = {}
+    high_ids = {}
+    low_at = [low_ids.setdefault(c, len(low_ids)) for c in lows]
+    high_at = [high_ids.setdefault(c, len(high_ids)) for c in highs]
+    hits = {(i, j) for a, i in low_ids.items() if not a.is_zero()
+            for b, j in high_ids.items()
+            if not b.is_zero() and derived_hom_dim(a, b)}
+    return tuple(f"aisle #{ka} maps onto shifted coaisle #{kb}"
+                 for ka, i in enumerate(low_at)
+                 for kb, j in enumerate(high_at) if (i, j) in hits)
+
+
+@pytest.mark.parametrize("fixture, pair_bound, sample_bounds", [
+    ("a2", 2, (1, -1, 1, 1, 3)),
+    ("a3", 3, (2, -2, 1, 2, 3)),
+], ids=["A2 tier-1 sample", "A3 acceptance-05 sample"])
+def test_class_dedupe_matches_the_distinct_pair_sweep(request, fixture,
+                                                      pair_bound,
+                                                      sample_bounds):
+    alg = request.getfixturevalue(fixture)
+    uni_bound, lo, hi, comp_bound, total_bound = sample_bounds
+    sample = enumerate_complexes(universe(alg, uni_bound), lo, hi,
+                                 comp_bound, total_bound=total_bound)
+    for pair in enumerate_torsion_pairs(universe(alg, pair_bound)):
+        ts = induced_t_structure(pair)
+        assert t_structure_report(ts, sample).failures \
+            == _all_distinct_pairs_failures(ts, sample)
 
 
 def test_tilted_pair_report_all_pairs(a2):

@@ -88,6 +88,20 @@ def test_opposite_algebra(a2):
     assert opposite_algebra(op) == a2
 
 
+def test_equal_distinct_objects_compare_and_hash_alike(a2):
+    # Equality is structural; the identity shortcut must not make it
+    # depend on object identity.
+    twin = path_algebra(Field(2), Quiver((1, 2), ((1, 2, "a"),)))
+    assert twin is not a2
+    assert twin == a2 and hash(twin) == hash(a2)
+    p1 = projective_module(a2, 0)
+    copy = Module(twin, p1.dim,
+                  [Mat(m.p, m.rows, m.cols, list(m.data)) for m in p1.action])
+    assert copy is not p1
+    assert copy == p1 and hash(copy) == hash(p1)
+    assert copy != simple_module(twin, 0) and twin != opposite_algebra(a2)
+
+
 def test_module_front_end_roundtrip(a2):
     arrow = presentation_arrows(a2)
     assert arrow == (2,)
