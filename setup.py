@@ -1,24 +1,5 @@
-"""Build script for the optional compiled kernels.
+"""Build script: a plain pure-Python package; metadata is in pyproject.toml."""
 
-The package works without the extension; quivertilt.kernels falls back to
-the pure Python implementation when the compiled module is missing.
-"""
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "quivertilt.kernels._speedups",
-                ["src/quivertilt/kernels/_speedups.pyx"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup()

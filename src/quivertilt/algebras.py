@@ -38,6 +38,8 @@ class Algebra:
         self._check_shape()
         self.endpoints = self._compute_endpoints()
         self._left_mats: dict[int, Mat] = {}
+        # Set by modules.Module.zero on first use.
+        self._zero_module = None
 
     # -- element arithmetic on coordinate tuples --
 

@@ -433,17 +433,21 @@ def push_pair(ctx: AnyGiraudContext, pair_d: TorsionPair,
     """Push a parent pair down to the corner.
 
     Requires the constrained class to be closed under the composite of
-    section and restriction (i . l or j . r) on the enumerated universe;
-    the constrained class of the image is then also the section-preimage
-    of that class upstairs, which is checked as well.
+    section and restriction (i . l or j . r), tested on the
+    indecomposables of the parent universe: the functors are additive
+    and the classes are closed under sums and summands, so a direct sum
+    passes exactly when its summands do.  The indecomposables are
+    sorted by dimension, so the witness is the first failing member of
+    the universe.  The constrained class of the image is then also the
+    section-preimage of that class upstairs, which is checked as well.
     """
     k = ctx.constrained
     witness = None
-    for d in uni_d.nonzero_members():
+    for i, d in enumerate(uni_d.indecs):
         if pair_d.in_class(k, d) and not pair_d.in_class(
                 k, ctx.section.apply(ctx.restriction.apply(d))):
             witness = (f"{_CLASS_NAMES[k]} class not closed under "
-                       f"{ctx.composite} at {uni_d.signature(d)}")
+                       f"{ctx.composite} at {(i,)}")
             break
     closed = witness is None
     if not closed:

@@ -1,29 +1,16 @@
-"""Backend selection for the mod-p matrix kernels.
+"""The mod-p matrix kernels: matrix product and reduced row echelon form.
 
-The compiled extension is preferred when it imported cleanly; setting
-the environment variable QUIVERTILT_PURE to a nonempty value forces the
-pure Python fallback (useful for benchmarking and debugging).
+There is one implementation, in pure Python (``_pure``).  ``BACKEND``
+names it for reports that record which kernels ran.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _pure
 
-if os.environ.get("QUIVERTILT_PURE"):
-    _impl = _pure
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
+BACKEND = "pure"
 
-        BACKEND = "speedups"
-    except ImportError:
-        _impl = _pure
-        BACKEND = "pure"
-
-mat_mul = _impl.mat_mul
-rref = _impl.rref
+mat_mul = _pure.mat_mul
+rref = _pure.rref
 
 __all__ = ["BACKEND", "mat_mul", "rref", "_pure"]

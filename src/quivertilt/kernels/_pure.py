@@ -1,9 +1,8 @@
 """Pure Python mod-p matrix kernels.
 
-Reference implementation of the two hot operations (matrix product and
-reduced row echelon form).  quivertilt.kernels._speedups provides the
-same two functions compiled with Cython; both backends must agree bit
-for bit, which the test suite checks.
+The two hot operations (matrix product and reduced row echelon form);
+the test suite checks them against schoolbook and Gauss-Jordan
+references.
 
 Matrices are flat row-major lists of ints already reduced mod p.
 """

@@ -424,17 +424,18 @@ def quotient_maps(s: Subspace) -> tuple[Mat, Mat]:
 
 
 def complement_in(v: Subspace, r: Subspace) -> list[tuple[int, ...]]:
-    """Vectors from v extending a basis of r to one of v (r must lie in v)."""
-    if not v.contains_space(r):
+    """Vectors from v extending a basis of r to one of v (r must lie in v).
+
+    One reduction of the matrix whose columns are r's basis and then
+    v's: a basis vector of v is kept when its column is a pivot, that
+    is, when it is not in the span of r and the vectors of v before it.
+    """
+    v._check_compatible(r)
+    cols = r.basis.vstack(v.basis).transpose()
+    pivots = rref(cols)[1]
+    if len(pivots) != v.dim:
         raise ValueError("r is not contained in v")
-    cur = r
-    out = []
-    for i in range(v.dim):
-        vec = v.basis.row(i)
-        if any(cur.reduce(vec)):
-            out.append(vec)
-            cur = cur.sum_with(Subspace(v.p, v.ambient, [vec]))
-    return out
+    return [v.basis.row(c - r.dim) for c in pivots if c >= r.dim]
 
 
 def block_diag(p: int, blocks: list[Mat]) -> Mat:

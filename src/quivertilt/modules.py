@@ -66,8 +66,12 @@ class Module:
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "Module":
-        return cls(algebra, 0, [Mat.zeros(algebra.field.p, 0, 0)] * algebra.dim,
-                   validate=False)
+        """The zero module, built once per algebra and shared."""
+        if algebra._zero_module is None:
+            algebra._zero_module = cls(
+                algebra, 0, [Mat.zeros(algebra.field.p, 0, 0)] * algebra.dim,
+                validate=False)
+        return algebra._zero_module
 
     def act(self, i: int) -> Mat:
         return self.action[i]

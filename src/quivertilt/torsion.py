@@ -6,13 +6,20 @@ detected by an iterated trace; a torsion-free class is the closure under
 submodules, finite products and extensions, detected by an iterated
 reject.
 
-A pair is decided by its definition over a bounded module universe:
-``is_torsion_pair`` checks hom-orthogonality and maximality on the
-indecomposables and the canonical trace decomposition of every member.
-Closure under quotients, submodules and extensions holds by construction
-of the trace and the reject, so it is not part of the decision;
-``self_test`` sweeps it exhaustively, member by member, as an oracle for
-the trace/reject implementation.
+A pair is decided by its definition over a bounded module universe,
+on the indecomposables alone: ``is_torsion_pair`` checks
+hom-orthogonality, maximality and the canonical trace decomposition
+there.  Hom and the trace are additive and the universe is
+Krull-Schmidt, so the members that are direct sums add nothing.
+Closure under quotients, submodules and extensions holds by
+construction of the trace and the reject, so it is not part of the
+decision either; ``self_test`` sweeps all of it member by member, as an
+oracle for the trace/reject implementation.
+
+The torsion pairs of a universe are the closed sets T = ⊥(T⊥) of the
+Galois connection given by the relation Hom(X, Y) != 0 on its
+indecomposables; ``enumerate_torsion_pairs`` lists them with Ganter's
+NextClosure (Ganter, "Two basic algorithms in concept analysis", 1984).
 """
 
 from __future__ import annotations
@@ -154,12 +161,14 @@ def all_extension_middles(m: Module, n: Module) -> tuple[Module, ...]:
 def is_torsion_pair(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
     """Decide whether the pair is a torsion pair on the universe.
 
-    Checks the definition and nothing else: hom-orthogonality of the two
-    classes and mutual maximality, both on the indecomposables (Hom is
-    additive and the universe is Krull-Schmidt), and the canonical
-    decomposition 0 -> t(m) -> m -> m/t(m) -> 0 of every nonzero member.
-    Closure of the classes holds by construction of the trace and the
-    reject; ``self_test`` checks that construction.
+    Checks the definition and nothing else, on the indecomposables:
+    hom-orthogonality of the two classes, mutual maximality, and the
+    canonical decomposition 0 -> t(m) -> m -> m/t(m) -> 0.  Hom and the
+    trace are additive and the universe is Krull-Schmidt, so a direct
+    sum decomposes as the sum of its summands' decompositions.  Closure
+    of the classes holds by construction of the trace and the reject;
+    ``self_test`` checks that construction, and the decomposition of
+    every member.
     """
     failures: list[str] = []
     indecs = uni.indecs
@@ -177,12 +186,12 @@ def is_torsion_pair(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
         if (i in f_ind) != all(hom_dim(indecs[a], m) == 0 for a in t_ind):
             failures.append(f"free maximality fails at {(i,)}")
 
-    for m in uni.nonzero_members():
+    for i, m in enumerate(indecs):
         ses = pair.decompose(m)
         if not pair.in_torsion(ses.sub):
-            failures.append(f"decomposition: trace part of {uni.signature(m)} not torsion")
+            failures.append(f"decomposition: trace part of {(i,)} not torsion")
         if not pair.in_free(ses.quot):
-            failures.append(f"decomposition: trace quotient of {uni.signature(m)} not free")
+            failures.append(f"decomposition: trace quotient of {(i,)} not free")
 
     return PairReport(not failures, tuple(failures))
 
@@ -191,12 +200,14 @@ def self_test(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
     """Check the trace/reject implementation against the pair axioms.
 
     Sweeps every member of the universe: hom-orthogonality and mutual
-    maximality member by member, closure of the torsion class under
-    quotients and extensions, and closure of the free class under
-    submodules and extensions.  These hold by construction for any pair
-    that ``is_torsion_pair`` accepts, so a failure here is a fault of
-    ``trace_subspace``/``reject_subspace`` or of membership, not of the
-    pair.  Exhaustive and slow; it is a test oracle, not a decision.
+    maximality member by member, the canonical decomposition of every
+    nonzero member, closure of the torsion class under quotients and
+    extensions, and closure of the free class under submodules and
+    extensions.  These hold by construction for any pair that
+    ``is_torsion_pair`` accepts on the indecomposables, so a failure
+    here is a fault of ``trace_subspace``/``reject_subspace``, of the
+    decomposition or of membership, not of the pair.  Exhaustive and
+    slow; it is a test oracle, not a decision.
     """
     failures: list[str] = []
     members = uni.nonzero_members()
@@ -218,6 +229,13 @@ def self_test(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
         no_maps_from_t = all(hom_dim(a, m) == 0 for a in t_mem)
         if in_f != no_maps_from_t:
             failures.append(f"free maximality fails at {uni.signature(m)}")
+
+    for m in members:
+        ses = pair.decompose(m)
+        if not pair.in_torsion(ses.sub):
+            failures.append(f"decomposition: trace part of {uni.signature(m)} not torsion")
+        if not pair.in_free(ses.quot):
+            failures.append(f"decomposition: trace quotient of {uni.signature(m)} not free")
 
     for m in t_mem:
         for s in enumerate_submodules(m):
@@ -265,28 +283,64 @@ def free_indec_indices(pair: TorsionPair, uni: ModuleUniverse) -> tuple[int, ...
     return tuple(i for i, m in enumerate(uni.indecs) if pair.in_free(m))
 
 
+def _closed_sets(rows: list[int]):
+    """Every closed set of a relation, as a bitset, in lectic order.
+
+    ``rows[i]`` is the bitset of the j related to i.  A set T of
+    indices is closed when T = ⊥(T⊥), where T⊥ holds the j related to
+    no element of T and ⊥F the i related to no element of F.
+    NextClosure visits each closed set once, with one closure per step
+    and no store of the sets already seen.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+
+    def closure(t: int) -> int:
+        reach = 0
+        for i in range(n):
+            if t >> i & 1:
+                reach |= rows[i]
+        free = full & ~reach
+        return sum(1 << i for i in range(n) if not rows[i] & free)
+
+    cur = closure(0)
+    yield cur
+    while cur != full:
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if cur & bit:
+                cur &= ~bit
+                continue
+            nxt = closure(cur | bit)
+            if nxt & (bit - 1) == cur:
+                cur = nxt
+                break
+        yield cur
+
+
 @lru_cache(maxsize=None)
 def enumerate_torsion_pairs(uni: ModuleUniverse) -> tuple[TorsionPair, ...]:
     """All torsion pairs whose classes are generated inside the universe.
 
-    Scans subsets of the indecomposables; a subset survives if it equals
-    the double hom-perp of itself and ``is_torsion_pair`` accepts the
-    resulting pair.
+    They are the closed sets T = ⊥(T⊥) of the relation Hom(X, Y) != 0 on
+    the indecomposables, with T⊥ as the free class; NextClosure lists
+    them from the n x n matrix of hom dimensions alone.  The pair
+    (⊥F, F) with F = T⊥ is orthogonal and maximal by construction, so
+    no candidate is built and then rejected.  The scan raises
+    ``BoundExceeded`` once it has visited more than ``SEARCH_CAP``
+    closed sets.  Pairs are sorted by the size of the torsion class,
+    then by its indices.
     """
-    n = len(uni.indecs)
-    if (1 << n) > SEARCH_CAP:
-        raise BoundExceeded(f"pair scan over 2^{n} subsets")
-    pairs: list[TorsionPair] = []
-    seen: set[tuple[int, ...]] = set()
-    for mask in range(1 << n):
-        t_idx = tuple(i for i in range(n) if mask >> i & 1)
-        cand = pair_from_torsion_indecs(uni, t_idx)
-        closed = torsion_indec_indices(cand, uni)
-        if closed != t_idx or closed in seen:
-            continue
-        if is_torsion_pair(cand, uni).ok:
-            seen.add(closed)
-            pairs.append(cand)
-    pairs.sort(key=lambda pr: (len(torsion_indec_indices(pr, uni)),
-                               torsion_indec_indices(pr, uni)))
-    return tuple(pairs)
+    indecs = uni.indecs
+    n = len(indecs)
+    rows = [sum(1 << j for j in range(n) if hom_dim(indecs[i], indecs[j]) != 0)
+            for i in range(n)]
+    found: list[tuple[int, ...]] = []
+    for t in _closed_sets(rows):
+        if len(found) >= SEARCH_CAP:
+            raise BoundExceeded(
+                f"torsion-class scan over {n} indecomposables visited more "
+                f"than {SEARCH_CAP} closed sets")
+        found.append(tuple(i for i in range(n) if t >> i & 1))
+    found.sort(key=lambda t_idx: (len(t_idx), t_idx))
+    return tuple(pair_from_torsion_indecs(uni, t_idx) for t_idx in found)

@@ -299,3 +299,33 @@ def test_co_push_pair_a2(co2, a2):
     assert res.ok
     assert torsion_indec_indices(res.pair, uni_c) == (0,)
     assert free_indec_indices(res.pair, uni_c) == ()
+
+
+def _closure_by_members(ctx, pair, uni_d):
+    """The closure test push_pair ran before it read indecomposables
+    only: every nonzero member of the universe, sums included, with the
+    first failing member as the witness."""
+    k = ctx.constrained
+    for d in uni_d.nonzero_members():
+        if pair.in_class(k, d) and not pair.in_class(
+                k, ctx.section.apply(ctx.restriction.apply(d))):
+            names = ("torsion", "free")
+            return False, (f"{names[k]} class not closed under "
+                           f"{ctx.composite} at {uni_d.signature(d)}")
+    return True, None
+
+
+@pytest.mark.parametrize("side", ["localization", "colocalization"])
+def test_push_closure_on_indecs_matches_members(side, ctx3, co3, a3):
+    # The composite and the classes are additive, so testing the
+    # indecomposables gives the member-level verdict and witness.
+    ctx = ctx3 if side == "localization" else co3
+    uni_d = universe(a3, 3)
+    uni_c = universe(ctx.corner.sub, 2)
+    verdicts = []
+    for pair in enumerate_torsion_pairs(uni_d):
+        res = push_pair(ctx, pair, uni_d, uni_c)
+        verdicts.append((res.closed_under_section, res.witness))
+        assert verdicts[-1] == _closure_by_members(ctx, pair, uni_d)
+    # Both verdicts occur, so the comparison is not vacuous.
+    assert {closed for closed, _ in verdicts} == {True, False}

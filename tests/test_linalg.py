@@ -1,4 +1,4 @@
-"""Tests for the exact linear algebra layer and both matrix backends."""
+"""Tests for the exact linear algebra layer and the matrix kernels."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from quivertilt.linalg import (
     Mat,
     Subspace,
     all_vectors,
+    complement_in,
     image_basis,
     invert,
     kernel_basis,
@@ -209,6 +210,40 @@ def test_subspace_sum_and_intersection():
             assert join.contains_space(a) and join.contains_space(b)
 
 
+
+def _complement_by_loop(v, r):
+    """One Subspace per basis vector of v: the greedy extension that
+    complement_in replaced with a single reduction."""
+    if not v.contains_space(r):
+        raise ValueError("r is not contained in v")
+    cur = r
+    out = []
+    for i in range(v.dim):
+        vec = v.basis.row(i)
+        if any(cur.reduce(vec)):
+            out.append(vec)
+            cur = cur.sum_with(Subspace(v.p, v.ambient, [vec]))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_complement_in_matches_the_greedy_loop(p):
+    rng = random.Random(43 + p)
+    for _ in range(60):
+        n = rng.randrange(0, 6)
+        v = Subspace(p, n, [rand_mat(rng, p, 1, n).row(0)
+                            for _ in range(rng.randrange(0, n + 1))])
+        # r spanned by combinations of v's basis, so that r lies in v.
+        r = Subspace(p, n, [(rand_mat(rng, p, 1, v.dim) @ v.basis).row(0)
+                            for _ in range(rng.randrange(0, v.dim + 1))])
+        got = complement_in(v, r)
+        assert got == _complement_by_loop(v, r)
+        assert len(got) == v.dim - r.dim
+        assert r.sum_with(Subspace(p, n, got)) == v
+        if v.dim > r.dim:
+            with pytest.raises(ValueError, match="not contained"):
+                complement_in(r, v)
+
 def test_quotient_maps_contract():
     rng = random.Random(31)
     for p in (2, 3):
@@ -290,9 +325,8 @@ def _gauss_jordan(p, rows, cols, data):
 
 
 def test_backends_agree():
-    # Each backend against references written here: with only the pure
-    # backend installed, comparing the backends would compare _pure
-    # with itself.
+    # The kernels against references written here, both as exported by
+    # quivertilt.kernels and as the module that implements them.
     for impl in (_pure, kernels):
         _check_against_references(impl)
 

@@ -14,6 +14,7 @@ from quivertilt.algebras import (
     opposite_algebra,
     path_algebra,
 )
+from quivertilt.complexes import Complex
 from quivertilt.enumeration import is_isomorphic, universe
 from quivertilt.linalg import (
     Field,
@@ -101,6 +102,20 @@ def test_equal_distinct_objects_compare_and_hash_alike(a2):
     assert copy == p1 and hash(copy) == hash(p1)
     assert copy != simple_module(twin, 0) and twin != opposite_algebra(a2)
 
+
+
+def test_zero_module_is_shared_per_algebra(a2):
+    # Built once per algebra; complexes hand it out for every degree
+    # outside their support.
+    zero = Module.zero(a2)
+    assert Module.zero(a2) is zero
+    scratch = Module(a2, 0, [Mat.zeros(2, 0, 0)] * a2.dim, validate=False)
+    assert zero is not scratch
+    assert zero == scratch and hash(zero) == hash(scratch)
+    c = Complex.from_module(projective_module(a2, 0))
+    assert c.component(3) is zero and c.diff(3).source is zero
+    twin = path_algebra(Field(2), Quiver((1, 2), ((1, 2, "a"),)))
+    assert Module.zero(twin) is not zero and Module.zero(twin) == zero
 
 def test_module_front_end_roundtrip(a2):
     arrow = presentation_arrows(a2)

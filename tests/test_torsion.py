@@ -10,10 +10,17 @@ the indecomposables and the Coxeter-Catalan numbers of torsion classes.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import quivertilt
+from quivertilt import torsion
 from quivertilt.algebras import corner_algebra, path_algebra
-from quivertilt.enumeration import universe
+from quivertilt.enumeration import BoundExceeded, universe
 from quivertilt.linalg import Field, Subspace
 from quivertilt.modules import (
     direct_sum,
@@ -121,6 +128,31 @@ def test_axiom_report_flags_broken_decomposition(a2, monkeypatch):
                         lambda self, m: Subspace.zero(m.algebra.field.p, m.dim))
     report = is_torsion_pair(std_pair(a2), universe(a2, 2))
     assert "decomposition: trace quotient of (1,) not free" in report.failures
+
+
+def test_self_test_flags_decomposition_of_sums_only(a2, monkeypatch):
+    # A trace that is right on the indecomposables but drops the
+    # torsion summand of a direct sum: the decision, which reads the
+    # indecomposables only, accepts the pair, and the member-level
+    # decomposition in self_test reports the sums.
+    uni = universe(a2, 2)
+    own = {id(m) for m in uni.indecs}
+    honest = TorsionPair.torsion_subspace
+
+    def torsion_subspace(self, m):
+        if id(m) in own:
+            return honest(self, m)
+        return Subspace.zero(m.algebra.field.p, m.dim)
+
+    monkeypatch.setattr(TorsionPair, "torsion_subspace", torsion_subspace)
+    pair = std_pair(a2)
+    assert is_torsion_pair(pair, uni).ok
+    report = self_test(pair, uni)
+    assert not report.ok
+    # S1 + S1 (signature (1, 1)) is torsion, so the lost trace leaves
+    # it whole as its own quotient.
+    assert "decomposition: trace quotient of (1, 1) not free" in report.failures
+    assert all(f.startswith("decomposition: ") for f in report.failures)
 
 
 def test_enumerate_pairs_a2(a2):
@@ -245,6 +277,11 @@ _COXETER_CATALAN = {
 }
 
 
+def _coxeter_catalan_universe(name):
+    p, quiver, bound, _, _ = _COXETER_CATALAN[name]
+    return universe(path_algebra(Field(p), quiver), bound)
+
+
 @pytest.mark.parametrize("name", list(_COXETER_CATALAN))
 def test_pair_count_is_coxeter_catalan(name):
     # Gabriel: the indecomposables of a Dynkin quiver of type A_n are the
@@ -255,3 +292,105 @@ def test_pair_count_is_coxeter_catalan(name):
     uni = universe(path_algebra(Field(p), quiver), bound)
     assert len(uni.indecs) == roots
     assert len(enumerate_torsion_pairs(uni)) == classes
+
+
+# Every universe whose torsion pairs the suite enumerates, and the
+# Coxeter-Catalan fixtures.
+_ENUMERATED_UNIVERSES = {
+    "A2/F_2 bound 1": lambda a2, a3: universe(a2, 1),
+    "A2/F_2 bound 2": lambda a2, a3: universe(a2, 2),
+    "A2/F_2 bound 3": lambda a2, a3: universe(a2, 3),
+    "A2/F_3 bound 2": lambda a2, a3: universe(
+        path_algebra(Field(3), Quiver((1, 2), ((1, 2, "a"),))), 2),
+    "A3/F_2 bound 1": lambda a2, a3: universe(a3, 1),
+    "A3/F_2 bound 2": lambda a2, a3: universe(a3, 2),
+    "A3/F_2 bound 3": lambda a2, a3: universe(a3, 3),
+    "A3 corner {1,3} bound 1":
+        lambda a2, a3: universe(corner_algebra(a3, (0, 2)).sub, 1),
+    "A3 corner {1,3} bound 2":
+        lambda a2, a3: universe(corner_algebra(a3, (0, 2)).sub, 2),
+    "A2 corner {2} bound 2":
+        lambda a2, a3: universe(corner_algebra(a2, (1,)).sub, 2),
+    **{name: (lambda a2, a3, name=name: _coxeter_catalan_universe(name))
+       for name in _COXETER_CATALAN},
+}
+
+
+def _closed_sets_by_mask_scan(uni):
+    """The closed sets T = ⊥(T⊥) of the relation Hom != 0, found by
+    testing every subset of the indecomposables, in the sort order of
+    enumerate_torsion_pairs: (T, T⊥) pairs."""
+    indecs = uni.indecs
+    n = len(indecs)
+    rel = [[hom_dim(x, y) != 0 for y in indecs] for x in indecs]
+    out = []
+    for mask in range(1 << n):
+        t = tuple(i for i in range(n) if mask >> i & 1)
+        perp = tuple(j for j in range(n) if not any(rel[i][j] for i in t))
+        if tuple(i for i in range(n) if not any(rel[i][j] for j in perp)) == t:
+            out.append((t, perp))
+    out.sort(key=lambda key: (len(key[0]), key[0]))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_ENUMERATED_UNIVERSES))
+def test_enumerated_pairs_are_the_closed_sets(name, a2, a3):
+    # NextClosure keeps no trace: each pair is built from its closed set.
+    # The trace-based classes of that pair must be the closed set and
+    # its perp, in the order of a scan over all subsets, and the
+    # decision must accept it.
+    uni = _ENUMERATED_UNIVERSES[name](a2, a3)
+    pairs = enumerate_torsion_pairs(uni)
+    position = {id(m): i for i, m in enumerate(uni.indecs)}
+    generated = [tuple(position[id(g)] for g in pr.torsion.generators)
+                 for pr in pairs]
+    keys = [(torsion_indec_indices(pr, uni), free_indec_indices(pr, uni))
+            for pr in pairs]
+    assert [t for t, _ in keys] == generated
+    assert keys == _closed_sets_by_mask_scan(uni)
+    for pr in pairs:
+        assert is_torsion_pair(pr, uni).ok
+
+
+def _a3_scan_with_cap(cap):
+    """Enumerate the A3/F_2 pairs at bound 3 under a lowered SEARCH_CAP
+    (there are 14), from an empty pair cache."""
+    a3 = path_algebra(Field(2), Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b"))))
+    saved = torsion.SEARCH_CAP
+    torsion.SEARCH_CAP = cap
+    torsion.enumerate_torsion_pairs.cache_clear()
+    try:
+        return torsion.enumerate_torsion_pairs(universe(a3, 3))
+    finally:
+        torsion.SEARCH_CAP = saved
+        torsion.enumerate_torsion_pairs.cache_clear()
+
+
+def _a3_scan_over_cap():
+    _a3_scan_with_cap(13)
+
+
+def test_pair_scan_stops_at_the_cap():
+    assert len(_a3_scan_with_cap(14)) == 14
+    with pytest.raises(BoundExceeded, match="over 6 indecomposables visited "
+                                            "more than 13 closed sets"):
+        _a3_scan_over_cap()
+
+
+def test_pair_scan_stops_at_the_cap_without_asserts():
+    # Under python -O, which strips assert statements.
+    src = str(Path(quivertilt.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import runpy, sys\n"
+              "ns = runpy.run_path(sys.argv[1])\n"
+              "try:\n"
+              "    ns['_a3_scan_over_cap']()\n"
+              "except ns['BoundExceeded'] as exc:\n"
+              "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert b"over 6 indecomposables visited more than 13 closed sets" \
+        in proc.stdout
