@@ -393,10 +393,7 @@ def _kill_previous(maps: list[ModuleMap], prev_d: ModuleMap) -> list[ModuleMap]:
     p = prev_d.source.algebra.field.p
     nrows = maps[0].target.dim * prev_d.source.dim
     cols = [(h.mat @ prev_d.mat).data for h in maps]
-    flat = Mat(p, nrows, len(cols),
-               [cols[j][i] for i in range(nrows) for j in range(len(cols))]) \
-        if nrows else Mat.zeros(p, 0, len(cols))
-    ker = kernel_basis(flat)
+    ker = kernel_basis(Mat.from_cols(p, cols, nrows))
     out = []
     for k in range(ker.dim):
         v = ker.basis.row(k)

@@ -250,32 +250,49 @@ def homotopy_boundaries(x: Complex, y: Complex, grid: _MapGrid) -> Subspace:
     return Subspace(grid.p, grid.dim, vecs)
 
 
-def is_null_homotopic(f: ChainMap) -> bool:
-    """Whether f = d r + r d for some graded map r of degree -1."""
+def _solve_homotopy(f: ChainMap, gridg: Optional[_MapGrid] = None,
+                    g_flat=None) -> Optional[tuple[int, ...]]:
+    """One solution of g-term + d r + r d = f, or None.
+
+    r runs over the degree -1 graded maps f.source -> f.target.  With a
+    shift-0 grid gridg, its chain maps g are unknowns too, ahead of r:
+    their square conditions come first, and g_flat(i, h) is the flat
+    degree-i term that the basis map h of gridg contributes.  The
+    solution has free variables set to zero.
+    """
     x, y = f.source, f.target
-    grid = _MapGrid(x, y, -1)
+    gridr = _MapGrid(x, y, -1)
+    p = gridr.p
+    off = gridg.dim if gridg is not None else 0
+    width = off + gridr.dim
     rows: list[list[int]] = []
     rhs: list[int] = []
-    p = grid.p
-    for i in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
-        src = x.component(i)
-        tgt = y.component(i)
-        n = src.dim * tgt.dim
+    if gridg is not None:
+        _square_terms(gridg, rows, rhs, width, 0)
+    for i in range(x.lo, x.hi + 1):
+        n = x.component(i).dim * y.component(i).dim
         if n == 0:
             continue
         terms = []
-        if i in grid.offsets:
-            flats = [(y.diff(i - 1).mat @ h.mat).data for h in grid.bases[i]]
-            terms.append((grid.offsets[i], flats))
-        if i + 1 in grid.offsets:
-            flats = [(h.mat @ x.diff(i).mat).data for h in grid.bases[i + 1]]
-            terms.append((grid.offsets[i + 1], flats))
-        _add_equation(rows, rhs, grid.dim, n, terms, f.component(i).mat.data, p)
+        if gridg is not None and i in gridg.offsets:
+            flats = [g_flat(i, h) for h in gridg.bases[i]]
+            terms.append((gridg.offsets[i], flats))
+        if i in gridr.offsets:
+            flats = [(y.diff(i - 1).mat @ h.mat).data for h in gridr.bases[i]]
+            terms.append((off + gridr.offsets[i], flats))
+        if i + 1 in gridr.offsets:
+            flats = [(h.mat @ x.diff(i).mat).data for h in gridr.bases[i + 1]]
+            terms.append((off + gridr.offsets[i + 1], flats))
+        _add_equation(rows, rhs, width, n, terms, f.component(i).mat.data, p)
     if not rows:
-        return True
-    a = Mat.from_rows(p, rows, cols=grid.dim)
-    b = Mat(p, len(rhs), 1, rhs)
-    return solve(a, b) is not None
+        return (0,) * width
+    sol = solve(Mat.from_rows(p, rows, cols=width), Mat(p, len(rhs), 1, rhs))
+    return None if sol is None else sol.col(0)
+
+
+def is_null_homotopic(f: ChainMap) -> bool:
+    """Whether f = d r + r d for some graded map r of degree -1."""
+    return _solve_homotopy(f) is not None
 
 
 def lift_postcompose(q: ChainMap, f: ChainMap) -> ChainMap:
@@ -283,36 +300,11 @@ def lift_postcompose(q: ChainMap, f: ChainMap) -> ChainMap:
     projectives and q a quasi-isomorphism."""
     if q.target != f.target:
         raise ValueError("lift needs a common target")
-    src = f.source
-    mid = q.source
-    gridg = _MapGrid(src, mid, 0)
-    gridr = _MapGrid(src, f.target, -1)
-    p = gridg.p
-    width = gridg.dim + gridr.dim
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    _square_terms(gridg, rows, rhs, width, 0)
-    # q g + d r + r d = f.
-    for i in range(src.lo, src.hi + 1):
-        tgt = f.target.component(i)
-        n = src.component(i).dim * tgt.dim
-        if n == 0:
-            continue
-        terms = []
-        if i in gridg.offsets:
-            flats = [(q.component(i).mat @ h.mat).data for h in gridg.bases[i]]
-            terms.append((gridg.offsets[i], flats))
-        if i in gridr.offsets:
-            flats = [(f.target.diff(i - 1).mat @ h.mat).data
-                     for h in gridr.bases[i]]
-            terms.append((gridg.dim + gridr.offsets[i], flats))
-        if i + 1 in gridr.offsets:
-            flats = [(h.mat @ src.diff(i).mat).data for h in gridr.bases[i + 1]]
-            terms.append((gridg.dim + gridr.offsets[i + 1], flats))
-        _add_equation(rows, rhs, width, n, terms, f.component(i).mat.data, p)
-    sol = _solve_rows(rows, rhs, width, p)
+    gridg = _MapGrid(f.source, q.source, 0)
+    sol = _solve_homotopy(f, gridg,
+                          lambda i, h: (q.component(i).mat @ h.mat).data)
     assert sol is not None, "no lift through the quasi-isomorphism"
-    return ChainMap(src, mid, gridg.comps_from(sol))
+    return ChainMap(f.source, q.source, gridg.comps_from(sol))
 
 
 def lift_precompose(w: ChainMap, v: ChainMap) -> ChainMap:
@@ -320,46 +312,11 @@ def lift_precompose(w: ChainMap, v: ChainMap) -> ChainMap:
     shared source and v into a bounded complex of injectives."""
     if w.source != v.source:
         raise ValueError("lift needs a common source")
-    src = v.source
-    mid = w.target
-    tgt = v.target
-    gridg = _MapGrid(mid, tgt, 0)
-    gridr = _MapGrid(src, tgt, -1)
-    p = gridg.p
-    width = gridg.dim + gridr.dim
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    _square_terms(gridg, rows, rhs, width, 0)
-    # g w + d r + r d = v.
-    for i in range(src.lo, src.hi + 1):
-        n = src.component(i).dim * tgt.component(i).dim
-        if n == 0:
-            continue
-        terms = []
-        if i in gridg.offsets:
-            flats = [(h.mat @ w.component(i).mat).data for h in gridg.bases[i]]
-            terms.append((gridg.offsets[i], flats))
-        if i in gridr.offsets:
-            flats = [(tgt.diff(i - 1).mat @ h.mat).data for h in gridr.bases[i]]
-            terms.append((gridg.dim + gridr.offsets[i], flats))
-        if i + 1 in gridr.offsets:
-            flats = [(h.mat @ src.diff(i).mat).data for h in gridr.bases[i + 1]]
-            terms.append((gridg.dim + gridr.offsets[i + 1], flats))
-        _add_equation(rows, rhs, width, n, terms, v.component(i).mat.data, p)
-    sol = _solve_rows(rows, rhs, width, p)
+    gridg = _MapGrid(w.target, v.target, 0)
+    sol = _solve_homotopy(v, gridg,
+                          lambda i, h: (h.mat @ w.component(i).mat).data)
     assert sol is not None, "no lift against the quasi-isomorphism"
-    return ChainMap(mid, tgt, gridg.comps_from(sol))
-
-
-def _solve_rows(rows, rhs, width, p) -> Optional[tuple[int, ...]]:
-    if not rows:
-        return (0,) * width
-    a = Mat.from_rows(p, rows, cols=width)
-    b = Mat(p, len(rhs), 1, rhs)
-    sol = solve(a, b)
-    if sol is None:
-        return None
-    return sol.col(0)
+    return ChainMap(w.target, v.target, gridg.comps_from(sol))
 
 
 # -- derived morphisms --
@@ -470,11 +427,22 @@ class DerivedHom:
         if not cols:
             assert all(v == 0 for v in vec)
             return ()
-        a = Mat.from_rows(p, cols, cols=self.grid.dim).transpose()
+        a = Mat.from_cols(p, cols, self.grid.dim)
         b = Mat(p, self.grid.dim, 1, vec)
         sol = solve(a, b)
         assert sol is not None, "morphism does not lie in the hom space"
         return tuple(sol.col(0)[: len(self.reps)])
+
+    def preimage(self, into: "DerivedHom", fn,
+                 target: DerivedMorphism) -> Optional[DerivedMorphism]:
+        """An element g of this hom space with fn(g) = target in into,
+        or None; fn must be linear."""
+        p = self.grid.p
+        cols = [into.class_coords(fn(b)) for b in self.basis()]
+        rhs = into.class_coords(target)
+        a = Mat.from_cols(p, cols, into.dim)
+        sol = solve(a, Mat(p, into.dim, 1, rhs))
+        return None if sol is None else self.element(sol.col(0))
 
 
 def _comps_dict(f: ChainMap) -> dict[int, ModuleMap]:
@@ -513,23 +481,3 @@ def transport_exact(fun, m: DerivedMorphism) -> DerivedMorphism:
     lifted = lift_postcompose(f_cmp, cmp2)
     return DerivedMorphism(fx, apply_functor(fun, m.target),
                            f_rep.compose(lifted))
-
-
-@dataclass(frozen=True)
-class DerivedApplication:
-    """Result of a one-sided derived functor: the value together with
-    the resolution witness and its comparison quasi-isomorphism."""
-
-    value: Complex
-    witness: Complex
-    comparison: ChainMap
-
-
-def apply_right_derived(fun, c: Complex, depth: int = 2) -> DerivedApplication:
-    cores, into = injective_coresolution(c, depth)
-    return DerivedApplication(apply_functor(fun, cores), cores, into)
-
-
-def apply_left_derived(fun, c: Complex, depth: int = 2) -> DerivedApplication:
-    res, onto = projective_resolution(c, depth)
-    return DerivedApplication(apply_functor(fun, res), res, onto)

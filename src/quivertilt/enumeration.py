@@ -63,25 +63,6 @@ def is_isomorphic(m: Module, n: Module) -> bool:
     return False
 
 
-def find_isomorphism(m: Module, n: Module) -> Optional[ModuleMap]:
-    if m.algebra != n.algebra or m.dim != n.dim:
-        return None
-    p = m.algebra.field.p
-    if m.dim == 0:
-        return ModuleMap(m, n, Mat.zeros(p, 0, 0), validate=False)
-    maps = hom_basis(m, n)
-    if not maps:
-        return None
-    if p ** len(maps) > SEARCH_CAP:
-        raise BoundExceeded(f"iso search over {p}^{len(maps)} combinations")
-    for coeffs in all_vectors(p, len(maps)):
-        if any(coeffs):
-            cand = _combo(maps, coeffs)
-            if rank(cand) == m.dim:
-                return ModuleMap(m, n, cand, validate=False)
-    return None
-
-
 def nontrivial_idempotent(m: Module) -> Optional[ModuleMap]:
     """A nonzero, non-identity idempotent endomorphism, if one exists."""
     if m.dim == 0:

@@ -133,7 +133,7 @@ class HomSectionFunctor:
             for a in range(cd.parent.dim):
                 cols = [space.coords((phi @ ea.right_act[a]).data)
                         for phi in mats]
-                action.append(_mat_from_cols(p, space.dim, cols))
+                action.append(Mat.from_cols(p, cols, space.dim))
             self._cache[n] = (Module(cd.parent, space.dim, action), space)
         return self._cache[n]
 
@@ -150,7 +150,7 @@ class HomSectionFunctor:
         for k in range(sspace.dim):
             phi = Mat(p, g.source.dim, ea.dim, sspace.basis.row(k))
             cols.append(tspace.coords((g.mat @ phi).data))
-        return ModuleMap(src, tgt, _mat_from_cols(p, tgt.dim, cols),
+        return ModuleMap(src, tgt, Mat.from_cols(p, cols, tgt.dim),
                          validate=False)
 
 
@@ -201,13 +201,6 @@ class TensorSectionFunctor:
         return ModuleMap(src, tgt, proj_t @ move @ sect_s, validate=False)
 
 
-def _mat_from_cols(p: int, nrows: int, cols: list[tuple[int, ...]]) -> Mat:
-    if not cols:
-        return Mat.zeros(p, nrows, 0)
-    data = [cols[j][i] for i in range(nrows) for j in range(len(cols))]
-    return Mat(p, nrows, len(cols), data)
-
-
 @dataclass
 class GiraudContext:
     """Exact localization l with right adjoint section i."""
@@ -253,7 +246,7 @@ class GiraudContext:
                 for r in range(lm.dim):
                     flat[r * ea.dim + s] = lvec.entry(r, 0)
             cols.append(space.coords(flat))
-        return ModuleMap(m, iln, _mat_from_cols(p, iln.dim, cols))
+        return ModuleMap(m, iln, Mat.from_cols(p, cols, iln.dim))
 
     def counit(self, n: Module) -> ModuleMap:
         """l(i(n)) -> n, evaluation of a homomorphism at e."""
@@ -272,7 +265,7 @@ class GiraudContext:
                     phi = phi + Mat(p, n.dim, ea.dim,
                                     space.basis.row(k)).scale(w[k])
             cols.append((phi @ e_col).col(0))
-        return ModuleMap(lin, n, _mat_from_cols(p, n.dim, cols))
+        return ModuleMap(lin, n, Mat.from_cols(p, cols, n.dim))
 
     def in_s(self, m: Module) -> bool:
         """Whether m is killed by the localization."""
@@ -326,7 +319,7 @@ class CoGiraudContext:
             rvec = solve(incl, Mat(p, jn.dim, 1, big))
             assert rvec is not None, "e (x) n is not in the corner part"
             cols.append(rvec.col(0))
-        return ModuleMap(n, rjn, _mat_from_cols(p, rjn.dim, cols))
+        return ModuleMap(n, rjn, Mat.from_cols(p, cols, rjn.dim))
 
     def counit(self, m: Module) -> ModuleMap:
         """j(r(m)) -> m, the action map a.e (x) x -> a.x."""
@@ -340,7 +333,7 @@ class CoGiraudContext:
         for s, b in enumerate(ae_idx):
             for u in range(rm.dim):
                 cols.append((m.action[b] @ incl).col(u))
-        full = _mat_from_cols(p, m.dim, cols)
+        full = Mat.from_cols(p, cols, m.dim)
         out = ModuleMap(jrm, m, full @ sect)
         assert out.mat @ proj == full, "tensor relations are not killed"
         return out

@@ -57,7 +57,6 @@ from .enumeration import (
     is_isomorphic,
 )
 from .linalg import (
-    Mat,
     Subspace,
     all_vectors,
     image_basis,
@@ -74,6 +73,7 @@ from .modules import (
     hom_dim,
     is_projective,
     kernel,
+    lift_through,
     quotient_by_subspace,
     simple_module,
     submodule_from_subspace,
@@ -328,15 +328,9 @@ def factor_through_mono(mono: DerivedMorphism, f: DerivedMorphism,
     """The morphism g with mono . g = f, solved in hom coordinates."""
     if mono.target != f.target:
         raise ValueError("factoring needs a common target")
-    hom_in = derived_hom0(f.source, mono.source)
-    hom_out = derived_hom0(f.source, f.target)
-    p = f.source.algebra.field.p
-    cols = [hom_out.class_coords(mono.compose(b)) for b in hom_in.basis()]
-    rhs = hom_out.class_coords(f)
-    a = Mat.from_rows(p, cols, cols=hom_out.dim).transpose()
-    sol = solve(a, Mat(p, hom_out.dim, 1, rhs))
-    assert sol is not None, "morphism does not factor through the mono"
-    g = hom_in.element(sol.col(0))
+    g = derived_hom0(f.source, mono.source).preimage(
+        derived_hom0(f.source, f.target), mono.compose, f)
+    assert g is not None, "morphism does not factor through the mono"
     assert mono.compose(g).equals(f)
     return g
 
@@ -346,15 +340,9 @@ def factor_through_epi(epi: DerivedMorphism, f: DerivedMorphism,
     """The morphism g with g . epi = f, solved in hom coordinates."""
     if epi.source != f.source:
         raise ValueError("factoring needs a common source")
-    hom_in = derived_hom0(epi.target, f.target)
-    hom_out = derived_hom0(epi.source, f.target)
-    p = f.source.algebra.field.p
-    cols = [hom_out.class_coords(b.compose(epi)) for b in hom_in.basis()]
-    rhs = hom_out.class_coords(f)
-    a = Mat.from_rows(p, cols, cols=hom_out.dim).transpose()
-    sol = solve(a, Mat(p, hom_out.dim, 1, rhs))
-    assert sol is not None, "morphism does not factor through the epi"
-    g = hom_in.element(sol.col(0))
+    g = derived_hom0(epi.target, f.target).preimage(
+        derived_hom0(epi.source, f.target), lambda b: b.compose(epi), f)
+    assert g is not None, "morphism does not factor through the epi"
     assert g.compose(epi).equals(f)
     return g
 
@@ -403,28 +391,12 @@ def heart_decompose(ts: InducedTStructure, x: Complex) -> HeartDecomposition:
                               quo, DerivedMorphism.from_chain_map(q_map))
 
 
-def _factor_module_through_epi(epi: ModuleMap, f: ModuleMap) -> ModuleMap:
-    """A module map g with epi . g = f, found inside the hom space."""
-    basis = hom_basis(f.source, epi.source)
-    p = f.source.algebra.field.p
-    n = len((epi.mat @ basis[0].mat).data) if basis else 0
-    cols = [(epi.mat @ h.mat).data for h in basis]
-    a = Mat(p, n, len(cols), [c[i] for i in range(n) for c in cols]) \
-        if basis else Mat.zeros(p, len(f.mat.data), 0)
-    sol = solve(a, Mat(p, a.rows, 1, f.mat.data))
-    assert sol is not None, "map does not lift through the cover"
-    out = ModuleMap.zero(f.source, epi.source)
-    for cf, h in zip(sol.col(0), basis):
-        if cf:
-            out = out + h.scale(cf)
-    return out
-
-
 def connecting_morphism(ses: ShortExactSeq) -> DerivedMorphism:
     """The boundary morphism quot[0] -> sub[1] of a module short exact
     sequence, realized on the projective resolution of the quotient."""
     res, cmp = projective_resolution(one_term(ses.quot))
-    lam = _factor_module_through_epi(ses.epi, cmp.component(0))
+    lam = lift_through(ses.epi, cmp.component(0))
+    assert lam is not None, "map does not lift through the cover"
     if res.lo == 0:
         return DerivedMorphism.zero(one_term(ses.quot), one_term(ses.sub, 1))
     iota = res.diff(-1)

@@ -99,6 +99,12 @@ class Mat:
         flat = [x for r in rows for x in r]
         return cls(p, len(rows), ncols, flat)
 
+    @classmethod
+    def from_cols(cls, p: int, cols: list[tuple[int, ...]], rows: int) -> "Mat":
+        """The rows-by-len(cols) matrix with the given columns."""
+        return cls(p, rows, len(cols),
+                   [c[i] for i in range(rows) for c in cols])
+
     def entry(self, i: int, j: int) -> int:
         return self.data[i * self.cols + j]
 
@@ -342,10 +348,6 @@ def image_basis(m: Mat) -> Subspace:
     return Subspace(m.p, m.rows, m.transpose().row_list())
 
 
-def row_space(m: Mat) -> Subspace:
-    return Subspace(m.p, m.cols, m.row_list())
-
-
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; with row-major flattening of X into vec(X),
     vec(A @ X @ B) = kron(A, B.transpose()) applied to vec(X)."""
@@ -387,10 +389,7 @@ def invert(m: Mat) -> Optional[Mat]:
     """Two-sided inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         return None
-    x = solve(m, Mat.identity(m.p, m.rows))
-    if x is None:
-        return None
-    return x
+    return solve(m, Mat.identity(m.p, m.rows))
 
 
 def pullback_linear(f: Mat, g: Mat) -> Subspace:
@@ -436,21 +435,6 @@ def complement_in(v: Subspace, r: Subspace) -> list[tuple[int, ...]]:
     if len(pivots) != v.dim:
         raise ValueError("r is not contained in v")
     return [v.basis.row(c - r.dim) for c in pivots if c >= r.dim]
-
-
-def block_diag(p: int, blocks: list[Mat]) -> Mat:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    data = [0] * (rows * cols)
-    r0 = 0
-    c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                data[(r0 + i) * cols + (c0 + j)] = b.entry(i, j)
-        r0 += b.rows
-        c0 += b.cols
-    return Mat(p, rows, cols, data)
 
 
 def all_vectors(p: int, n: int):

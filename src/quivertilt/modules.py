@@ -20,6 +20,7 @@ from .linalg import (
     complement_in,
     image_basis,
     kernel_basis,
+    pullback_linear,
     quotient_maps,
     rank,
     solve,
@@ -436,7 +437,7 @@ def fiber_product(f: ModuleMap, g: ModuleMap) -> tuple[Module, ModuleMap, Module
         raise ValueError("pullback needs a common target")
     alg = f.source.algebra
     whole, _, projs = direct_sum(alg, [f.source, g.source])
-    sub = kernel_basis(f.mat.hstack(-g.mat))
+    sub = pullback_linear(f.mat, g.mat)
     x, incl = submodule_from_subspace(whole, sub)
     pa = projs[0].compose(incl)
     pb = projs[1].compose(incl)
@@ -478,21 +479,26 @@ def ses_from_submodule(m: Module, s: Subspace) -> ShortExactSeq:
     return ShortExactSeq(incl, proj)
 
 
+def lift_through(epi: ModuleMap, f: ModuleMap) -> Optional[ModuleMap]:
+    """A module map g with epi . g = f, found inside the hom space, or
+    None if f does not factor through epi."""
+    p = f.source.algebra.field.p
+    basis = hom_basis(f.source, epi.source)
+    cols = [(epi.mat @ h.mat).data for h in basis]
+    a = Mat.from_cols(p, cols, len(f.mat.data))
+    sol = solve(a, Mat(p, a.rows, 1, f.mat.data))
+    if sol is None:
+        return None
+    out = ModuleMap.zero(f.source, epi.source)
+    for cf, h in zip(sol.col(0), basis):
+        if cf:
+            out = out + h.scale(cf)
+    return out
+
+
 def ses_is_split(ses: ShortExactSeq) -> bool:
     """Whether the epi admits a module-map section."""
-    q = ses.quot
-    if q.dim == 0:
-        return True
-    p = q.algebra.field.p
-    cols = [(ses.epi.mat @ h.mat).data for h in hom_basis(q, ses.middle)]
-    nrows = q.dim * q.dim
-    if cols:
-        a = Mat(p, nrows, len(cols),
-                [cols[j][i] for i in range(nrows) for j in range(len(cols))])
-    else:
-        a = Mat.zeros(p, nrows, 0)
-    b = Mat(p, nrows, 1, Mat.identity(p, q.dim).data)
-    return solve(a, b) is not None
+    return lift_through(ses.epi, ModuleMap.identity(ses.quot)) is not None
 
 
 # -- simples, projectives, injectives --
@@ -578,12 +584,7 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
         lift = Mat(p, m.dim, 1, mvec)
         for b in alg.basis_by_source(pos):
             cols.append((m.action[b] @ lift).col(0))
-    if cols:
-        data = [cols[j][i] for i in range(m.dim) for j in range(len(cols))]
-        mat = Mat(p, m.dim, len(cols), data)
-    else:
-        mat = Mat.zeros(p, m.dim, 0)
-    cover = ModuleMap(whole, m, mat, validate=True)
+    cover = ModuleMap(whole, m, Mat.from_cols(p, cols, m.dim), validate=True)
     if not cover.is_surjective():
         raise AssertionError("projective cover failed to be surjective")
     return whole, cover

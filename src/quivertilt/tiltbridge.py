@@ -59,7 +59,7 @@ from .heart import (
     t_cohomology,
     truncate_le0,
 )
-from .linalg import Mat, image_basis, rank, solve
+from .linalg import Mat, image_basis, rank
 from .modules import Module, ses_from_submodule
 from .torsion import PairReport, TorsionPair, is_torsion_pair, trace_subspace
 
@@ -143,15 +143,11 @@ def heart_unit(hctx: HeartGiraudContext, x: Complex) -> DerivedMorphism:
     hom_up = side.hom(x, side.section(hctx, lx))
     hom_down = side.hom(lx, lx)
     eps = side.adjunction(hctx, lx)
-    p = x.algebra.field.p
-    cols = [hom_down.class_coords(side.after(eps, l_heart_map(hctx, b)))
-            for b in hom_up.basis()]
-    ident = hom_down.class_coords(
-        DerivedMorphism.from_chain_map(ChainMap.identity(lx)))
-    a = Mat.from_rows(p, cols, cols=hom_down.dim).transpose()
-    sol = solve(a, Mat(p, hom_down.dim, 1, ident))
-    assert sol is not None, "identity is not in the adjunction image"
-    return hom_up.element(sol.col(0))
+    ident = DerivedMorphism.from_chain_map(ChainMap.identity(lx))
+    unit = hom_up.preimage(
+        hom_down, lambda b: side.after(eps, l_heart_map(hctx, b)), ident)
+    assert unit is not None, "identity is not in the adjunction image"
+    return unit
 
 
 # -- the right section on hearts --------------------------------------------

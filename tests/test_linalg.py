@@ -265,6 +265,13 @@ def test_construction_reduces_mod_p():
     assert hash(a) == hash(b)
 
 
+def test_from_cols_is_the_transposed_from_rows():
+    cols = [(1, 2, 0), (0, 1, 1)]
+    assert Mat.from_cols(3, cols, 3) == Mat.from_rows(3, cols).transpose()
+    assert Mat.from_cols(3, [], 2) == Mat.zeros(3, 2, 0)
+    assert Mat.from_cols(3, [(), ()], 0) == Mat.zeros(3, 0, 2)
+
+
 def _reduced(m, p):
     return all(0 <= x < p for x in m.data)
 

@@ -41,6 +41,7 @@ from quivertilt.modules import (
     is_injective,
     is_projective,
     kernel,
+    lift_through,
     module_from_vertex_data,
     presentation_arrows,
     projective_cover,
@@ -198,6 +199,18 @@ def test_ses_split_detection(a2):
     summand = Subspace(2, 2, [incls[0].mat.col(0)])
     split = ses_from_submodule(whole, summand)
     assert ses_is_split(split)
+
+
+def test_lift_through_an_epi(a2):
+    s1 = simple_module(a2, 0)
+    omega, incl, cover = syzygy(s1)
+    # The cover lifts through itself ...
+    g = lift_through(cover, cover)
+    assert g is not None and cover.compose(g) == cover
+    # ... but the sequence 0 -> S2 -> P1 -> S1 -> 0 does not split, so
+    # the identity of S1 does not.
+    assert lift_through(cover, ModuleMap.identity(s1)) is None
+    assert lift_through(cover, ModuleMap.zero(s1, s1)).is_zero()
 
 
 def test_ext_dims_a2(a2):
