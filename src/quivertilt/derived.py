@@ -140,7 +140,7 @@ class _MapGrid:
         self.p = x.algebra.field.p
         self.degrees: list[int] = []
         self.bases: dict[int, list[ModuleMap]] = {}
-        self.spaces: dict[int, Subspace] = {}
+        self.spaces: dict[int, Subspace] = {}  # built on first use
         self.offsets: dict[int, int] = {}
         total = 0
         for i in range(x.lo, x.hi + 1):
@@ -153,8 +153,6 @@ class _MapGrid:
                 continue
             self.degrees.append(i)
             self.bases[i] = hb
-            self.spaces[i] = Subspace(self.p, tgt.dim * src.dim,
-                                      [h.mat.data for h in hb])
             self.offsets[i] = total
             total += len(hb)
         self.dim = total
@@ -179,6 +177,9 @@ class _MapGrid:
                 continue
             if i not in self.offsets:
                 raise ValueError(f"nonzero component at impossible degree {i}")
+            if i not in self.spaces:
+                self.spaces[i] = Subspace(self.p, len(f.mat.data),
+                                          [h.mat.data for h in self.bases[i]])
             for k, cf in enumerate(self.spaces[i].coords(f.mat.data)):
                 vec[self.offsets[i] + k] = cf
         return tuple(vec)

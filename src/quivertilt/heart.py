@@ -15,17 +15,17 @@ extension 0 -> F[1] -> X -> T -> 0 is classified by
 Hom_D(T, F[2]) = Ext^2(T, F) = 0.  So the isomorphism classes of heart
 objects are the pairs (free member, torsion member) of a universe, and
 `heart_class_reps` lists them in closed form once global dimension at
-most one is certified.  The exhaustive `enumerate_heart_objects` and
-`heart_is_isomorphic` stay for the reports that test the enumeration
-itself and as the oracle of that closed form.
+most one is certified.  The exhaustive `enumerate_heart_objects` stays
+for the report that tests the enumeration itself.
 
 The same splitting holds for every bounded complex: it is isomorphic in
 D^b to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
-so Hom_D(a, b) depends only on the isomorphism classes of the H^i of a
-and of b.  `t_structure_report` therefore evaluates the orthogonality of
-aisle against shifted coaisle once per pair of such cohomology classes,
-behind the same certificate: it raises NotHereditary on an algebra of
-global dimension above one, with no fallback sweep.
+so its isomorphism class, and Hom_D(a, b), depend only on the
+isomorphism classes of the H^i.  `heart_is_isomorphic` compares those
+classes, and `t_structure_report` evaluates the orthogonality of aisle
+against shifted coaisle once per pair of them, both behind the same
+certificate: they raise NotHereditary on an algebra of global dimension
+above one, with no fallback scan.
 """
 
 from __future__ import annotations
@@ -349,19 +349,28 @@ def factor_through_epi(epi: DerivedMorphism, f: DerivedMorphism,
 
 def heart_exact_at(ts: InducedTStructure, f: DerivedMorphism,
                    g: DerivedMorphism) -> bool:
-    """Exactness of a composable heart pair at the middle object."""
+    """Exactness of a composable heart pair at the middle object: g f = 0
+    puts the image of f inside the kernel of g, and the kernel of g lies
+    inside the image of f exactly when it dies in the cokernel of f."""
     if not g.compose(f).is_zero():
         return False
-    k, kincl = heart_kernel(ts, g)
-    fbar = factor_through_mono(kincl, f)
-    return is_heart_epi(ts, fbar)
+    _, kincl = heart_kernel(ts, g)
+    _, cproj = heart_cokernel(ts, f)
+    return cproj.compose(kincl).is_zero()
+
+
+def _heart_exact_sequence(ts: InducedTStructure,
+                          maps: list[DerivedMorphism]) -> bool:
+    """0 -> ... -> 0 through composable heart maps: mono at the first,
+    exact at every inner node, epi at the last."""
+    return (is_heart_mono(ts, maps[0])
+            and all(heart_exact_at(ts, f, g) for f, g in zip(maps, maps[1:]))
+            and is_heart_epi(ts, maps[-1]))
 
 
 def heart_ses_ok(ts: InducedTStructure, f: DerivedMorphism,
                  g: DerivedMorphism) -> bool:
-    return (is_heart_mono(ts, f)
-            and heart_exact_at(ts, f, g)
-            and is_heart_epi(ts, g))
+    return _heart_exact_sequence(ts, [f, g])
 
 
 @dataclass(frozen=True)
@@ -408,15 +417,15 @@ def connecting_morphism(ses: ShortExactSeq) -> DerivedMorphism:
     return DerivedMorphism(one_term(ses.quot), one_term(ses.sub, 1), rep)
 
 
-def _restrict_to_torsion(pair: TorsionPair, f: ModuleMap,
-                         incl_s: ModuleMap, incl_t: ModuleMap) -> ModuleMap:
+def _restrict_to_torsion(f: ModuleMap, incl_s: ModuleMap,
+                         incl_t: ModuleMap) -> ModuleMap:
     sol = solve(incl_t.mat, f.mat @ incl_s.mat)
     assert sol is not None, "map does not preserve the torsion part"
     return ModuleMap(incl_s.source, incl_t.source, sol, validate=False)
 
 
-def _descend_to_free(pair: TorsionPair, f: ModuleMap,
-                     proj_s: ModuleMap, proj_t: ModuleMap) -> ModuleMap:
+def _descend_to_free(f: ModuleMap, proj_s: ModuleMap,
+                     proj_t: ModuleMap) -> ModuleMap:
     sol = solve(proj_s.mat.transpose(), (proj_t.mat @ f.mat).transpose())
     assert sol is not None, "map does not descend to the free part"
     return ModuleMap(proj_s.target, proj_t.target, sol.transpose(),
@@ -434,12 +443,12 @@ def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
     f_proj = {k: d.epi for k, d in dec.items()}
 
     def t_morphism(src, tgt, f):
-        g = _restrict_to_torsion(pair, f, t_incl[src], t_incl[tgt])
+        g = _restrict_to_torsion(f, t_incl[src], t_incl[tgt])
         return DerivedMorphism.from_chain_map(
             ChainMap(one_term(g.source), one_term(g.target), {0: g}))
 
     def f_morphism(src, tgt, f):
-        g = _descend_to_free(pair, f, f_proj[src], f_proj[tgt])
+        g = _descend_to_free(f, f_proj[src], f_proj[tgt])
         return DerivedMorphism.from_chain_map(
             ChainMap(one_term(g.source, 1), one_term(g.target, 1), {-1: g}))
 
@@ -455,12 +464,7 @@ def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
         ChainMap(one_term(ses.sub, 1), one_term(dec["a"].quot, 1),
                  {-1: f_proj["a"]}))
     m3 = onto_fa.compose(bound.compose(into_c))
-    return (is_heart_mono(ts, m1)
-            and heart_exact_at(ts, m1, m2)
-            and heart_exact_at(ts, m2, m3)
-            and heart_exact_at(ts, m3, m4)
-            and heart_exact_at(ts, m4, m5)
-            and is_heart_epi(ts, m5))
+    return _heart_exact_sequence(ts, [m1, m2, m3, m4, m5])
 
 
 def enumerate_heart_objects(ts: InducedTStructure, uni: ModuleUniverse,
@@ -491,24 +495,6 @@ def enumerate_heart_objects(ts: InducedTStructure, uni: ModuleUniverse,
     return out
 
 
-def heart_is_isomorphic(x: Complex, y: Complex) -> bool:
-    """Whether two heart objects are isomorphic in the derived category,
-    by scanning the hom space for a quasi-isomorphism."""
-    if is_exact_complex(x) or is_exact_complex(y):
-        return is_exact_complex(x) and is_exact_complex(y)
-    for i in (-1, 0):
-        if cohomology(x, i).vertex_dims() != cohomology(y, i).vertex_dims():
-            return False
-    h = derived_hom0(x, y)
-    p = x.algebra.field.p
-    if p ** h.dim > SEARCH_CAP:
-        raise BoundExceeded("isomorphism scan too large")
-    for coeffs in all_vectors(p, h.dim):
-        if any(coeffs) and h.element(coeffs).is_iso():
-            return True
-    return False
-
-
 class NotHereditary(ValueError):
     """The algebra has a simple of projective dimension above one, so
     heart objects need not split into their cohomology stalks."""
@@ -523,6 +509,16 @@ def _check_hereditary(alg: Algebra) -> None:
         if not is_projective(omega):
             raise NotHereditary(f"the simple at {alg.labels[e]} has "
                                 "projective dimension above one")
+
+
+def heart_is_isomorphic(x: Complex, y: Complex) -> bool:
+    """Whether two complexes are isomorphic in the derived category: over
+    a hereditary algebra each is the sum of its shifted cohomologies, so
+    exactly when those are isomorphic degree by degree.  Raises
+    NotHereditary on an algebra of global dimension above one."""
+    _check_hereditary(x.algebra)
+    reps: list[Module] = []
+    return _cohomology_key(x, reps) == _cohomology_key(y, reps)
 
 
 def heart_class_reps(ts: InducedTStructure, uni: ModuleUniverse,

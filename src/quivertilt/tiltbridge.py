@@ -505,8 +505,7 @@ def reconstruct_serre(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
                   for got, m in zip(membership, uni_d.members))
 
     serre = True
-    for m in uni_d.members:
-        whole = _recovered_member(hctx, m)
+    for m, whole in zip(uni_d.members, membership):
         for sub in enumerate_submodules(m):
             if sub.dim in (0, m.dim):
                 continue

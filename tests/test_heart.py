@@ -29,10 +29,16 @@ from quivertilt.complexes import (
     cohomology,
     cohomology_map,
     enumerate_complexes,
+    is_exact_complex,
     is_quasi_iso,
 )
-from quivertilt.derived import DerivedMorphism, derived_hom_dim
-from quivertilt.enumeration import universe
+from quivertilt.derived import DerivedMorphism, derived_hom0, derived_hom_dim
+from quivertilt.enumeration import (
+    SEARCH_CAP,
+    BoundExceeded,
+    enumerate_submodules,
+    universe,
+)
 from quivertilt.heart import (
     NotHereditary,
     connecting_morphism,
@@ -45,6 +51,7 @@ from quivertilt.heart import (
     heart_class_reps,
     heart_cokernel,
     heart_decompose,
+    heart_exact_at,
     heart_is_isomorphic,
     heart_kernel,
     heart_les_ok,
@@ -63,7 +70,7 @@ from quivertilt.heart import (
     truncate_le,
     truncate_le0,
 )
-from quivertilt.linalg import Field, image_basis
+from quivertilt.linalg import Field, all_vectors, image_basis
 from quivertilt.modules import (
     ModuleMap,
     ShortExactSeq,
@@ -361,13 +368,43 @@ def test_standard_pair_heart_matches_modules(a2):
     assert len(classes) == len(uni.members)
 
 
+def _scanned_is_isomorphic(x, y):
+    """Isomorphy of heart objects by scanning the derived hom space for a
+    quasi-isomorphism: the independent reference for heart_is_isomorphic,
+    which compares cohomology classes."""
+    if is_exact_complex(x) or is_exact_complex(y):
+        return is_exact_complex(x) and is_exact_complex(y)
+    for i in (-1, 0):
+        if cohomology(x, i).vertex_dims() != cohomology(y, i).vertex_dims():
+            return False
+    h = derived_hom0(x, y)
+    p = x.algebra.field.p
+    if p ** h.dim > SEARCH_CAP:
+        raise BoundExceeded("isomorphism scan too large")
+    for coeffs in all_vectors(p, h.dim):
+        if any(coeffs) and h.element(coeffs).is_iso():
+            return True
+    return False
+
+
+def _factored_exact_at(ts, f, g):
+    """Exactness at the middle by factoring f through the kernel of g and
+    asking whether the factor is epi: the independent reference for
+    heart_exact_at, which asks whether ker g dies in coker f."""
+    if not g.compose(f).is_zero():
+        return False
+    k, kincl = heart_kernel(ts, g)
+    fbar = factor_through_mono(kincl, f)
+    return is_heart_epi(ts, fbar)
+
+
 def _scanned_class_reps(ts, uni, dim_bound):
     """The exhaustive reference for heart_class_reps: every heart object
     within the bound, deduped by the isomorphism scan in order of first
     occurrence."""
     reps = []
     for c in enumerate_heart_objects(ts, uni, dim_bound):
-        if not any(heart_is_isomorphic(c, r) for r in reps):
+        if not any(_scanned_is_isomorphic(c, r) for r in reps):
             reps.append(c)
     return reps
 
@@ -416,6 +453,21 @@ def _non_hereditary_reps():
     uni = universe(alg, 1)
     ts = induced_t_structure(enumerate_torsion_pairs(uni)[0])
     return heart_class_reps(ts, uni, 2)
+
+
+def _non_hereditary_isomorphism():
+    stalk = one_term(simple_module(_a3_with_zero_relation(), 0))
+    return heart_is_isomorphic(stalk, stalk)
+
+
+def test_heart_is_isomorphic_rejects_non_hereditary():
+    with pytest.raises(NotHereditary, match="simple at e_1 "):
+        _non_hereditary_isomorphism()
+
+
+def test_heart_is_isomorphic_rejects_non_hereditary_without_asserts():
+    assert b"simple at e_1 " in _raised_without_asserts(
+        "_non_hereditary_isomorphism")
 
 
 def test_heart_class_reps_rejects_non_hereditary():
@@ -474,6 +526,132 @@ def test_heart_is_isomorphic_basics(a2_setup):
     contractible = Complex(alg, -1, [s2, s2],
                            [ModuleMap.identity(s2)])
     assert heart_is_isomorphic(contractible, Complex.zero(alg))
+
+
+def test_heart_is_isomorphic_scans_no_hom_space(a2_setup, monkeypatch):
+    # Deduping every heart object within the bound by heart_is_isomorphic
+    # finds the closed-form classes with derived homs and coefficient
+    # scans out of reach.
+    uni, ts, s1, s2, _ = a2_setup
+    raw = enumerate_heart_objects(ts, uni, 3)
+    expected = len(heart_class_reps(ts, uni, 3))
+
+    def forbidden(*args):
+        raise AssertionError("heart_is_isomorphic scanned a hom space")
+
+    monkeypatch.setattr(heart, "derived_hom0", forbidden)
+    monkeypatch.setattr(heart, "all_vectors", forbidden)
+    reps = []
+    for c in raw:
+        if not any(heart_is_isomorphic(c, r) for r in reps):
+            reps.append(c)
+    assert len(reps) == expected
+    assert not heart_is_isomorphic(one_term(s1), one_term(s2, 1))
+
+
+_AGREEMENT_UNIVERSES = {
+    "A2/F_2 bound 2": (2, 2),
+    "A2/F_2 bound 3": (2, 3),
+    "A2/F_3 bound 2": (3, 2),
+}
+
+
+def _agreement_universe(name):
+    p, bound = _AGREEMENT_UNIVERSES[name]
+    return universe(path_algebra(Field(p), _A2), bound), bound
+
+
+def _heart_stalks(ts, uni):
+    """The indecomposable heart objects: torsion stalks and shifted free
+    stalks."""
+    return ([one_term(m) for m in uni.indecs if ts.pair.in_torsion(m)]
+            + [one_term(m, 1) for m in uni.indecs if ts.pair.in_free(m)])
+
+
+@pytest.mark.parametrize("name", list(_AGREEMENT_UNIVERSES))
+def test_exactness_agrees_with_the_factoring(name, monkeypatch):
+    # Every node of every six-term sequence, and every composable pair
+    # x -> y -> z of basis morphisms with x and z indecomposable and y a
+    # class representative, gets the verdict of the factoring reference.
+    uni, bound = _agreement_universe(name)
+    seqs = [ses_from_submodule(m, sub) for m in uni.members
+            for sub in enumerate_submodules(m) if 0 < sub.dim < m.dim]
+    nodes = []
+
+    def recording(ts, f, g):
+        nodes.append((ts, f, g))
+        return heart_exact_at(ts, f, g)
+
+    composable = []
+    pairs = enumerate_torsion_pairs(uni)
+    for pair in pairs:
+        ts = induced_t_structure(pair)
+        with monkeypatch.context() as patched:
+            patched.setattr(heart, "heart_exact_at", recording)
+            assert all(heart_les_ok(ts, ses) for ses in seqs)
+        ends = _heart_stalks(ts, uni)
+        for y in heart_class_reps(ts, uni, bound):
+            composable += [(ts, f, g) for x in ends for z in ends
+                           for f in derived_hom0(x, y).basis()
+                           for g in derived_hom0(y, z).basis()]
+    assert len(nodes) == 4 * len(seqs) * len(pairs)
+    assert all(_factored_exact_at(*node) for node in nodes)
+    verdicts = set()
+    for ts, f, g in composable:
+        got = heart_exact_at(ts, f, g)
+        assert got == _factored_exact_at(ts, f, g)
+        verdicts.add((got, g.compose(f).is_zero()))
+    # Exact, not composing to zero, and composing to zero without being
+    # exact all occur.
+    assert verdicts == {(True, True), (False, False), (False, True)}
+
+
+def test_exactness_needs_the_kernel_inside_the_image(a2):
+    # Under the standard pair the heart is the module category.  The
+    # radical inclusion S2 -> P1 + S2 into the first summand and the
+    # cover P1 + S2 -> S1 on it compose to zero, but the kernel S2 + S2
+    # of the cover is larger than the image S2; dropping the second
+    # summand makes the pair exact.
+    ts = induced_t_structure(
+        pair_from_torsion_indecs(universe(a2, 3), (0, 1, 2)))
+    s1 = simple_module(a2, 0)
+    p1 = projective_module(a2, 0)
+    s2, incl, cover = syzygy(s1)
+    mid, incls, projs = direct_sum(a2, [p1, s2])
+
+    def stalk_map(u):
+        return DerivedMorphism.from_chain_map(
+            ChainMap(one_term(u.source), one_term(u.target), {0: u}))
+
+    f = stalk_map(incls[0].compose(incl))
+    g = stalk_map(cover.compose(projs[0]))
+    assert not f.is_zero() and not g.is_zero()
+    assert g.compose(f).is_zero()
+    assert not heart_exact_at(ts, f, g)
+    assert not _factored_exact_at(ts, f, g)
+    assert heart_exact_at(ts, stalk_map(incl), stalk_map(cover))
+
+
+@pytest.mark.parametrize("name", list(_AGREEMENT_UNIVERSES))
+def test_isomorphism_agrees_with_the_scan(name):
+    # Heart objects within the bound, stalks in four degrees, a
+    # contractible complex and zero, compared in every order.
+    uni, bound = _agreement_universe(name)
+    alg = uni.algebra
+    s2 = simple_module(alg, 1)
+    extra = [one_term(m, shift) for m in uni.indecs for shift in (-1, 0, 1, 2)]
+    extra += [Complex(alg, -1, [s2, s2], [ModuleMap.identity(s2)]),
+              Complex.zero(alg)]
+    verdicts = set()
+    for pair in enumerate_torsion_pairs(uni):
+        objs = enumerate_heart_objects(induced_t_structure(pair), uni,
+                                       bound) + extra
+        for x in objs:
+            for y in objs:
+                got = heart_is_isomorphic(x, y)
+                assert got == _scanned_is_isomorphic(x, y), (x, y)
+                verdicts.add((got, x == y))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_kv_roundtrip_all_pairs(a2):

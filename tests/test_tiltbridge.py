@@ -20,18 +20,21 @@ from dataclasses import replace
 import pytest
 
 from quivertilt.algebras import corner_algebra
+from quivertilt import heart
 from quivertilt.complexes import ChainMap, enumerate_complexes
-from quivertilt.derived import DerivedMorphism
-from quivertilt.enumeration import universe
+from quivertilt.derived import DerivedHom, DerivedMorphism
+from quivertilt.enumeration import enumerate_submodules, universe
 from quivertilt.giraud import co_giraud_context, giraud_context
 from quivertilt.heart import (
     heart_cokernel,
     heart_is_isomorphic,
     heart_kernel,
+    heart_les_ok,
+    heart_ses_ok,
     is_heart_zero,
     one_term,
 )
-from quivertilt.modules import Module
+from quivertilt.modules import Module, ses_from_submodule
 from quivertilt.tiltbridge import (
     _stalk_failures,
     dl_commutation_report,
@@ -254,6 +257,42 @@ def test_reconstruction_roundtrip(g2):
     assert torsion_indec_indices(report.recovered_pair, g2.uni_c) == ()
     assert report.free_class_generates
     assert report.context_recovered
+
+
+def test_exactness_runs_no_factoring_solve(a2, g2, monkeypatch):
+    # Exactness in the heart asks whether a kernel dies in a cokernel;
+    # no report needs to factor a morphism through a mono or solve for a
+    # preimage in derived hom coordinates to decide it.
+    calls = {"factor_through_mono": 0, "preimage": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(heart, "factor_through_mono",
+                        counted("factor_through_mono",
+                                heart.factor_through_mono))
+    monkeypatch.setattr(DerivedHom, "preimage",
+                        counted("preimage", DerivedHom.preimage))
+    ts = g2.hctx.ts_d
+    _, s1, p1 = g2.uni_d.indecs
+    # 0 -> S2 -> P1 -> S1 -> 0, and the heart sequence
+    # 0 -> S1 -> S2[1] -> P1[1] -> 0 of its shifted radical inclusion.
+    (ses,) = [ses_from_submodule(p1, sub) for sub in enumerate_submodules(p1)
+              if 0 < sub.dim < p1.dim]
+    assert heart_les_ok(ts, ses)
+    m = DerivedMorphism.from_chain_map(ChainMap(
+        one_term(ses.sub, 1), one_term(p1, 1), {-1: ses.mono}))
+    _, kappa = heart_kernel(ts, m)
+    assert heart_ses_ok(ts, kappa, m)
+    assert heart_is_isomorphic(kappa.source, one_term(s1))
+    assert verify_heart_quotient(g2.hctx, g2.uni_d, g2.uni_c).ok
+    sample = enumerate_complexes(universe(a2, 1), -1, 1, 1, total_bound=2)
+    assert dl_commutation_report(g2.hctx, sample).ok
+    assert reconstruct_serre(g2.hctx, g2.uni_d, g2.uni_c).ok
+    assert calls == {"factor_through_mono": 0, "preimage": 0}
 
 
 def test_compatible_pair_count_a3(g3):
