@@ -140,6 +140,8 @@ def _module_from_descriptor(alg: Algebra, table: dict[str, Module],
     p = alg.field.p
     arrows = presentation_arrows(alg)
     given = desc.get("arrows", [])
+    if not isinstance(given, list):
+        raise ScenarioError("module arrows must list one block per arrow")
     if len(given) > len(arrows):
         raise ScenarioError("more arrow blocks than quiver arrows")
     arrow_mats: dict[int, Mat] = {}
@@ -153,15 +155,21 @@ def _module_from_descriptor(alg: Algebra, table: dict[str, Module],
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad arrow block: {exc}") from exc
         arrow_mats[b] = mat
+    # The one place data from outside the program becomes a module, so
+    # the module axioms are checked here and nowhere in the library.
     try:
-        return module_from_vertex_data(alg, dims, arrow_mats)
+        m = module_from_vertex_data(alg, dims, arrow_mats)
+        m.check()
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+    return m
 
 
 def _pair_from_spec(alg: Algebra, table: dict[str, Module],
                     spec: Any) -> TorsionPair:
-    if not isinstance(spec, dict) or "torsion" not in spec or "free" not in spec:
+    if (not isinstance(spec, dict)
+            or not isinstance(spec.get("torsion"), list)
+            or not isinstance(spec.get("free"), list)):
         raise ScenarioError("a pair needs 'torsion' and 'free' generator lists")
     t_gens = tuple(_module_from_descriptor(alg, table, d)
                    for d in spec["torsion"])
@@ -191,6 +199,8 @@ def build_environment(data: dict, bound_override: Optional[int]) -> Environment:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad quiver: {exc}") from exc
 
+    if not isinstance(data["corner"], list):
+        raise ScenarioError("corner must list quiver vertices")
     vertices = list(quiver.vertices)
     positions = []
     for label in data["corner"]:
@@ -202,6 +212,8 @@ def build_environment(data: dict, bound_override: Optional[int]) -> Environment:
     corner = corner_algebra(alg, tuple(sorted(set(positions))))
 
     bounds = data.get("bounds", {})
+    if not isinstance(bounds, dict):
+        raise ScenarioError("bounds must be an object")
     dim_bound = bound_override if bound_override is not None \
         else bounds.get("dim", 2)
     heart_bound = bounds.get("depth", 3)
@@ -219,9 +231,13 @@ def build_environment(data: dict, bound_override: Optional[int]) -> Environment:
     except BoundExceeded as exc:
         raise ScenarioError(str(exc)) from exc
 
-    for name, desc in data.get("modules", {}).items():
+    modules = data.get("modules", {})
+    pairs = data.get("pairs", {})
+    if not isinstance(modules, dict) or not isinstance(pairs, dict):
+        raise ScenarioError("modules and pairs must be objects")
+    for name, desc in modules.items():
         env.modules[name] = _module_from_descriptor(alg, env.modules, desc)
-    for name, spec in data.get("pairs", {}).items():
+    for name, spec in pairs.items():
         env.pairs[name] = _pair_from_spec(alg, env.modules, spec)
     return env
 
@@ -230,7 +246,7 @@ def build_environment(data: dict, bound_override: Optional[int]) -> Environment:
 
 def _named_pair(env: Environment, cmd: dict) -> tuple[str, TorsionPair]:
     name = cmd.get("pair")
-    if name is None:
+    if not isinstance(name, str):
         raise ScenarioError(f"command {cmd['op']!r} needs a pair name")
     if name not in env.pairs:
         raise ScenarioError(f"unresolved pair name {name!r}")
@@ -322,6 +338,8 @@ def cmd_t_cohomology(env: Environment, cmd: dict) -> dict:
     ts = induced_t_structure(pair)
     c = _stalk(env, cmd, "complex")
     degrees = cmd.get("degrees", [-1, 0, 1, 2])
+    if not isinstance(degrees, list):
+        raise ScenarioError("degrees must be a list of integers")
     out = []
     for i in degrees:
         if not isinstance(i, int):
@@ -492,7 +510,7 @@ def run_commands(env: Environment, commands: list,
     for k, cmd in enumerate(commands):
         if isinstance(cmd, str):
             cmd = {"op": cmd}
-        if not isinstance(cmd, dict) or "op" not in cmd:
+        if not isinstance(cmd, dict) or not isinstance(cmd.get("op"), str):
             raise ScenarioError(f"command #{k} needs an 'op' field")
         op = cmd["op"]
         handler = _COMMANDS.get(op)

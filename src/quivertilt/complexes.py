@@ -4,6 +4,12 @@ Complexes are normalized so that zero components never appear at either
 end; degrees outside the support read as the zero module.  Shifting by
 n moves content of degree n+i to degree i and rescales differentials by
 (-1)^n.
+
+Constructors check only that there is one differential per gap between
+components.  `Complex.check` (endpoints and d . d = 0) and
+`ChainMap.check` (commuting squares) test the axioms; the cones,
+truncations and lifts built here satisfy them by construction and are
+not checked as they are built.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ class Complex:
     __slots__ = ("algebra", "lo", "components", "diffs", "_hash")
 
     def __init__(self, algebra: Algebra, lo: int, components: Iterable[Module],
-                 diffs: Iterable[ModuleMap], validate: bool = True):
+                 diffs: Iterable[ModuleMap]):
         components = list(components)
         diffs = list(diffs)
         if len(diffs) != max(len(components) - 1, 0):
@@ -51,10 +57,10 @@ class Complex:
         self.components = tuple(components)
         self.diffs = tuple(diffs)
         self._hash: Optional[int] = None
-        if validate:
-            self.check()
 
     def check(self) -> None:
+        """Raise ValueError unless every component lies over the algebra,
+        each differential joins its neighbours, and d . d = 0."""
         for k, m in enumerate(self.components):
             if m.algebra != self.algebra:
                 raise ValueError("component over the wrong algebra")
@@ -68,11 +74,11 @@ class Complex:
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "Complex":
-        return cls(algebra, 0, [], [], validate=False)
+        return cls(algebra, 0, [], [])
 
     @classmethod
     def from_module(cls, m: Module, degree: int = 0) -> "Complex":
-        return cls(m.algebra, degree, [m], [], validate=False)
+        return cls(m.algebra, degree, [m], [])
 
     @property
     def hi(self) -> int:
@@ -101,8 +107,7 @@ class Complex:
             diffs = self.diffs
         else:
             diffs = tuple(d.scale(-1) for d in self.diffs)
-        return Complex(self.algebra, self.lo - n, self.components, diffs,
-                       validate=False)
+        return Complex(self.algebra, self.lo - n, self.components, diffs)
 
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -132,7 +137,7 @@ class ChainMap:
     __slots__ = ("source", "target", "lo", "comps", "_hash")
 
     def __init__(self, source: Complex, target: Complex,
-                 comps: dict[int, ModuleMap], validate: bool = True):
+                 comps: dict[int, ModuleMap]):
         self.source = source
         self.target = target
         lo = min(source.lo, target.lo)
@@ -146,10 +151,10 @@ class ChainMap:
         self.lo = lo
         self.comps = tuple(stored)
         self._hash: Optional[int] = None
-        if validate:
-            self.check()
 
     def check(self) -> None:
+        """Raise ValueError unless each component joins the right
+        modules and every square commutes."""
         for i in range(self.lo, self.lo + len(self.comps)):
             f = self.component(i)
             if f.source != self.source.component(i):
@@ -169,12 +174,12 @@ class ChainMap:
 
     @classmethod
     def zero(cls, source: Complex, target: Complex) -> "ChainMap":
-        return cls(source, target, {}, validate=False)
+        return cls(source, target, {})
 
     @classmethod
     def identity(cls, c: Complex) -> "ChainMap":
         return cls(c, c, {i: ModuleMap.identity(c.component(i))
-                          for i in c.degrees()}, validate=False)
+                          for i in c.degrees()})
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
@@ -184,7 +189,7 @@ class ChainMap:
         for i in range(min(self.lo, other.lo),
                        max(self.source.hi, other.source.hi) + 1):
             comps[i] = self.component(i).compose(other.component(i))
-        return ChainMap(other.source, self.target, comps, validate=False)
+        return ChainMap(other.source, self.target, comps)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         if self.source != other.source or self.target != other.target:
@@ -193,20 +198,19 @@ class ChainMap:
                  for i in range(min(self.lo, other.lo),
                                 max(self.lo + len(self.comps),
                                     other.lo + len(other.comps)))}
-        return ChainMap(self.source, self.target, comps, validate=False)
+        return ChainMap(self.source, self.target, comps)
 
     def scale(self, c: int) -> "ChainMap":
         return ChainMap(self.source, self.target,
                         {i: self.component(i).scale(c)
-                         for i in range(self.lo, self.lo + len(self.comps))},
-                        validate=False)
+                         for i in range(self.lo, self.lo + len(self.comps))})
 
     def shift(self, n: int) -> "ChainMap":
         src = self.source.shift(n)
         tgt = self.target.shift(n)
         comps = {i: self.component(i + n) for i in
                  range(self.lo - n, self.lo - n + len(self.comps))}
-        return ChainMap(src, tgt, comps, validate=False)
+        return ChainMap(src, tgt, comps)
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.comps)
@@ -256,26 +260,26 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
         fx = f.component(i + 1).compose(projs[1])
         dx = x.diff(i + 1).compose(projs[1])
         mat = (nincls[0].compose(dy + fx) + nincls[1].compose(dx.scale(-1))).mat
-        diffs[i] = ModuleMap(whole, nxt, mat, validate=False)
+        diffs[i] = ModuleMap(whole, nxt, mat)
     cone_cplx = Complex(alg, lo, [comps[i] for i in range(lo, hi + 1)],
                         [diffs[i] for i in range(lo, hi)])
     incl = ChainMap(y, cone_cplx, {i: _embed(sums, i, 0, y.component(i))
-                                   for i in y.degrees()}, validate=True)
+                                   for i in y.degrees()})
     x1 = x.shift(1)
     proj = ChainMap(cone_cplx, x1,
                     {i: _project(sums, i, 1, x1.component(i))
-                     for i in range(lo, hi + 1)}, validate=True)
+                     for i in range(lo, hi + 1)})
     return cone_cplx, incl, proj
 
 
 def _embed(sums, i, part, src) -> ModuleMap:
     whole, incls, _ = sums[i]
-    return ModuleMap(src, whole, incls[part].mat, validate=False)
+    return ModuleMap(src, whole, incls[part].mat)
 
 
 def _project(sums, i, part, tgt) -> ModuleMap:
     whole, _, projs = sums[i]
-    return ModuleMap(whole, tgt, projs[part].mat, validate=False)
+    return ModuleMap(whole, tgt, projs[part].mat)
 
 
 @dataclass(frozen=True)
@@ -294,7 +298,7 @@ def cohomology_data(c: Complex, i: int) -> CohomologyData:
     cyc, incl = kernel(c.diff(i))
     upper = solve(incl.mat, c.diff(i - 1).mat)
     assert upper is not None, "boundaries are not cycles"
-    bound = ModuleMap(c.component(i - 1), cyc, upper, validate=False)
+    bound = ModuleMap(c.component(i - 1), cyc, upper)
     h, proj = cokernel(bound)
     return CohomologyData(cyc, incl, h, proj)
 
@@ -312,7 +316,7 @@ def cohomology_map(f: ChainMap, i: int) -> ModuleMap:
     rhs = (dy.h_proj.mat @ lifted).transpose()
     sol = solve(dx.h_proj.mat.transpose(), rhs)
     assert sol is not None, "chain map does not preserve boundaries"
-    return ModuleMap(dx.h, dy.h, sol.transpose(), validate=False)
+    return ModuleMap(dx.h, dy.h, sol.transpose())
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -329,7 +333,7 @@ def apply_functor(fun, c: Complex) -> Complex:
     """Apply an additive functor levelwise to a complex."""
     comps = [fun.apply(m) for m in c.components]
     diffs = [fun.apply_map(d) for d in c.diffs]
-    return Complex(fun.target_algebra, c.lo, comps, diffs, validate=False)
+    return Complex(fun.target_algebra, c.lo, comps, diffs)
 
 
 def apply_functor_map(fun, f: ChainMap) -> ChainMap:
@@ -338,7 +342,7 @@ def apply_functor_map(fun, f: ChainMap) -> ChainMap:
     comps = {}
     for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
         comps[i] = fun.apply_map(f.component(i))
-    return ChainMap(src, tgt, comps, validate=False)
+    return ChainMap(src, tgt, comps)
 
 
 def enumerate_complexes(uni: ModuleUniverse, lo: int, hi: int,
@@ -356,7 +360,7 @@ def enumerate_complexes(uni: ModuleUniverse, lo: int, hi: int,
         degree_left = hi - lo + 1 - len(comps)
         total = sum(m.dim for m in comps)
         if degree_left == 0:
-            out.append(Complex(alg, lo, comps, diffs, validate=False))
+            out.append(Complex(alg, lo, comps, diffs))
             return
         for nxt in mods:
             if total_bound is not None and total + nxt.dim > total_bound:

@@ -79,7 +79,7 @@ def nontrivial_idempotent(m: Module) -> Optional[ModuleMap]:
         if cand.is_zero() or cand == ident:
             continue
         if cand @ cand == cand:
-            return ModuleMap(m, m, cand, validate=False)
+            return ModuleMap(m, m, cand)
     return None
 
 
@@ -94,8 +94,7 @@ def split_summands(m: Module) -> list[Module]:
     e = nontrivial_idempotent(m)
     if e is None:
         return [m]
-    rest = ModuleMap(m, m, Mat.identity(m.algebra.field.p, m.dim) - e.mat,
-                     validate=False)
+    rest = ModuleMap(m, m, Mat.identity(m.algebra.field.p, m.dim) - e.mat)
     out = []
     for part in (e, rest):
         sub, _, _ = image(part)
@@ -132,7 +131,7 @@ def enumerate_modules(alg: Algebra, dim_bound: int) -> list[Module]:
         ]
         for pick in itertools.product(*choices):
             mats = dict(zip(arrows, pick))
-            raw.append(module_from_vertex_data(alg, dims, mats, validate=False))
+            raw.append(module_from_vertex_data(alg, dims, mats))
     groups: dict[object, list[Module]] = {}
     for m in raw:
         key = (m.dim, m.vertex_dims(),

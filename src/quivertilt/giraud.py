@@ -94,7 +94,7 @@ class CornerFunctor:
         tgt, incl_t = self.data(f.target)
         mat = solve(incl_t, f.mat @ incl_s)
         assert mat is not None, "map does not preserve the corner part"
-        return ModuleMap(src, tgt, mat, validate=False)
+        return ModuleMap(src, tgt, mat)
 
 
 class HomSectionFunctor:
@@ -150,8 +150,7 @@ class HomSectionFunctor:
         for k in range(sspace.dim):
             phi = Mat(p, g.source.dim, ea.dim, sspace.basis.row(k))
             cols.append(tspace.coords((g.mat @ phi).data))
-        return ModuleMap(src, tgt, Mat.from_cols(p, cols, tgt.dim),
-                         validate=False)
+        return ModuleMap(src, tgt, Mat.from_cols(p, cols, tgt.dim))
 
 
 class TensorSectionFunctor:
@@ -198,7 +197,7 @@ class TensorSectionFunctor:
         src, _, sect_s = self.data(g.source)
         tgt, proj_t, _ = self.data(g.target)
         move = kron(Mat.identity(p, cd.Ae.dim), g.mat)
-        return ModuleMap(src, tgt, proj_t @ move @ sect_s, validate=False)
+        return ModuleMap(src, tgt, proj_t @ move @ sect_s)
 
 
 @dataclass
@@ -390,7 +389,9 @@ def hat_decompose(ctx: GiraudContext, pair_c: TorsionPair,
 def co_hat_decompose(co: CoGiraudContext, pair_c: TorsionPair,
                      m: Module) -> ShortExactSeq:
     """Decomposition of m for the co-pulled-back pair: the torsion part
-    is the kernel of m -> pushout of j(r(m)/t) <- j(r(m)) -> m."""
+    is the kernel of m -> pushout of j(r(m)/t) <- j(r(m)) -> m.  Public
+    as the colocalization counterpart of `hat_decompose`, which states
+    the paper's decomposition on the localization side."""
     rm = co.r.apply(m)
     t_sub = trace_subspace(pair_c.torsion.generators, rm)
     fmod, fproj = quotient_by_subspace(rm, t_sub)

@@ -176,12 +176,6 @@ def truncate_ge1(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
     return q, ChainMap(c, q, proj_comps)
 
 
-def truncate_le(ts: InducedTStructure, c: Complex, n: int,
-                ) -> tuple[Complex, ChainMap]:
-    tr, incl = truncate_le0(ts, c.shift(n))
-    return tr.shift(-n), incl.shift(-n)
-
-
 def truncate_ge(ts: InducedTStructure, c: Complex, n: int,
                 ) -> tuple[Complex, ChainMap]:
     q, proj = truncate_ge1(ts, c.shift(n - 1))
@@ -197,7 +191,7 @@ def truncate_le0_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
     restricted = solve(xt_incl.mat, f.component(0).mat @ xs_incl.mat)
     assert restricted is not None, "map does not respect the truncation"
     comps: dict[int, ModuleMap] = {
-        0: ModuleMap(xs_mod, xt_mod, restricted, validate=False)}
+        0: ModuleMap(xs_mod, xt_mod, restricted)}
     for i in range(min(tr_s.lo, tr_t.lo), 0):
         comps[i] = f.component(i)
     return ChainMap(tr_s, tr_t, comps)
@@ -210,8 +204,7 @@ def truncate_ge1_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
                 (pt.component(0).mat @ f.component(0).mat).transpose())
     assert sol is not None, "map does not descend to the quotient"
     comps: dict[int, ModuleMap] = {
-        0: ModuleMap(q_s.component(0), q_t.component(0), sol.transpose(),
-                     validate=False)}
+        0: ModuleMap(q_s.component(0), q_t.component(0), sol.transpose())}
     for i in range(1, max(q_s.hi, q_t.hi) + 1):
         comps[i] = f.component(i)
     return ChainMap(q_s, q_t, comps)
@@ -232,27 +225,10 @@ class LowerH0:
     proj: ChainMap  # low -> h
 
 
-@dataclass(frozen=True)
-class UpperH0:
-    """H^0 reached through the coaisle: h included into the high
-    truncation."""
-
-    h: Complex
-    high: Complex
-    proj: ChainMap  # the original complex -> high
-    incl: ChainMap  # h -> high
-
-
 def h0_lower(ts: InducedTStructure, c: Complex) -> LowerH0:
     low, incl = truncate_le0(ts, c)
     h, proj = truncate_ge(ts, low, 0)
     return LowerH0(h, low, incl, proj)
-
-
-def h0_upper(ts: InducedTStructure, c: Complex) -> UpperH0:
-    high, proj = truncate_ge(ts, c, 0)
-    h, incl = truncate_le0(ts, high)
-    return UpperH0(h, high, proj, incl)
 
 
 def h0_lower_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
@@ -412,8 +388,7 @@ def connecting_morphism(ses: ShortExactSeq) -> DerivedMorphism:
     mu = solve(ses.mono.mat, lam.mat @ iota.mat)
     assert mu is not None, "syzygy image escapes the submodule"
     rep = ChainMap(res, one_term(ses.sub, 1),
-                   {-1: ModuleMap(res.component(-1), ses.sub, mu,
-                                  validate=True)})
+                   {-1: ModuleMap(res.component(-1), ses.sub, mu)})
     return DerivedMorphism(one_term(ses.quot), one_term(ses.sub, 1), rep)
 
 
@@ -421,15 +396,14 @@ def _restrict_to_torsion(f: ModuleMap, incl_s: ModuleMap,
                          incl_t: ModuleMap) -> ModuleMap:
     sol = solve(incl_t.mat, f.mat @ incl_s.mat)
     assert sol is not None, "map does not preserve the torsion part"
-    return ModuleMap(incl_s.source, incl_t.source, sol, validate=False)
+    return ModuleMap(incl_s.source, incl_t.source, sol)
 
 
 def _descend_to_free(f: ModuleMap, proj_s: ModuleMap,
                      proj_t: ModuleMap) -> ModuleMap:
     sol = solve(proj_s.mat.transpose(), (proj_t.mat @ f.mat).transpose())
     assert sol is not None, "map does not descend to the free part"
-    return ModuleMap(proj_s.target, proj_t.target, sol.transpose(),
-                     validate=False)
+    return ModuleMap(proj_s.target, proj_t.target, sol.transpose())
 
 
 def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
@@ -490,8 +464,7 @@ def enumerate_heart_objects(ts: InducedTStructure, uni: ModuleUniverse,
                     continue
                 if not pair.in_torsion(cokernel(d)[0]):
                     continue
-                out.append(Complex(uni.algebra, -1, [a, b], [d],
-                                   validate=False))
+                out.append(Complex(uni.algebra, -1, [a, b], [d]))
     return out
 
 
@@ -542,7 +515,7 @@ def heart_class_reps(ts: InducedTStructure, uni: ModuleUniverse,
     pair = ts.pair
     free = [f for f in uni.members if pair.in_free(f)]
     tors = [t for t in uni.members if pair.in_torsion(t)]
-    return [Complex(alg, -1, [f, t], [ModuleMap.zero(f, t)], validate=False)
+    return [Complex(alg, -1, [f, t], [ModuleMap.zero(f, t)])
             for f in free for t in tors if f.dim + t.dim <= dim_bound]
 
 

@@ -5,6 +5,12 @@ element of the algebra.  Vertex-graded data (dimension vectors, arrow
 matrices) is a front-end conversion on top of this.  All kernels,
 images, quotients and pullbacks come with their structure maps and are
 exact by construction.
+
+Constructors check only shapes: one action matrix per basis element, a
+common algebra, matching matrix sizes.  The module axioms and the
+intertwining of a map are checked by `Module.check`, `ModuleMap.check`
+and `ShortExactSeq.check`, which the library never calls on what it
+builds itself; callers holding data from outside the program call them.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ from .linalg import (
 class Module:
     __slots__ = ("algebra", "dim", "action", "_hash")
 
-    def __init__(self, algebra: Algebra, dim: int, action: Iterable[Mat],
-                 validate: bool = True):
+    def __init__(self, algebra: Algebra, dim: int, action: Iterable[Mat]):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
@@ -41,10 +46,10 @@ class Module:
         for m in self.action:
             if m.rows != dim or m.cols != dim or m.p != algebra.field.p:
                 raise ValueError("action matrix has wrong shape or field")
-        if validate:
-            self.check()
 
     def check(self) -> None:
+        """Raise ValueError unless the unit acts as the identity and the
+        action is multiplicative."""
         alg = self.algebra
         p = alg.field.p
         ident = Mat.identity(p, self.dim)
@@ -70,8 +75,7 @@ class Module:
         """The zero module, built once per algebra and shared."""
         if algebra._zero_module is None:
             algebra._zero_module = cls(
-                algebra, 0, [Mat.zeros(algebra.field.p, 0, 0)] * algebra.dim,
-                validate=False)
+                algebra, 0, [Mat.zeros(algebra.field.p, 0, 0)] * algebra.dim)
         return algebra._zero_module
 
     def act(self, i: int) -> Mat:
@@ -106,8 +110,7 @@ class Module:
 class ModuleMap:
     __slots__ = ("source", "target", "mat", "_hash")
 
-    def __init__(self, source: Module, target: Module, mat: Mat,
-                 validate: bool = True):
+    def __init__(self, source: Module, target: Module, mat: Mat):
         if source.algebra != target.algebra:
             raise ValueError("maps need a common algebra")
         if mat.rows != target.dim or mat.cols != source.dim:
@@ -116,40 +119,37 @@ class ModuleMap:
         self.target = target
         self.mat = mat
         self._hash: Optional[int] = None
-        if validate:
-            for i in range(source.algebra.dim):
-                if mat @ source.action[i] != target.action[i] @ mat:
-                    raise ValueError(
-                        f"matrix does not intertwine "
-                        f"{source.algebra.labels[i]}"
-                    )
+
+    def check(self) -> None:
+        """Raise ValueError unless the matrix intertwines the actions."""
+        alg = self.source.algebra
+        mat = self.mat
+        for i in range(alg.dim):
+            if mat @ self.source.action[i] != self.target.action[i] @ mat:
+                raise ValueError(f"matrix does not intertwine {alg.labels[i]}")
 
     @classmethod
     def zero(cls, source: Module, target: Module) -> "ModuleMap":
         return cls(source, target,
-                   Mat.zeros(source.algebra.field.p, target.dim, source.dim),
-                   validate=False)
+                   Mat.zeros(source.algebra.field.p, target.dim, source.dim))
 
     @classmethod
     def identity(cls, m: Module) -> "ModuleMap":
-        return cls(m, m, Mat.identity(m.algebra.field.p, m.dim), validate=False)
+        return cls(m, m, Mat.identity(m.algebra.field.p, m.dim))
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""
         if other.target != self.source:
             raise ValueError("maps are not composable")
-        return ModuleMap(other.source, self.target, self.mat @ other.mat,
-                         validate=False)
+        return ModuleMap(other.source, self.target, self.mat @ other.mat)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         if self.source != other.source or self.target != other.target:
             raise ValueError("maps with different ends")
-        return ModuleMap(self.source, self.target, self.mat + other.mat,
-                         validate=False)
+        return ModuleMap(self.source, self.target, self.mat + other.mat)
 
     def scale(self, c: int) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.mat.scale(c),
-                         validate=False)
+        return ModuleMap(self.source, self.target, self.mat.scale(c))
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()
@@ -233,8 +233,7 @@ def _factorizations(alg: Algebra) -> dict[int, tuple[int, ...]]:
 
 
 def module_from_vertex_data(alg: Algebra, dims: Iterable[int],
-                            arrow_mats: dict[int, Mat],
-                            validate: bool = True) -> Module:
+                            arrow_mats: dict[int, Mat]) -> Module:
     """Assemble a module from per-idempotent dimensions and arrow blocks.
 
     Args:
@@ -282,12 +281,13 @@ def module_from_vertex_data(alg: Algebra, dims: Iterable[int],
         for g in word[1:]:
             m = m @ action[g]
         action[b] = m
-    return Module(alg, total, action, validate=validate)
+    return Module(alg, total, action)
 
 
 def arrow_blocks(m: Module) -> tuple[tuple[int, ...], dict[int, Mat]]:
     """Inverse of the front-end conversion, in idempotent-adapted
-    coordinates; only valid for modules built by module_from_vertex_data."""
+    coordinates; only valid for modules built by module_from_vertex_data.
+    Public as the way back to the per-arrow data a scenario writes."""
     alg = m.algebra
     dims = m.vertex_dims()
     off = [0]
@@ -332,8 +332,7 @@ def _hom_basis_cached(m: Module, n: Module) -> tuple[ModuleMap, ...]:
     ker = kernel_basis(Mat(p, alg.dim * nm, nm, flat))
     out = []
     for i in range(ker.dim):
-        out.append(ModuleMap(m, n, Mat(p, n.dim, m.dim, ker.basis.row(i)),
-                             validate=False))
+        out.append(ModuleMap(m, n, Mat(p, n.dim, m.dim, ker.basis.row(i))))
     return tuple(out)
 
 
@@ -360,8 +359,8 @@ def submodule_from_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
         if restr is None:
             raise ValueError("subspace is not action-stable")
         action.append(restr)
-    sub = Module(m.algebra, s.dim, action, validate=False)
-    return sub, ModuleMap(sub, m, incl, validate=False)
+    sub = Module(m.algebra, s.dim, action)
+    return sub, ModuleMap(sub, m, incl)
 
 
 def quotient_by_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
@@ -372,12 +371,13 @@ def quotient_by_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     for b in range(m.algebra.dim):
         moved = proj @ m.action[b]
         act = moved @ sect
-        # The intertwining check of ModuleMap, on the product just made.
+        # Holds exactly when s is stable under b; rejects a caller's
+        # unstable subspace.
         if moved != act @ proj:
             raise ValueError(f"matrix does not intertwine {labels[b]}")
         action.append(act)
-    quo = Module(m.algebra, proj.rows, action, validate=False)
-    return quo, ModuleMap(m, quo, proj, validate=False)
+    quo = Module(m.algebra, proj.rows, action)
+    return quo, ModuleMap(m, quo, proj)
 
 
 def kernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
@@ -390,7 +390,7 @@ def image(f: ModuleMap) -> tuple[Module, ModuleMap, ModuleMap]:
     sub, incl = submodule_from_subspace(f.target, image_basis(f.mat))
     core = solve(incl.mat, f.mat)
     assert core is not None
-    return sub, incl, ModuleMap(f.source, sub, core, validate=False)
+    return sub, incl, ModuleMap(f.source, sub, core)
 
 
 def cokernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
@@ -414,20 +414,18 @@ def direct_sum(alg: Algebra, parts: list[Module]) -> tuple[Module, list[ModuleMa
                 start = (off[t] + i) * total + off[t]
                 data[start : start + d] = a[i * d : (i + 1) * d]
         action.append(Mat(p, total, total, data))
-    whole = Module(alg, total, action, validate=False)
+    whole = Module(alg, total, action)
     incls = []
     projs = []
     for t, m in enumerate(parts):
         idata = [0] * (total * m.dim)
         for i in range(m.dim):
             idata[(off[t] + i) * m.dim + i] = 1
-        incls.append(ModuleMap(m, whole, Mat(p, total, m.dim, idata),
-                               validate=False))
+        incls.append(ModuleMap(m, whole, Mat(p, total, m.dim, idata)))
         pdata = [0] * (m.dim * total)
         for i in range(m.dim):
             pdata[i * total + (off[t] + i)] = 1
-        projs.append(ModuleMap(whole, m, Mat(p, m.dim, total, pdata),
-                               validate=False))
+        projs.append(ModuleMap(whole, m, Mat(p, m.dim, total, pdata)))
     return whole, incls, projs
 
 
@@ -496,11 +494,6 @@ def lift_through(epi: ModuleMap, f: ModuleMap) -> Optional[ModuleMap]:
     return out
 
 
-def ses_is_split(ses: ShortExactSeq) -> bool:
-    """Whether the epi admits a module-map section."""
-    return lift_through(ses.epi, ModuleMap.identity(ses.quot)) is not None
-
-
 # -- simples, projectives, injectives --
 
 def simple_module(alg: Algebra, pos: int) -> Module:
@@ -509,7 +502,7 @@ def simple_module(alg: Algebra, pos: int) -> Module:
     for b in range(alg.dim):
         val = 1 if b == alg.idem[pos] else 0
         mats.append(Mat(p, 1, 1, [val]))
-    return Module(alg, 1, mats, validate=False)
+    return Module(alg, 1, mats)
 
 
 def projective_module(alg: Algebra, pos: int) -> Module:
@@ -527,18 +520,18 @@ def projective_module(alg: Algebra, pos: int) -> Module:
             for k, c in alg.mult[a][b]:
                 data[back[k] * d + t] = c % p
         mats.append(Mat(p, d, d, data))
-    return Module(alg, d, mats, validate=False)
+    return Module(alg, d, mats)
 
 
 def dual_module(m: Module) -> Module:
     """The linear dual as a module over the opposite algebra."""
     op = opposite_algebra(m.algebra)
-    return Module(op, m.dim, [a.transpose() for a in m.action], validate=False)
+    return Module(op, m.dim, [a.transpose() for a in m.action])
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap(dual_module(f.target), dual_module(f.source),
-                     f.mat.transpose(), validate=False)
+                     f.mat.transpose())
 
 
 def injective_module(alg: Algebra, pos: int) -> Module:
@@ -547,8 +540,7 @@ def injective_module(alg: Algebra, pos: int) -> Module:
     op = opposite_algebra(alg)
     proj = projective_module(op, pos)
     # Dualizing an op-module gives back a module over the original algebra.
-    return Module(alg, proj.dim, [a.transpose() for a in proj.action],
-                  validate=False)
+    return Module(alg, proj.dim, [a.transpose() for a in proj.action])
 
 
 def radical_subspace(m: Module) -> Subspace:
@@ -584,7 +576,7 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
         lift = Mat(p, m.dim, 1, mvec)
         for b in alg.basis_by_source(pos):
             cols.append((m.action[b] @ lift).col(0))
-    cover = ModuleMap(whole, m, Mat.from_cols(p, cols, m.dim), validate=True)
+    cover = ModuleMap(whole, m, Mat.from_cols(p, cols, m.dim))
     if not cover.is_surjective():
         raise AssertionError("projective cover failed to be surjective")
     return whole, cover
@@ -645,8 +637,8 @@ def ext1_basis(m: Module, n: Module) -> Ext1:
     restricted = Subspace(p, amb, [(h.mat @ incl.mat).data for h in hom_p]) \
         if amb else Subspace(p, 0, [])
     reps = complement_in(full, restricted)
-    cocycles = tuple(ModuleMap(omega, n, Mat(p, n.dim, omega.dim, v),
-                               validate=False) for v in reps)
+    cocycles = tuple(ModuleMap(omega, n, Mat(p, n.dim, omega.dim, v))
+                     for v in reps)
     return Ext1(m, n, cover, incl, cocycles)
 
 
@@ -665,8 +657,6 @@ def extension_realize(ext: Ext1, cocycle: ModuleMap) -> ShortExactSeq:
     # The map E -> m descends from (n + P) -> P -> m through the quotient.
     onto_m = ext.cover.compose(projs[1])
     _, sect = quotient_maps(w)
-    epi = ModuleMap(quo, ext.m, onto_m.mat @ sect, validate=True)
+    epi = ModuleMap(quo, ext.m, onto_m.mat @ sect)
     assert epi.mat @ proj.mat == onto_m.mat, "cocycle relations not killed"
-    ses = ShortExactSeq(mono, epi)
-    ses.check()
-    return ses
+    return ShortExactSeq(mono, epi)

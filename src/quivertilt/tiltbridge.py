@@ -137,7 +137,8 @@ def l_heart_map(hctx: HeartGiraudContext,
 def heart_unit(hctx: HeartGiraudContext, x: Complex) -> DerivedMorphism:
     """x -> i_heart(l_heart(x)), transposed through the adjunction from
     the identity of l_heart(x).  Read in the opposite category, for a
-    colocalization this is the counit j_heart(r(x)) -> x."""
+    colocalization this is the counit j_heart(r(x)) -> x.  Public as the
+    one unit of the heart-level adjunction that serves both sides."""
     side = hctx.side
     lx = l_heart(hctx, x)
     hom_up = side.hom(x, side.section(hctx, lx))

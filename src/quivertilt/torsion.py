@@ -121,9 +121,7 @@ class TorsionPair:
 
     def decompose(self, m: Module) -> ShortExactSeq:
         """0 -> t(m) -> m -> m/t(m) -> 0 with t(m) the trace part."""
-        ses = ses_from_submodule(m, self.torsion_subspace(m))
-        ses.check()
-        return ses
+        return ses_from_submodule(m, self.torsion_subspace(m))
 
     def in_torsion(self, m: Module) -> bool:
         return self.torsion.contains(m)

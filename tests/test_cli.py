@@ -160,6 +160,37 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert "parse error at line" in err
 
 
+def _command(cmd):
+    return lambda data: data["commands"].append(cmd)
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param(lambda data: data.update(bounds=[3]), id="bounds-list"),
+    pytest.param(lambda data: data.update(modules=[1]), id="modules-list"),
+    pytest.param(lambda data: data.update(pairs=[1]), id="pairs-list"),
+    pytest.param(lambda data: data.update(corner=3), id="corner-int"),
+    pytest.param(_command({"op": "t-cohomology", "pair": "std",
+                           "complex": {"module": "P1"}, "degrees": 3}),
+                 id="degrees-int"),
+    pytest.param(lambda data: data["modules"]["S1"].update(arrows=5),
+                 id="arrows-int"),
+    pytest.param(lambda data: data["modules"]["P1"].update(
+        arrows=[[[1], [1]]]), id="arrow-block-shape"),
+    pytest.param(lambda data: data["pairs"]["std"].update(torsion=5),
+                 id="torsion-int"),
+    pytest.param(_command({"op": "validate-pair", "pair": ["std"]}),
+                 id="pair-name-list"),
+    pytest.param(_command({"op": ["validate-pair"]}), id="op-list"),
+])
+def test_malformed_shape_exits_2(capsys, tmp_path, patch):
+    data = base_scenario()
+    patch(data)
+    code, out, err = run_cli(capsys, write_scenario(tmp_path, data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unresolved_pair_exits_2(capsys, tmp_path):
     data = base_scenario()
     data["commands"] = [{"op": "validate-pair", "pair": "nope"}]

@@ -48,7 +48,6 @@ from quivertilt.modules import (
     projective_module,
     quotient_by_subspace,
     ses_from_submodule,
-    ses_is_split,
     simple_module,
     submodule_from_subspace,
     syzygy,
@@ -110,7 +109,7 @@ def test_zero_module_is_shared_per_algebra(a2):
     # outside their support.
     zero = Module.zero(a2)
     assert Module.zero(a2) is zero
-    scratch = Module(a2, 0, [Mat.zeros(2, 0, 0)] * a2.dim, validate=False)
+    scratch = Module(a2, 0, [Mat.zeros(2, 0, 0)] * a2.dim)
     assert zero is not scratch
     assert zero == scratch and hash(zero) == hash(scratch)
     c = Complex.from_module(projective_module(a2, 0))
@@ -130,8 +129,21 @@ def test_module_front_end_roundtrip(a2):
 
 def test_invalid_module_rejected(a2):
     bad = [Mat.zeros(2, 1, 1)] * 3
-    with pytest.raises(ValueError):
-        Module(a2, 1, bad)
+    m = Module(a2, 1, bad)
+    with pytest.raises(ValueError, match="unit does not act"):
+        m.check()
+
+
+def test_non_intertwining_map_rejected(a2):
+    # The shape fits, but the map S2 -> P1 onto the top of P1 does not
+    # commute with the arrow.
+    s2 = simple_module(a2, 1)
+    p1 = projective_module(a2, 0)
+    f = ModuleMap(s2, p1, Mat(2, 2, 1, [1, 0]))
+    with pytest.raises(ValueError, match="does not intertwine"):
+        f.check()
+    with pytest.raises(ValueError, match="matrix shape"):
+        ModuleMap(s2, p1, Mat(2, 1, 1, [1]))
 
 
 def test_projectives_and_injectives_a2(a2):
@@ -193,12 +205,13 @@ def test_ses_split_detection(a2):
     ses.check()
     assert is_isomorphic(ses.sub, s2)
     assert is_isomorphic(ses.quot, s1)
-    assert not ses_is_split(ses)
+    assert lift_through(ses.epi, ModuleMap.identity(ses.quot)) is None
     # A direct summand splits.
     whole, incls, projs = direct_sum(a2, [s2, s1])
     summand = Subspace(2, 2, [incls[0].mat.col(0)])
     split = ses_from_submodule(whole, summand)
-    assert ses_is_split(split)
+    section = lift_through(split.epi, ModuleMap.identity(split.quot))
+    assert section is not None
 
 
 def test_lift_through_an_epi(a2):
@@ -230,10 +243,13 @@ def test_extension_realize_a2(a2):
     p1 = projective_module(a2, 0)
     ext = ext1_basis(s1, s2)
     ses = extension_realize(ext, ext.element((1,)))
+    ses.check()
     assert is_isomorphic(ses.middle, p1)
-    assert not ses_is_split(ses)
+    assert lift_through(ses.epi, ModuleMap.identity(ses.quot)) is None
     split = extension_realize(ext, ext.element((0,)))
-    assert ses_is_split(split)
+    split.check()
+    section = lift_through(split.epi, ModuleMap.identity(split.quot))
+    assert section is not None
     assert is_isomorphic(split.middle, direct_sum(a2, [s1, s2])[0])
 
 
