@@ -40,6 +40,9 @@ class Algebra:
         self._left_mats: dict[int, Mat] = {}
         # Set by modules.Module.zero on first use.
         self._zero_module = None
+        # Set by derived._check_hereditary once global dimension at most
+        # one is certified.
+        self._euler_form = None
 
     # -- element arithmetic on coordinate tuples --
 

@@ -1,13 +1,23 @@
 """Resolutions and morphisms in the bounded derived category.
 
-A morphism x -> y is represented by a chain map from the canonical
-projective resolution of x to y; equality is equality up to homotopy,
-composition lifts representatives through quasi-isomorphisms by solving
-the corresponding linear systems, and isomorphy is quasi-isomorphy of
-the representative.  Everything stays exact: a lift either exists and
-is found, or an assertion fires.  The chain maps built here commute by
-construction and are not checked as they are built; `ChainMap.check`
-verifies one on request.
+Hom dimensions come from Happel's split formula.  Over a hereditary
+algebra every bounded complex is isomorphic in D^b to the sum of its
+shifted cohomologies (Happel, LMS LN 119, 1988), so `derived_hom_dim`
+reads dim Hom_D(x, y) off the cohomology modules of x and y, their hom
+dimensions and the Euler form.  It does so only behind a certificate of
+global dimension at most one, kept on the algebra, and raises
+NotHereditary on any other algebra, with no fallback.
+
+Morphisms are chain maps.  A morphism x -> y is represented by a chain
+map from the canonical projective resolution of x to y; equality is
+equality up to homotopy, composition lifts representatives through
+quasi-isomorphisms by solving the corresponding linear systems, and
+isomorphy is quasi-isomorphy of the representative.  `derived_hom0`
+builds a basis of Hom_D(x, y) this way; its dimension is the
+independent oracle for the split formula.  Everything stays exact: a
+lift either exists and is found, or an assertion fires.  The chain maps
+built here commute by construction and are not checked as they are
+built; `ChainMap.check` verifies one on request.
 """
 
 from __future__ import annotations
@@ -16,10 +26,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from .algebras import Algebra
 from .complexes import (
     ChainMap,
     Complex,
     apply_functor,
+    cohomology,
     is_quasi_iso,
 )
 from .linalg import Mat, Subspace, complement_in, kernel_basis, solve
@@ -28,11 +40,15 @@ from .modules import (
     ModuleMap,
     dual_map,
     dual_module,
+    ext1_basis,
     fiber_product,
     hom_basis,
+    hom_dim,
     is_projective,
     kernel,
     projective_cover,
+    simple_module,
+    syzygy,
 )
 
 
@@ -454,8 +470,71 @@ def derived_hom0(x: Complex, y: Complex) -> DerivedHom:
     return DerivedHom(x, y, res, grid, space, bounds, reps, chain_reps)
 
 
+# -- the hereditary split formula --
+
+class NotHereditary(ValueError):
+    """The algebra has a simple of projective dimension above one, so
+    complexes need not split into their shifted cohomologies."""
+
+
+def _check_hereditary(alg: Algebra) -> tuple[tuple[int, ...], ...]:
+    """Certify global dimension at most one and return the Euler form.
+
+    The certificate is that the syzygy of every simple is projective;
+    NotHereditary names the first simple that fails.  The Euler form is
+    the matrix of <a, b> = sum_kl a_k (delta_kl - dim Ext^1(S_k, S_l)) b_l
+    on dimension vectors.  Both are computed on first use and kept on
+    the algebra.
+    """
+    if alg._euler_form is None:
+        simples = [simple_module(alg, pos) for pos in range(len(alg.idem))]
+        for s, e in zip(simples, alg.idem):
+            omega, _, _ = syzygy(s)
+            if not is_projective(omega):
+                raise NotHereditary(f"the simple at {alg.labels[e]} has "
+                                    "projective dimension above one")
+        alg._euler_form = tuple(
+            tuple(int(k == l) - ext1_basis(s, t).dim
+                  for l, t in enumerate(simples))
+            for k, s in enumerate(simples))
+    return alg._euler_form
+
+
+def _stalks(c: Complex) -> list[tuple[int, Module]]:
+    """The nonzero cohomologies of c, with their degrees."""
+    return [(i, h) for i in c.degrees() if (h := cohomology(c, i)).dim]
+
+
 def derived_hom_dim(x: Complex, y: Complex) -> int:
-    return derived_hom0(x, y).dim
+    """dim Hom_D(x, y), by Happel's split formula.
+
+    Over a hereditary algebra every bounded complex is isomorphic in D^b
+    to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
+    and Ext^2 vanishes, so
+
+        dim Hom_D(x, y) = sum_i dim Hom(H^i x, H^i y)
+                          + sum_i dim Ext^1(H^i x, H^(i-1) y).
+
+    The Ext term comes from the Euler form of `_check_hereditary`:
+    dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N>.  Raises
+    NotHereditary unless the algebra has global dimension at most one;
+    there is no fallback.  `derived_hom0(x, y).dim` is the same number
+    computed from chain maps modulo homotopy.
+    """
+    euler = _check_hereditary(x.algebra)
+    hy = dict(_stalks(y))
+    total = 0
+    for i, m in _stalks(x):
+        n = hy.get(i)
+        if n is not None:
+            total += hom_dim(m, n)
+        n = hy.get(i - 1)
+        if n is not None:
+            a, b = m.vertex_dims(), n.vertex_dims()
+            total += hom_dim(m, n) - sum(a_k * c * b_l
+                                         for a_k, row in zip(a, euler)
+                                         for c, b_l in zip(row, b))
+    return total
 
 
 def transport_exact(fun, m: DerivedMorphism) -> DerivedMorphism:

@@ -23,9 +23,11 @@ D^b to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
 so its isomorphism class, and Hom_D(a, b), depend only on the
 isomorphism classes of the H^i.  `heart_is_isomorphic` compares those
 classes, and `t_structure_report` evaluates the orthogonality of aisle
-against shifted coaisle once per pair of them, both behind the same
-certificate: they raise NotHereditary on an algebra of global dimension
-above one, with no fallback scan.
+against shifted coaisle once per pair of them with the split formula of
+`derived.derived_hom_dim`.  All of them sit behind the certificate of
+`derived._check_hereditary`, taken once per algebra: they raise
+NotHereditary on an algebra of global dimension above one, with no
+fallback scan.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebras import Algebra
 from .complexes import (
     ChainMap,
     Complex,
@@ -43,8 +44,11 @@ from .complexes import (
     is_exact_complex,
     is_quasi_iso,
 )
+# NotHereditary is imported to be re-exported from here.
 from .derived import (
     DerivedMorphism,
+    NotHereditary,
+    _check_hereditary,
     derived_hom0,
     derived_hom_dim,
     lift_postcompose,
@@ -71,13 +75,10 @@ from .modules import (
     cokernel,
     hom_basis,
     hom_dim,
-    is_projective,
     kernel,
     lift_through,
     quotient_by_subspace,
-    simple_module,
     submodule_from_subspace,
-    syzygy,
 )
 from .torsion import PairReport, TorsionPair
 
@@ -466,22 +467,6 @@ def enumerate_heart_objects(ts: InducedTStructure, uni: ModuleUniverse,
                     continue
                 out.append(Complex(uni.algebra, -1, [a, b], [d]))
     return out
-
-
-class NotHereditary(ValueError):
-    """The algebra has a simple of projective dimension above one, so
-    heart objects need not split into their cohomology stalks."""
-
-
-def _check_hereditary(alg: Algebra) -> None:
-    """Certify global dimension at most one: the syzygy of every simple
-    is projective.  Raises NotHereditary naming the first simple that
-    fails."""
-    for pos, e in enumerate(alg.idem):
-        omega, _, _ = syzygy(simple_module(alg, pos))
-        if not is_projective(omega):
-            raise NotHereditary(f"the simple at {alg.labels[e]} has "
-                                "projective dimension above one")
 
 
 def heart_is_isomorphic(x: Complex, y: Complex) -> bool:

@@ -11,7 +11,10 @@ under python -O, so the checks must be ValueErrors rather than asserts.
 It wraps the five constructors to call check() on every object built,
 then runs the bundled scenario at bounds 2 and 3 against its goldens,
 the transport_a3 certificates, and the tiny samples of tstructure_a2
-and derived_f3 against their benchmark gates.
+and derived_f3 against their benchmark gates.  Those inputs are over
+F_2, where a dropped sign goes unseen, and derived_f3 builds no chain
+map, so the oracle also takes heart kernels and cokernels over A2/F_3:
+they reach cones, resolutions and chain-map spaces with p = 3.
 
 The guard runs the bundled scenario in this process and counts the
 check() calls the library makes: one Module.check per scenario module,
@@ -48,7 +51,8 @@ from pathlib import Path
 
 perfbench, golden, bundled = sys.argv[1:4]
 sys.path.insert(0, perfbench)
-from quivertilt import cli, complexes, modules
+from quivertilt import (algebras, cli, complexes, derived, enumeration,
+                        heart, linalg, modules, quivers, torsion)
 import workloads
 
 checked = {}
@@ -91,8 +95,25 @@ for name in ("transport_a3", "tstructure_a2", "derived_f3"):
     attempted, failed, notes = gate(fx, out, workloads.EXPECTED)
     gates[name] = {"attempted": attempted, "failed": failed, "notes": notes}
 
+# An F_3 input for cones and chain-map spaces, where -1 is not 1: the
+# heart kernel and cokernel of every basis morphism between the heart
+# classes of each A2/F_3 torsion pair.
+alg3 = algebras.path_algebra(
+    linalg.Field(3), quivers.Quiver((1, 2), ((1, 2),)))
+uni3 = enumeration.universe(alg3, 2)
+f3_maps = 0
+for pair in torsion.enumerate_torsion_pairs(uni3):
+    ts = heart.induced_t_structure(pair)
+    reps = heart.heart_class_reps(ts, uni3, 2)
+    for x in reps:
+        for y in reps:
+            for f in derived.derived_hom0(x, y).basis():
+                heart.heart_kernel(ts, f)
+                heart.heart_cokernel(ts, f)
+                f3_maps += 1
+
 json.dump({"goldens": goldens, "gates": gates, "checked": checked,
-           "failures": failures}, sys.stdout)
+           "f3_maps": f3_maps, "failures": failures}, sys.stdout)
 """
 
 
@@ -112,6 +133,7 @@ def test_everything_built_passes_its_check():
                                  "a2_full_bound3.json": True}
     for name, rep in result["gates"].items():
         assert rep["attempted"] > 0 and rep["failed"] == 0, (name, rep)
+    assert result["f3_maps"] > 0
     assert set(result["checked"]) == {cls.__name__ for cls in CLASSES}
 
 

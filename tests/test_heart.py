@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import quivertilt
-from quivertilt import heart
+from quivertilt import derived, heart
 from quivertilt.algebras import Algebra, corner_algebra, path_algebra
 from quivertilt.complexes import (
     ChainMap,
@@ -488,6 +488,21 @@ def test_heart_is_isomorphic_rejects_non_hereditary_without_asserts():
         "_non_hereditary_isomorphism")
 
 
+def _non_hereditary_hom_dim():
+    stalk = one_term(simple_module(_a3_with_zero_relation(), 0))
+    return derived_hom_dim(stalk, stalk)
+
+
+def test_derived_hom_dim_rejects_non_hereditary():
+    with pytest.raises(NotHereditary, match="simple at e_1 "):
+        _non_hereditary_hom_dim()
+
+
+def test_derived_hom_dim_rejects_non_hereditary_without_asserts():
+    assert b"simple at e_1 " in _raised_without_asserts(
+        "_non_hereditary_hom_dim")
+
+
 def test_heart_class_reps_rejects_non_hereditary():
     with pytest.raises(NotHereditary, match="simple at e_1 "):
         _non_hereditary_reps()
@@ -755,7 +770,8 @@ def test_t_structure_report_lists_every_failing_index_pair(a2, monkeypatch):
 def test_cohomology_class_decides_derived_homs(p):
     # The premise of the orthogonality dedupe: over a hereditary algebra
     # complexes with the same cohomology class key have the same derived
-    # homs to and from any complex.
+    # homs to and from any complex.  They are counted by chain maps
+    # modulo homotopy, not by the split formula that assumes it.
     alg = path_algebra(Field(p), _A2)
     pool = enumerate_complexes(universe(alg, 2), -2, 1, 2, total_bound=3)
     targets = [one_term(m, s) for m in universe(alg, 2).indecs
@@ -768,8 +784,8 @@ def test_cohomology_class_decides_derived_homs(p):
     assert shared
     nonzero = 0
     for cs in shared:
-        dims = {tuple(derived_hom_dim(c, t) for t in targets)
-                + tuple(derived_hom_dim(t, c) for t in targets) for c in cs}
+        dims = {tuple(derived_hom0(c, t).dim for t in targets)
+                + tuple(derived_hom0(t, c).dim for t in targets) for c in cs}
         assert len(dims) == 1, cs
         nonzero += any(dims.pop())
     assert nonzero
@@ -778,7 +794,8 @@ def test_cohomology_class_decides_derived_homs(p):
 def _all_distinct_pairs_failures(ts, complexes):
     """The orthogonality sweep run once per distinct (aisle, coaisle)
     pair of nonzero truncations, reported at every index pair: the
-    reference for the cohomology-class dedupe."""
+    reference for the cohomology-class dedupe.  Hom dimensions come from
+    chain maps modulo homotopy, not from the split formula."""
     lows = [truncate_le0(ts, c)[0] for c in complexes]
     highs = [truncate_ge1(ts, c)[0] for c in complexes]
     low_ids = {}
@@ -787,7 +804,7 @@ def _all_distinct_pairs_failures(ts, complexes):
     high_at = [high_ids.setdefault(c, len(high_ids)) for c in highs]
     hits = {(i, j) for a, i in low_ids.items() if not a.is_zero()
             for b, j in high_ids.items()
-            if not b.is_zero() and derived_hom_dim(a, b)}
+            if not b.is_zero() and derived_hom0(a, b).dim}
     return tuple(f"aisle #{ka} maps onto shifted coaisle #{kb}"
                  for ka, i in enumerate(low_at)
                  for kb, j in enumerate(high_at) if (i, j) in hits)
@@ -808,6 +825,27 @@ def test_class_dedupe_matches_the_distinct_pair_sweep(request, fixture,
         ts = induced_t_structure(pair)
         assert t_structure_report(ts, sample).failures \
             == _all_distinct_pairs_failures(ts, sample)
+
+
+def test_hom_dims_build_no_chain_maps(a2, monkeypatch):
+    # derived_hom_dim and t_structure_report read hom dimensions off
+    # cohomology: no resolution, chain-map space, homotopy or cached
+    # derived hom may be reached, whatever ran before in this process.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a derived hom dimension built chain maps")
+
+    for name in ("projective_resolution", "chain_map_space",
+                 "homotopy_boundaries", "derived_hom0"):
+        monkeypatch.setattr(derived, name, forbidden)
+        if hasattr(heart, name):
+            monkeypatch.setattr(heart, name, forbidden)
+    alg3 = path_algebra(Field(3), _A2)
+    pool = enumerate_complexes(universe(alg3, 2), -1, 0, 2, total_bound=3)
+    dims = [derived_hom_dim(x, y) for x in pool for y in pool]
+    assert 0 in dims and max(dims) > 0
+    sample = enumerate_complexes(universe(a2, 1), -1, 1, 1, total_bound=3)
+    for pair in enumerate_torsion_pairs(universe(a2, 2)):
+        assert t_structure_report(induced_t_structure(pair), sample).ok
 
 
 def test_tilted_pair_report_all_pairs(a2):
