@@ -113,6 +113,8 @@ class Complex:
         return range(self.lo, self.hi + 1)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Complex)
             and self.algebra == other.algebra
@@ -216,6 +218,8 @@ class ChainMap:
         return all(f.is_zero() for f in self.comps)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, ChainMap)
             and self.source == other.source

@@ -8,6 +8,12 @@ Conventions used throughout the package:
   basis matrix whose rows are in reduced row echelon form, which makes
   equality of subspaces plain equality of matrices.
 
+``solve(a, b)`` reads the solution off the rows of b when every column j
+of a has a row equal to e_j, which holds for every inclusion built from
+a reduced basis and every transposed quotient projection; such an a has
+full column rank, so the result is the elimination's.  Other systems
+are solved by reducing [a | b].
+
 Everything is immutable after construction.
 """
 
@@ -186,6 +192,8 @@ class Mat:
             raise ValueError("shape or field mismatch")
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Mat)
             and self.p == other.p
@@ -370,10 +378,43 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(a.p, rows, cols, data)
 
 
+def _unit_rows(a: Mat) -> Optional[list[int]]:
+    """For each column j of a, the first row equal to the unit vector
+    e_j; None if some column has no such row."""
+    cols = a.cols
+    data = a.data
+    at: list[Optional[int]] = [None] * cols
+    found = 0
+    for i in range(a.rows):
+        row = data[i * cols : (i + 1) * cols]
+        if row.count(0) == cols - 1 and 1 in row:
+            j = row.index(1)
+            if at[j] is None:
+                at[j] = i
+                found += 1
+                if found == cols:
+                    break
+    if found < cols:
+        return None
+    return at  # type: ignore[return-value]
+
+
 def solve(a: Mat, b: Mat) -> Optional[Mat]:
-    """One solution x of a x = b with free variables set to zero, or None."""
+    """One solution x of a x = b with free variables set to zero, or None.
+
+    When every column j of a has a row equal to the unit vector e_j (as
+    for the inclusion of a subspace by its transposed reduced basis, or
+    a transposed quotient projection), row i of a x is row j of x for
+    such a row i.  So x can only be the rows of b at those positions: it
+    is read off and returned if a x = b, else None.  Such an a has full
+    column rank, so this x is the unique solution and the result is the
+    one the elimination of [a | b] gives.  Other systems are eliminated.
+    """
     if a.p != b.p or a.rows != b.rows:
         raise ValueError("shape or field mismatch in solve")
+    units = _unit_rows(a)
+    if units is not None:
+        return _solve_by_unit_rows(a, b, units)
     reduced, pivots = rref(a.hstack(b))
     for i in range(len(pivots)):
         if pivots[i] >= a.cols:
@@ -383,6 +424,28 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
         for j in range(b.cols):
             data[c * b.cols + j] = reduced.entry(i, a.cols + j)
     return Mat(a.p, a.cols, b.cols, data)
+
+
+def _solve_by_unit_rows(a: Mat, b: Mat, units: list[int]) -> Optional[Mat]:
+    """solve(a, b) when row units[j] of a is e_j for every column j."""
+    n, k = a.cols, b.cols
+    ad, bd = a.data, b.data
+    x: list[int] = []
+    for i in units:
+        x += bd[i * k : (i + 1) * k]
+    # The rows at units agree by construction; a x = b on the others
+    # is one product.
+    chosen = set(units)
+    rest = [i for i in range(a.rows) if i not in chosen]
+    if rest:
+        lhs: list[int] = []
+        rhs: list[int] = []
+        for i in rest:
+            lhs += ad[i * n : (i + 1) * n]
+            rhs += bd[i * k : (i + 1) * k]
+        if kernels.mat_mul(a.p, len(rest), n, k, lhs, x) != rhs:
+            return None
+    return Mat(a.p, n, k, x)
 
 
 def invert(m: Mat) -> Optional[Mat]:

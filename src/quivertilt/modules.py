@@ -165,6 +165,8 @@ class ModuleMap:
                 and rank(self.mat) == self.source.dim)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, ModuleMap)
             and self.source == other.source

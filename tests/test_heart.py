@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import quivertilt
-from quivertilt import derived, heart
+from quivertilt import complexes, derived, heart, kernels, linalg
 from quivertilt.algebras import Algebra, corner_algebra, path_algebra
 from quivertilt.complexes import (
     ChainMap,
@@ -69,8 +69,9 @@ from quivertilt.heart import (
     truncate_ge1,
     truncate_le0,
 )
-from quivertilt.linalg import Field, all_vectors, image_basis
+from quivertilt.linalg import Field, Mat, all_vectors, image_basis
 from quivertilt.modules import (
+    Module,
     ModuleMap,
     ShortExactSeq,
     direct_sum,
@@ -764,6 +765,92 @@ def test_t_structure_report_lists_every_failing_index_pair(a2, monkeypatch):
     assert not report.ok
     assert report.failures == expected
     assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("broken", ["composite", "dimensions"])
+def test_t_structure_report_flags_an_inexact_truncation(a2, monkeypatch,
+                                                        broken):
+    # The degree-0 projection of one truncation sequence is swapped for
+    # a surjection that breaks exactness in one way only: onto the same
+    # quotient but not killing the aisle part ("composite"), or onto
+    # the zero module, which kills everything but leaves the dimensions
+    # short ("dimensions").
+    uni = universe(a2, 2)
+    ts = induced_t_structure(pair_from_torsion_indecs(uni, (1,)))
+    sample = [one_term(m) for m in uni.nonzero_members()]
+    assert t_structure_report(ts, sample).ok
+    k = next(k for k, c in enumerate(sample)
+             if truncate_le0(ts, c)[0].component(0).dim
+             and truncate_ge1(ts, c)[0].component(0).dim)
+    mono = truncate_le0(ts, sample[k])[1].component(0)
+    real = heart.truncate_ge1
+
+    def patched(ts_, c):
+        q, proj = real(ts_, c)
+        if c is not sample[k]:
+            return q, proj
+        epi = proj.component(0)
+        if broken == "composite":
+            # Coordinate rows, the first one seeing the aisle part.
+            n = epi.source.dim
+            seen = next(i for i in range(n) if any(mono.mat.row(i)))
+            picks = [seen] + [i for i in range(n) if i != seen]
+            rows = [[int(i == j) for j in range(n)]
+                    for i in picks[:epi.target.dim]]
+            bad = ModuleMap(epi.source, epi.target,
+                            Mat.from_rows(a2.field.p, rows))
+            assert mono.source.dim + bad.target.dim == mono.target.dim
+            assert not bad.compose(mono).is_zero()
+        else:
+            bad = ModuleMap.zero(epi.source, Module.zero(a2))
+            assert mono.source.dim + bad.target.dim != mono.target.dim
+            assert bad.compose(mono).is_zero()
+        assert mono.is_injective() and bad.is_surjective()
+        comps = {i: proj.component(i)
+                 for i in range(proj.lo, proj.lo + len(proj.comps))}
+        comps[0] = bad
+        return q, ChainMap(c, q, comps)
+
+    monkeypatch.setattr(heart, "truncate_ge1", patched)
+    report = t_structure_report(ts, sample)
+    assert report.failures == (f"truncation of #{k} not exact at 0",)
+
+
+def test_truncation_solves_read_unit_rows(a2, monkeypatch):
+    # Every system the t-structure report solves has a unit row for each
+    # unknown (inclusions by reduced bases, transposed projections), so
+    # none of them reduces a matrix.
+    uni1 = universe(a2, 1)
+    uni2 = universe(a2, 2)
+    sample = enumerate_complexes(uni1, -1, 1, 1, total_bound=3)
+    for cached in (heart._degree_zero_part, heart.truncate_le0,
+                   heart.truncate_ge1, complexes.cohomology_data):
+        cached.cache_clear()
+    solve_code = linalg.solve.__code__
+    reduced_in_solve = []
+    read = []
+    real_rref = kernels.rref
+    real_read = linalg._solve_by_unit_rows
+
+    def counted_rref(*args):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is solve_code:
+                reduced_in_solve.append(args)
+                break
+            frame = frame.f_back
+        return real_rref(*args)
+
+    def counted_read(*args):
+        read.append(args)
+        return real_read(*args)
+
+    monkeypatch.setattr(kernels, "rref", counted_rref)
+    monkeypatch.setattr(linalg, "_solve_by_unit_rows", counted_read)
+    for pair in enumerate_torsion_pairs(uni2):
+        assert t_structure_report(induced_t_structure(pair), sample).ok
+    assert read
+    assert reduced_in_solve == []
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -23,6 +23,7 @@ from quivertilt.linalg import (
     rank,
     rref,
     solve,
+    _unit_rows,
 )
 
 
@@ -144,6 +145,66 @@ def test_solve_is_exact_or_none(p):
             assert (x.rows, x.cols) == (a.cols, b.cols)
             assert a @ x == b
     assert solve(*cases[0]) is None
+
+
+def _eliminating_solve(a, b):
+    """The elimination of [a | b] that solve runs when some column of a
+    has no unit row, verbatim: the oracle for the row read."""
+    if a.p != b.p or a.rows != b.rows:
+        raise ValueError("shape or field mismatch in solve")
+    reduced, pivots = rref(a.hstack(b))
+    for i in range(len(pivots)):
+        if pivots[i] >= a.cols:
+            return None
+    data = [0] * (a.cols * b.cols)
+    for i, c in enumerate(pivots):
+        for j in range(b.cols):
+            data[c * b.cols + j] = reduced.entry(i, a.cols + j)
+    return Mat(a.p, a.cols, b.cols, data)
+
+
+def _planted_unit_rows(rng, p, cols):
+    """Rows e_0 .. e_(cols-1), some repeated, among random rows, in a
+    random order."""
+    rows = [tuple(int(i == j) for i in range(cols)) for j in range(cols)]
+    rows += [rng.choice(rows) for _ in range(rng.randrange(3)) if rows]
+    rows += [tuple(rng.randrange(p) for _ in range(cols))
+             for _ in range(rng.randrange(4))]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_row_read_matches_the_elimination(p):
+    rng = random.Random(29 + p)
+    read = eliminated = none = 0
+    for _ in range(300):
+        cols = rng.randrange(5)
+        rows = _planted_unit_rows(rng, p, cols)
+        if cols and rng.randrange(2):
+            # Column j loses every unit row, so the elimination runs.
+            j = rng.randrange(cols)
+            unit = tuple(int(i == j) for i in range(cols))
+            for t, r in enumerate(rows):
+                while r == unit:
+                    r = tuple(rng.randrange(p) for _ in range(cols))
+                rows[t] = r
+        if not rng.randrange(10):
+            rows = []
+        a = Mat.from_rows(p, rows, cols=cols)
+        k = rng.randrange(3)
+        if rng.randrange(2):
+            b = a @ rand_mat(rng, p, cols, k)
+        else:
+            b = rand_mat(rng, p, a.rows, k)
+        if _unit_rows(a) is None:
+            eliminated += 1
+        else:
+            read += 1
+        x = solve(a, b)
+        none += x is None
+        assert x == _eliminating_solve(a, b)
+    assert read > 50 and eliminated > 50 and none > 20
 
 
 def test_invert_round_trip():
