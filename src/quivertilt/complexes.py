@@ -125,7 +125,10 @@ class Complex:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.algebra, self.lo, self.components, self.diffs))
+            # CPython hashes -1 like -2, so lo enters doubled: complexes
+            # that differ only in lo -1 against -2 hash apart.
+            self._hash = hash((self.algebra, 2 * self.lo, self.components,
+                               self.diffs))
         return self._hash
 
     def __repr__(self) -> str:

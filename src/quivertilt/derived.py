@@ -11,8 +11,10 @@ NotHereditary on any other algebra, with no fallback.
 Morphisms are chain maps.  A morphism x -> y is represented by a chain
 map from the canonical projective resolution of x to y; equality is
 equality up to homotopy, composition lifts representatives through
-quasi-isomorphisms by solving the corresponding linear systems, and
-isomorphy is quasi-isomorphy of the representative.  `derived_hom0`
+quasi-isomorphisms by solving the corresponding linear systems (except
+through the identity comparison of a complex of projectives, which is
+its own resolution), and isomorphy is quasi-isomorphy of the
+representative.  `derived_hom0`
 builds a basis of Hom_D(x, y) this way; its dimension is the
 independent oracle for the split formula.  Everything stays exact: a
 lift either exists and is found, or an assertion fires.  The chain maps
@@ -366,8 +368,11 @@ class DerivedMorphism:
         """self after other."""
         if other.target != self.source:
             raise ValueError("derived morphisms are not composable")
-        _, comparison = projective_resolution(self.source)
-        lifted = lift_postcompose(comparison, other.rep)
+        res, comparison = projective_resolution(self.source)
+        if res == self.source:
+            lifted = other.rep
+        else:
+            lifted = lift_postcompose(comparison, other.rep)
         return DerivedMorphism(other.source, self.target,
                                self.rep.compose(lifted))
 
@@ -541,12 +546,15 @@ def transport_exact(fun, m: DerivedMorphism) -> DerivedMorphism:
     """Image of a derived morphism under an exact additive functor."""
     from .complexes import apply_functor_map
 
-    _, comparison = projective_resolution(m.source)
+    res, comparison = projective_resolution(m.source)
     fx = apply_functor(fun, m.source)
     f_rep = apply_functor_map(fun, m.rep)
-    f_cmp = apply_functor_map(fun, comparison)
-    assert is_quasi_iso(f_cmp), "functor failed to preserve the resolution"
     _, cmp2 = projective_resolution(fx)
-    lifted = lift_postcompose(f_cmp, cmp2)
+    if res == m.source:
+        lifted = cmp2
+    else:
+        f_cmp = apply_functor_map(fun, comparison)
+        assert is_quasi_iso(f_cmp), "functor failed to preserve the resolution"
+        lifted = lift_postcompose(f_cmp, cmp2)
     return DerivedMorphism(fx, apply_functor(fun, m.target),
                            f_rep.compose(lifted))

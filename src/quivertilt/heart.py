@@ -28,12 +28,25 @@ against shifted coaisle once per pair of them with the split formula of
 `derived._check_hereditary`, taken once per algebra: they raise
 NotHereditary on an algebra of global dimension above one, with no
 fallback scan.
+
+Exactness of 0 -> X_0 -> ... -> X_n -> 0 is decided by its definition
+in one walk, behind `heart_ses_ok` and `heart_les_ok`.  A zero object
+splits the sequence into runs of nonzero objects, and the sequence is
+exact exactly when each run is exact on its own; a run of one object
+never is.  A run needs the kernel object of its first map to vanish,
+the cokernel object of its last map to vanish, and, at each inner node
+f, g, that g f = 0 and that the kernel of g dies in the cokernel of f.
+Each map's cone is built once and serves both its kernel, asked for at
+one node, and its cokernel, asked for at the next.  An object asked for
+only to vanish is built without the lifts behind its inclusion or
+projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import pairwise
 
 from .complexes import (
     ChainMap,
@@ -73,7 +86,6 @@ from .modules import (
     ShortExactSeq,
     cokernel,
     hom_basis,
-    hom_dim,
     kernel,
     lift_through,
     quotient_by_subspace,
@@ -247,42 +259,100 @@ def _lift_rep_to_projectives(m: DerivedMorphism) -> ChainMap:
     return lift_postcompose(s_y, m.rep)
 
 
+class _HeartCone:
+    """The cone of one heart morphism, with the parts of its kernel and
+    cokernel built from it on first use.
+
+    The representative is lifted to the projective resolution of the
+    target, so the cone is that of a map of projective complexes.  The
+    shifted cone has torsion cohomology only in degrees 0 (the kernel)
+    and 1 (the cokernel), so the heart cohomology of the shifted cone is
+    the kernel, and the coaisle part of the cone, truncated into the
+    aisle, is the cokernel.  Asking only for an object builds neither
+    its resolution nor the lift behind its inclusion or projection;
+    asking for the inclusion or the projection reuses the object and
+    the cone.  A truncation that cuts nothing is the identity, and no
+    lift goes through it.
+    """
+
+    def __init__(self, ts: InducedTStructure, m: DerivedMorphism):
+        self.ts = ts
+        self.m = m
+
+    @cached_property
+    def _cone(self) -> tuple[Complex, ChainMap, ChainMap]:
+        return cone(_lift_rep_to_projectives(self.m))
+
+    @cached_property
+    def _kernel_parts(self) -> tuple[Complex, ChainMap, ChainMap]:
+        """The kernel k with the aisle inclusion into the shifted cone and
+        the projection of the aisle part onto k."""
+        cn, _, _ = self._cone
+        low, lincl = truncate_le0(self.ts, cn.shift(-1))
+        k, kproj = truncate_ge(self.ts, low, 0)
+        assert is_quasi_iso(kproj), "aisle truncation of the shifted cone " \
+                                    "is not concentrated in the heart"
+        return k, lincl, kproj
+
+    @cached_property
+    def _cokernel_parts(self) -> tuple[Complex, ChainMap, ChainMap]:
+        """The cokernel c with the projection of the cone onto its coaisle
+        part and the inclusion of c into that part."""
+        cn, _, _ = self._cone
+        high, hproj = truncate_ge(self.ts, cn, 0)
+        ck, cincl = truncate_le0(self.ts, high)
+        assert is_quasi_iso(cincl), "coaisle truncation of the cone is not " \
+                                    "concentrated in the heart"
+        return ck, hproj, cincl
+
+    @property
+    def kernel_object(self) -> Complex:
+        return self._kernel_parts[0]
+
+    @property
+    def cokernel_object(self) -> Complex:
+        return self._cokernel_parts[0]
+
+    @cached_property
+    def kernel(self) -> tuple[Complex, DerivedMorphism]:
+        """The kernel with its inclusion, through the rotated triangle."""
+        k, lincl, kproj = self._kernel_parts
+        _, _, onto = self._cone
+        delta = onto.shift(-1).scale(-1)
+        _, s_k = projective_resolution(k)
+        if kproj == ChainMap.identity(k):
+            w = s_k
+        else:
+            w = lift_postcompose(kproj, s_k)
+        _, s_x = projective_resolution(self.m.source)
+        rep = s_x.compose(delta.compose(lincl.compose(w)))
+        return k, DerivedMorphism(k, self.m.source, rep)
+
+    @cached_property
+    def cokernel(self) -> tuple[Complex, DerivedMorphism]:
+        """The cokernel with its projection."""
+        ck, hproj, cincl = self._cokernel_parts
+        _, into, _ = self._cone
+        v = hproj.compose(into)
+        if cincl == ChainMap.identity(ck):
+            g = v
+        else:
+            g = lift_postcompose(cincl, v)
+        return ck, DerivedMorphism(self.m.target, ck, g)
+
+
 def heart_kernel(ts: InducedTStructure, m: DerivedMorphism,
                  ) -> tuple[Complex, DerivedMorphism]:
-    """The kernel of a heart morphism with its inclusion.
-
-    Computed as heart cohomology of the shifted cone: the shifted cone
-    has torsion cohomology only in degrees 0 (the kernel) and 1 (the
-    cokernel), so its aisle truncation is quasi-isomorphic to the kernel
-    and maps onto the source by the rotated triangle.
-    """
-    rep_p = _lift_rep_to_projectives(m)
-    cn, _, onto = cone(rep_p)
-    z = cn.shift(-1)
-    delta = onto.shift(-1).scale(-1)
-    low, lincl = truncate_le0(ts, z)
-    k, kproj = truncate_ge(ts, low, 0)
-    assert is_quasi_iso(kproj), "aisle truncation of the shifted cone " \
-                                "is not concentrated in the heart"
-    res_k, s_k = projective_resolution(k)
-    w = lift_postcompose(kproj, s_k)
-    _, s_x = projective_resolution(m.source)
-    rep = s_x.compose(delta.compose(lincl.compose(w)))
-    return k, DerivedMorphism(k, m.source, rep)
+    """The kernel of a heart morphism with its inclusion: the heart
+    cohomology of the shifted cone, which maps onto the source by the
+    rotated triangle."""
+    return _HeartCone(ts, m).kernel
 
 
 def heart_cokernel(ts: InducedTStructure, m: DerivedMorphism,
                    ) -> tuple[Complex, DerivedMorphism]:
     """The cokernel of a heart morphism with its projection."""
-    rep_p = _lift_rep_to_projectives(m)
-    cn, into, _ = cone(rep_p)
-    high, hproj = truncate_ge(ts, cn, 0)
-    ck, cincl = truncate_le0(ts, high)
-    assert is_quasi_iso(cincl), "coaisle truncation of the cone is not " \
-                                "concentrated in the heart"
-    v = hproj.compose(into)
-    g = lift_postcompose(cincl, v)
-    return ck, DerivedMorphism(m.target, ck, g)
+    return _HeartCone(ts, m).cokernel
 
 
 def is_heart_zero(c: Complex) -> bool:
@@ -290,13 +360,11 @@ def is_heart_zero(c: Complex) -> bool:
 
 
 def is_heart_mono(ts: InducedTStructure, m: DerivedMorphism) -> bool:
-    k, _ = heart_kernel(ts, m)
-    return is_heart_zero(k)
+    return is_heart_zero(_HeartCone(ts, m).kernel_object)
 
 
 def is_heart_epi(ts: InducedTStructure, m: DerivedMorphism) -> bool:
-    ck, _ = heart_cokernel(ts, m)
-    return is_heart_zero(ck)
+    return is_heart_zero(_HeartCone(ts, m).cokernel_object)
 
 
 def factor_through_mono(mono: DerivedMorphism, f: DerivedMorphism,
@@ -323,25 +391,52 @@ def factor_through_epi(epi: DerivedMorphism, f: DerivedMorphism,
     return g
 
 
+def _exact_at(f: _HeartCone, g: _HeartCone) -> bool:
+    if not g.m.compose(f.m).is_zero():
+        return False
+    _, kincl = g.kernel
+    _, cproj = f.cokernel
+    return cproj.compose(kincl).is_zero()
+
+
 def heart_exact_at(ts: InducedTStructure, f: DerivedMorphism,
                    g: DerivedMorphism) -> bool:
     """Exactness of a composable heart pair at the middle object: g f = 0
     puts the image of f inside the kernel of g, and the kernel of g lies
     inside the image of f exactly when it dies in the cokernel of f."""
-    if not g.compose(f).is_zero():
+    return _exact_at(_HeartCone(ts, f), _HeartCone(ts, g))
+
+
+def _exact_run(ts: InducedTStructure, maps: list[DerivedMorphism]) -> bool:
+    """0 -> X_0 -> ... -> X_n -> 0 with every X_i nonzero: mono at the
+    first map, epi at the last, exact at every inner node.  With no map
+    the run is one nonzero object, which is never exact."""
+    if not maps:
         return False
-    _, kincl = heart_kernel(ts, g)
-    _, cproj = heart_cokernel(ts, f)
-    return cproj.compose(kincl).is_zero()
+    cones = [_HeartCone(ts, m) for m in maps]
+    return (is_heart_zero(cones[0].kernel_object)
+            and is_heart_zero(cones[-1].cokernel_object)
+            and all(_exact_at(f, g) for f, g in pairwise(cones)))
 
 
 def _heart_exact_sequence(ts: InducedTStructure,
                           maps: list[DerivedMorphism]) -> bool:
-    """0 -> ... -> 0 through composable heart maps: mono at the first,
-    exact at every inner node, epi at the last."""
-    return (is_heart_mono(ts, maps[0])
-            and all(heart_exact_at(ts, f, g) for f, g in zip(maps, maps[1:]))
-            and is_heart_epi(ts, maps[-1]))
+    """0 -> X_0 -> ... -> X_n -> 0 through composable heart maps.
+
+    Every map into or out of a zero object is zero, so exactness at a
+    zero object holds, and exactness next to one asks for an epi or a
+    mono.  The sequence is therefore exact exactly when each maximal
+    run of nonzero objects is exact on its own, and only those runs are
+    walked.  Within a run each map builds one cone, shared by the
+    kernel one node asks for and the cokernel the next node asks for.
+    """
+    objs = [maps[0].source] + [m.target for m in maps]
+    cuts = [-1] + [k for k, x in enumerate(objs) if is_heart_zero(x)]
+    cuts.append(len(objs))
+    # The run between zero objects a and b is objs[a + 1:b], joined by
+    # maps[a + 1:b - 1].
+    return all(_exact_run(ts, maps[a + 1:b - 1])
+               for a, b in pairwise(cuts) if b > a + 1)
 
 
 def heart_ses_ok(ts: InducedTStructure, f: DerivedMorphism,
@@ -518,27 +613,15 @@ def kv_classes(ts: InducedTStructure, uni: ModuleUniverse,
 def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
                        dim_bound: int = 3) -> PairReport:
     """The pair (shifted free class, torsion stalks) as a torsion pair
-    on the heart: orthogonality, shift-equivalences preserving hom
-    dimensions, and the canonical decomposition of every enumerated
-    heart object within the bound as a heart-exact sequence; a failure
-    names the object by its position #k among those."""
-    pair = ts.pair
+    on the heart: the canonical decomposition of every enumerated heart
+    object within the bound is a heart-exact sequence; a failure names
+    the object by its position #k among those.
+
+    The orthogonality Hom_D(F[1], T) = 0 and the full faithfulness of
+    the shifts hold for any modules, as dim Hom_D(A[1], B) = 0 and
+    dim Hom_D(A[s], B[s]) = dim Hom(A, B), so they are not tested here;
+    the tests hold `derived_hom_dim` to both identities."""
     failures: list[str] = []
-    t_mods = [m for m in uni.nonzero_members() if pair.in_torsion(m)]
-    f_mods = [m for m in uni.nonzero_members() if pair.in_free(m)]
-    for a in f_mods:
-        for b in t_mods:
-            if derived_hom_dim(one_term(a, 1), one_term(b)) != 0:
-                failures.append(f"hom from shifted {uni.signature(a)} to "
-                                f"{uni.signature(b)} is nonzero")
-    for mods, shift, label in ((f_mods, 1, "free"), (t_mods, 0, "torsion")):
-        for a in mods:
-            for b in mods:
-                if (derived_hom_dim(one_term(a, shift), one_term(b, shift))
-                        != hom_dim(a, b)):
-                    failures.append(f"{label} shift is not fully faithful "
-                                    f"at ({uni.signature(a)}, "
-                                    f"{uni.signature(b)})")
     for k, x in enumerate(enumerate_heart_objects(ts, uni, dim_bound)):
         dec = heart_decompose(ts, x)
         if not heart_ses_ok(ts, dec.t_incl, dec.q_proj):

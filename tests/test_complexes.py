@@ -48,6 +48,16 @@ def test_trim_and_zero(a2):
     assert c.component(5).dim == 0
 
 
+def test_hash_tells_lo_minus_one_from_minus_two(a2):
+    # CPython gives -1 and -2 the same hash; complexes that differ only
+    # in lo must still hash apart, or cache lookups compare them in full.
+    s1 = simple_module(a2, 0)
+    one, two = Complex.from_module(s1, -1), Complex.from_module(s1, -2)
+    assert hash(-1) == hash(-2)
+    assert one != two and hash(one) != hash(two)
+    assert hash(one) == hash(Complex.from_module(s1, -1))
+
+
 def test_shift_signs(a2, a2_objects):
     _, s2, p1, incl, _ = a2_objects
     c = Complex(a2, -1, [s2, p1], [incl])

@@ -151,6 +151,28 @@ def test_split_formula_matches_the_chain_map_calculus(name):
     assert 0 in ext_parts and max(ext_parts) > 0
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_stalk_shifts_are_fully_faithful_and_never_map_down(p):
+    # For all modules A and B, Hom_D(A[1], B) = 0 and Hom_D(A[s], B[s])
+    # = Hom(A, B), whatever the torsion pair; derived_hom_dim and the
+    # chain-map calculus both give them on every pair of nonzero A2
+    # members, some with nonzero homs.
+    alg = path_algebra(Field(p), Quiver((1, 2), ((1, 2, "a"),)))
+    mods = universe(alg, 2).nonzero_members()
+    homs = set()
+    for a in mods:
+        for b in mods:
+            down = (one_term(a, 1), one_term(b))
+            assert derived_hom_dim(*down) == derived_hom0(*down).dim == 0
+            want = hom_dim(a, b)
+            homs.add(want)
+            for s in (-1, 0, 1):
+                shifted = (one_term(a, s), one_term(b, s))
+                assert derived_hom_dim(*shifted) == want, (a, b, s)
+                assert derived_hom0(*shifted).dim == want, (a, b, s)
+    assert 0 in homs and max(homs) > 0
+
+
 def test_composition_and_identity(a2):
     s1 = simple_module(a2, 0)
     p1 = projective_module(a2, 0)

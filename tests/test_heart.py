@@ -13,16 +13,18 @@ freezing.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 import quivertilt
-from quivertilt import complexes, derived, heart, kernels, linalg
+from quivertilt import cli, complexes, derived, heart, kernels, linalg
 from quivertilt.algebras import Algebra, corner_algebra, path_algebra
 from quivertilt.complexes import (
     ChainMap,
@@ -87,6 +89,8 @@ from quivertilt.torsion import (
     pair_from_torsion_indecs,
     torsion_indec_indices,
 )
+
+BUNDLED = files("quivertilt").joinpath("scenarios/a2_full.json")
 
 
 @pytest.fixture
@@ -602,42 +606,90 @@ def _heart_stalks(ts, uni):
             + [one_term(m, 1) for m in uni.indecs if ts.pair.in_free(m)])
 
 
+def _node_walk(ts, maps):
+    """The exactness walk node by node, zero objects included: the kernel
+    of the first map vanishes, every inner node passes heart_exact_at,
+    and the cokernel of the last map vanishes.  The reference for the
+    walk behind heart_ses_ok and heart_les_ok, which splits at zero
+    objects and builds one cone per map."""
+    return (is_heart_zero(heart_kernel(ts, maps[0])[0])
+            and all(heart_exact_at(ts, f, g) for f, g in zip(maps, maps[1:]))
+            and is_heart_zero(heart_cokernel(ts, maps[-1])[0]))
+
+
+def _short_sequences(f, g, zeros):
+    """Sequences from a composable pair x -f-> y -g-> z: the pair, f
+    alone, the pair after a zero object, the pair before one, two copies
+    of the pair on either side of one, and x alone between two.  zeros
+    are two heart-zero objects."""
+    x, z = f.source, g.target
+    zero, other = zeros
+    to = DerivedMorphism.zero
+    return [[f, g], [f],
+            [to(zero, x), f, g],
+            [f, g, to(z, other)],
+            [f, g, to(z, other), to(other, x), f, g],
+            [to(zero, x), to(x, other)]]
+
+
 @pytest.mark.parametrize("name", list(_AGREEMENT_UNIVERSES))
 def test_exactness_agrees_with_the_factoring(name, monkeypatch):
-    # Every node of every six-term sequence, and every composable pair
-    # x -> y -> z of basis morphisms with x and z indecomposable and y a
-    # class representative, gets the verdict of the factoring reference.
+    # The four inner nodes of every six-term sequence, and every
+    # composable pair x -> y -> z of basis morphisms with x and z
+    # indecomposable and y a class representative, get the verdict of
+    # the factoring reference.  The walk over every six-term sequence
+    # and over short sequences of those pairs, some through zero
+    # objects, agrees with the node-by-node walk.
     uni, bound = _agreement_universe(name)
+    alg = uni.algebra
+    s2 = simple_module(alg, 1)
+    zeros = (Complex.zero(alg),
+             Complex(alg, -1, [s2, s2], [ModuleMap.identity(s2)]))
+    assert all(is_heart_zero(c) for c in zeros)
     seqs = [ses_from_submodule(m, sub) for m in uni.members
             for sub in enumerate_submodules(m) if 0 < sub.dim < m.dim]
-    nodes = []
+    walk = heart._heart_exact_sequence
+    sixterm = []
 
-    def recording(ts, f, g):
-        nodes.append((ts, f, g))
-        return heart_exact_at(ts, f, g)
+    def recording(ts, maps):
+        sixterm.append((ts, maps))
+        return walk(ts, maps)
 
     composable = []
     pairs = enumerate_torsion_pairs(uni)
     for pair in pairs:
         ts = induced_t_structure(pair)
         with monkeypatch.context() as patched:
-            patched.setattr(heart, "heart_exact_at", recording)
+            patched.setattr(heart, "_heart_exact_sequence", recording)
             assert all(heart_les_ok(ts, ses) for ses in seqs)
         ends = _heart_stalks(ts, uni)
         for y in heart_class_reps(ts, uni, bound):
             composable += [(ts, f, g) for x in ends for z in ends
                            for f in derived_hom0(x, y).basis()
                            for g in derived_hom0(y, z).basis()]
-    assert len(nodes) == 4 * len(seqs) * len(pairs)
-    assert all(_factored_exact_at(*node) for node in nodes)
+    assert len(sixterm) == len(seqs) * len(pairs)
+    for ts, maps in sixterm:
+        assert len(maps) == 5
+        for f, g in zip(maps, maps[1:]):
+            assert heart_exact_at(ts, f, g) and _factored_exact_at(ts, f, g)
+        assert _node_walk(ts, maps)
     verdicts = set()
+    walks = set()
     for ts, f, g in composable:
         got = heart_exact_at(ts, f, g)
         assert got == _factored_exact_at(ts, f, g)
         verdicts.add((got, g.compose(f).is_zero()))
+        for k, maps in enumerate(_short_sequences(f, g, zeros)):
+            got = walk(ts, maps)
+            assert got == _node_walk(ts, maps), (k, maps)
+            walks.add((k, got))
     # Exact, not composing to zero, and composing to zero without being
     # exact all occur.
     assert verdicts == {(True, True), (False, False), (False, True)}
+    # A lone nonzero object is never exact; every other shape of
+    # sequence is exact for some pair and not for another.
+    assert walks == {(k, v) for k in range(5) for v in (True, False)} \
+        | {(5, False)}
 
 
 def test_exactness_needs_the_kernel_inside_the_image(a2):
@@ -664,6 +716,51 @@ def test_exactness_needs_the_kernel_inside_the_image(a2):
     assert not heart_exact_at(ts, f, g)
     assert not _factored_exact_at(ts, f, g)
     assert heart_exact_at(ts, stalk_map(incl), stalk_map(cover))
+
+
+def test_les_check_builds_one_cone_per_map_and_lifts_through_no_identity(
+        tmp_path, monkeypatch, capsys):
+    # The bundled scenario's les-check at bound 3: no lift goes through
+    # an identity comparison (a quasi-isomorphism whose source is its
+    # target), and each walk builds at most one cone per map.
+    scenario = json.loads(BUNDLED.read_text(encoding="utf-8"))
+    scenario["commands"] = [c for c in scenario["commands"]
+                            if isinstance(c, dict) and c["op"] == "les-check"]
+    assert len(scenario["commands"]) == 1
+    path = tmp_path / "les_check.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    identity_lifts = []
+    lifts = []
+    walks = []  # [maps, cones built] per walk
+    real_lift = derived.lift_postcompose
+    real_cone = heart.cone
+    real_walk = heart._heart_exact_sequence
+
+    def lift(q, f):
+        lifts.append(q)
+        if q.source == q.target:
+            identity_lifts.append(q)
+        return real_lift(q, f)
+
+    def counted_cone(f):
+        walks[-1][1] += 1
+        return real_cone(f)
+
+    def walk(ts, maps):
+        walks.append([len(maps), 0])
+        return real_walk(ts, maps)
+
+    for mod in (derived, heart):
+        monkeypatch.setattr(mod, "lift_postcompose", lift)
+    monkeypatch.setattr(heart, "cone", counted_cone)
+    monkeypatch.setattr(heart, "_heart_exact_sequence", walk)
+    assert cli.main([str(path), "--bound", "3", "--no-timing",
+                     "--json-only"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)["commands"]
+    assert report["ok"] and report["checked"] == len(walks) > 0
+    assert lifts and identity_lifts == []
+    assert all(cones <= maps for maps, cones in walks)
+    assert sum(cones for _, cones in walks) > 0
 
 
 @pytest.mark.parametrize("name", list(_AGREEMENT_UNIVERSES))
