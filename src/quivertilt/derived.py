@@ -11,15 +11,15 @@ NotHereditary on any other algebra, with no fallback.
 Morphisms are chain maps.  A morphism x -> y is represented by a chain
 map from the canonical projective resolution of x to y; equality is
 equality up to homotopy, composition lifts representatives through
-quasi-isomorphisms by solving the corresponding linear systems (except
-through the identity comparison of a complex of projectives, which is
-its own resolution), and isomorphy is quasi-isomorphy of the
-representative.  `derived_hom0`
-builds a basis of Hom_D(x, y) this way; its dimension is the
-independent oracle for the split formula.  Everything stays exact: a
-lift either exists and is found, or an assertion fires.  The chain maps
-built here commute by construction and are not checked as they are
-built; `ChainMap.check` verifies one on request.
+quasi-isomorphisms by solving the corresponding linear systems, and
+isomorphy is quasi-isomorphy of the representative.  A lift through an
+identity is the map itself and costs no solve; so does composing
+through a complex of projectives, which is its own resolution.
+`derived_hom0` builds a basis of Hom_D(x, y) this way; its dimension
+is the independent oracle for the split formula.  Everything stays
+exact: a lift either exists and is found, or an assertion fires.  The
+chain maps built here commute by construction and are not checked as
+they are built; `ChainMap.check` verifies one on request.
 """
 
 from __future__ import annotations
@@ -61,24 +61,26 @@ def _is_projective_complex(c: Complex) -> bool:
 
 
 @lru_cache(maxsize=None)
-def projective_resolution(c: Complex, depth: int = 2) -> tuple[Complex, ChainMap]:
+def projective_resolution(c: Complex) -> tuple[Complex, ChainMap]:
     """A bounded complex of projectives with a quasi-isomorphism onto c.
 
     Built from the top degree downwards: each term covers the fiber
     product of the incoming differential with the cycles constructed so
-    far, and the bottom is capped by the kernel of the last
-    differential.  The cap is projective precisely in the hereditary
-    situations this package works in; anything else fails loudly.
-    A complex that already consists of projectives is its own
-    resolution.
+    far, and the bottom is capped, two degrees below the lowest degree
+    of c, by the kernel of the last differential.  The length is fixed
+    because it always suffices: over a hereditary algebra submodules of
+    projectives are projective (Happel, LMS LN 119, 1988), so the term
+    one degree below c covers a projective module, the cap is zero, and
+    a longer resolution would only append zero terms.  The cap is
+    projective precisely in the hereditary situations this package
+    works in; anything else fails loudly.  A complex that already
+    consists of projectives is its own resolution.
     """
-    if depth < 2:
-        raise ValueError("resolution depth must be at least 2")
     if c.is_zero() or _is_projective_complex(c):
         return c, ChainMap.identity(c)
     alg = c.algebra
     hi = c.hi
-    bottom = c.lo - depth
+    bottom = c.lo - 2
     comps: dict[int, Module] = {}
     dmaps: dict[int, ModuleMap] = {}
     smaps: dict[int, ModuleMap] = {}
@@ -94,7 +96,7 @@ def projective_resolution(c: Complex, depth: int = 2) -> tuple[Complex, ChainMap
     cap, kappa = kernel(dmaps[bottom + 1])
     if cap.dim and not is_projective(cap):
         raise ValueError("resolution cap is not projective; "
-                         "the algebra is not hereditary at this depth")
+                         "the algebra is not hereditary")
     comps[bottom] = cap
     dmaps[bottom] = kappa
     smaps[bottom] = ModuleMap.zero(cap, c.component(bottom))
@@ -132,12 +134,12 @@ def _is_injective_complex(c: Complex) -> bool:
 
 
 @lru_cache(maxsize=None)
-def injective_coresolution(c: Complex, depth: int = 2) -> tuple[Complex, ChainMap]:
+def injective_coresolution(c: Complex) -> tuple[Complex, ChainMap]:
     """A bounded complex of injectives under c, by dualizing a
     projective resolution over the opposite algebra."""
     if c.is_zero() or _is_injective_complex(c):
         return c, ChainMap.identity(c)
-    res, comparison = projective_resolution(dual_complex(c), depth)
+    res, comparison = projective_resolution(dual_complex(c))
     cores = dual_complex(res)
     into = dual_chain_map(comparison)
     assert into.source == c, "double dual failed to return to the source"
@@ -314,11 +316,23 @@ def is_null_homotopic(f: ChainMap) -> bool:
     return _solve_homotopy(f) is not None
 
 
+def _is_identity(q: ChainMap) -> bool:
+    """Whether q is the identity of its source, read off the component
+    matrices: each is square with reduced entries, so it is the identity
+    when its diagonal holds ones and its entries sum to its size."""
+    return q.source == q.target and all(
+        f.mat.data[::f.mat.cols + 1].count(1) == f.mat.rows == sum(f.mat.data)
+        for f in q.comps)
+
+
 def lift_postcompose(q: ChainMap, f: ChainMap) -> ChainMap:
     """g with q . g homotopic to f, for f from a bounded complex of
-    projectives and q a quasi-isomorphism."""
+    projectives and q a quasi-isomorphism.  Through an identity q the
+    lift is f itself, returned without a solve."""
     if q.target != f.target:
         raise ValueError("lift needs a common target")
+    if _is_identity(q):
+        return f
     gridg = _MapGrid(f.source, q.source, 0)
     sol = _solve_homotopy(f, gridg,
                           lambda i, h: (q.component(i).mat @ h.mat).data)
@@ -328,9 +342,12 @@ def lift_postcompose(q: ChainMap, f: ChainMap) -> ChainMap:
 
 def lift_precompose(w: ChainMap, v: ChainMap) -> ChainMap:
     """g with g . w homotopic to v, for w a quasi-isomorphism out of a
-    shared source and v into a bounded complex of injectives."""
+    shared source and v into a bounded complex of injectives.  Against
+    an identity w the lift is v itself, returned without a solve."""
     if w.source != v.source:
         raise ValueError("lift needs a common source")
+    if _is_identity(w):
+        return v
     gridg = _MapGrid(w.target, v.target, 0)
     sol = _solve_homotopy(v, gridg,
                           lambda i, h: (h.mat @ w.component(i).mat).data)
@@ -368,11 +385,8 @@ class DerivedMorphism:
         """self after other."""
         if other.target != self.source:
             raise ValueError("derived morphisms are not composable")
-        res, comparison = projective_resolution(self.source)
-        if res == self.source:
-            lifted = other.rep
-        else:
-            lifted = lift_postcompose(comparison, other.rep)
+        _, comparison = projective_resolution(self.source)
+        lifted = lift_postcompose(comparison, other.rep)
         return DerivedMorphism(other.source, self.target,
                                self.rep.compose(lifted))
 

@@ -252,13 +252,6 @@ def t_cohomology(ts: InducedTStructure, c: Complex, i: int) -> Complex:
     return h0_lower(ts, c.shift(i)).h
 
 
-def _lift_rep_to_projectives(m: DerivedMorphism) -> ChainMap:
-    res_y, s_y = projective_resolution(m.target)
-    if res_y == m.target:
-        return m.rep
-    return lift_postcompose(s_y, m.rep)
-
-
 class _HeartCone:
     """The cone of one heart morphism, with the parts of its kernel and
     cokernel built from it on first use.
@@ -271,8 +264,8 @@ class _HeartCone:
     aisle, is the cokernel.  Asking only for an object builds neither
     its resolution nor the lift behind its inclusion or projection;
     asking for the inclusion or the projection reuses the object and
-    the cone.  A truncation that cuts nothing is the identity, and no
-    lift goes through it.
+    the cone.  The lifts skip identities themselves: a target that is
+    its own resolution and a truncation that cuts nothing cost no solve.
     """
 
     def __init__(self, ts: InducedTStructure, m: DerivedMorphism):
@@ -281,7 +274,8 @@ class _HeartCone:
 
     @cached_property
     def _cone(self) -> tuple[Complex, ChainMap, ChainMap]:
-        return cone(_lift_rep_to_projectives(self.m))
+        _, s_y = projective_resolution(self.m.target)
+        return cone(lift_postcompose(s_y, self.m.rep))
 
     @cached_property
     def _kernel_parts(self) -> tuple[Complex, ChainMap, ChainMap]:
@@ -320,10 +314,7 @@ class _HeartCone:
         _, _, onto = self._cone
         delta = onto.shift(-1).scale(-1)
         _, s_k = projective_resolution(k)
-        if kproj == ChainMap.identity(k):
-            w = s_k
-        else:
-            w = lift_postcompose(kproj, s_k)
+        w = lift_postcompose(kproj, s_k)
         _, s_x = projective_resolution(self.m.source)
         rep = s_x.compose(delta.compose(lincl.compose(w)))
         return k, DerivedMorphism(k, self.m.source, rep)
@@ -333,11 +324,7 @@ class _HeartCone:
         """The cokernel with its projection."""
         ck, hproj, cincl = self._cokernel_parts
         _, into, _ = self._cone
-        v = hproj.compose(into)
-        if cincl == ChainMap.identity(ck):
-            g = v
-        else:
-            g = lift_postcompose(cincl, v)
+        g = lift_postcompose(cincl, hproj.compose(into))
         return ck, DerivedMorphism(self.m.target, ck, g)
 
 

@@ -63,9 +63,6 @@ from .linalg import Mat, image_basis, rank
 from .modules import Module, ses_from_submodule
 from .torsion import PairReport, TorsionPair, is_torsion_pair, trace_subspace
 
-SECTION_DEPTH = 3
-
-
 # -- contexts ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def i_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
     """Heart cohomology of the derived section: the right adjoint of
     the descended corner functor."""
     _require_side(hctx, GiraudContext, "i_heart")
-    cores, _ = injective_coresolution(n, depth=SECTION_DEPTH)
+    cores, _ = injective_coresolution(n)
     lifted = apply_functor(hctx.base.i, cores)
     h = h0_lower(hctx.ts_d, lifted).h
     assert hctx.ts_d.in_heart(h)
@@ -168,8 +165,8 @@ def i_heart_map(hctx: HeartGiraudContext,
                 f: DerivedMorphism) -> DerivedMorphism:
     """Functorial image of a heart morphism under the right section."""
     _require_side(hctx, GiraudContext, "i_heart_map")
-    cores, into = injective_coresolution(f.source, depth=SECTION_DEPTH)
-    cores2, into2 = injective_coresolution(f.target, depth=SECTION_DEPTH)
+    _, into = injective_coresolution(f.source)
+    _, into2 = injective_coresolution(f.target)
     _, cmp = projective_resolution(f.source)
     g = lift_precompose(into.compose(cmp), into2.compose(f.rep))
     lifted = apply_functor_map(hctx.base.i, g)
@@ -181,7 +178,7 @@ def heart_counit(hctx: HeartGiraudContext, n: Complex) -> DerivedMorphism:
     localization context."""
     _require_side(hctx, GiraudContext, "heart_counit")
     base = hctx.base
-    cores, into = injective_coresolution(n, depth=SECTION_DEPTH)
+    cores, into = injective_coresolution(n)
     lifted = apply_functor(base.i, cores)
     data = h0_lower(hctx.ts_d, lifted)
     l_h = apply_functor(base.l, data.h)
@@ -205,7 +202,7 @@ def j_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
     """Heart cohomology of the left-derived section: the left adjoint
     of the descended corner functor."""
     _require_side(hctx, CoGiraudContext, "j_heart")
-    res, _ = projective_resolution(n, depth=SECTION_DEPTH)
+    res, _ = projective_resolution(n)
     lifted = apply_functor(hctx.base.j, res)
     h = h0_lower(hctx.ts_d, lifted).h
     assert hctx.ts_d.in_heart(h)
@@ -216,11 +213,8 @@ def j_heart_map(hctx: HeartGiraudContext,
                 f: DerivedMorphism) -> DerivedMorphism:
     """Functorial image of a heart morphism under the left section."""
     _require_side(hctx, CoGiraudContext, "j_heart_map")
-    res, cmp3 = projective_resolution(f.source, depth=SECTION_DEPTH)
-    res2, cmp32 = projective_resolution(f.target, depth=SECTION_DEPTH)
-    _, cmp = projective_resolution(f.source)
-    down = lift_postcompose(cmp, cmp3)
-    g = lift_postcompose(cmp32, f.rep.compose(down))
+    _, cmp2 = projective_resolution(f.target)
+    g = lift_postcompose(cmp2, f.rep)
     lifted = apply_functor_map(hctx.base.j, g)
     return DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
 
@@ -231,7 +225,7 @@ def heart_co_unit(hctx: HeartGiraudContext,
     colocalization context."""
     _require_side(hctx, CoGiraudContext, "heart_co_unit")
     base = hctx.base
-    res, cmp3 = projective_resolution(n, depth=SECTION_DEPTH)
+    res, _ = projective_resolution(n)
     lifted = apply_functor(base.j, res)
     data = h0_lower(hctx.ts_d, lifted)
     r_h = apply_functor(base.r, data.h)
@@ -242,9 +236,7 @@ def heart_co_unit(hctx: HeartGiraudContext,
                        for k in range(res.lo, res.hi + 1)})
     assert is_quasi_iso(r_incl), \
         "corner functor must collapse the low truncation"
-    _, cmp = projective_resolution(n)
-    w = lift_postcompose(cmp3, cmp)
-    z = lift_postcompose(r_incl, insert.compose(w))
+    z = lift_postcompose(r_incl, insert)
     return DerivedMorphism(n, r_h, r_proj.compose(z))
 
 

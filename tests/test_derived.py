@@ -295,6 +295,47 @@ def test_lift_precompose(a2):
         lift_precompose(into, ChainMap.identity(cores))
 
 
+def test_lift_rule_over_f3():
+    # Over F_3 twice an identity is a quasi-isomorphism that is not an
+    # identity.  Through or against an identity a lift returns the map
+    # itself; 2 id and a resolution comparison are solved, and the lift
+    # closes the triangle up to homotopy.  A mismatched end raises
+    # before the identity is looked at.
+    alg = path_algebra(Field(3), _A2)
+    s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
+    p1 = projective_module(alg, 0)
+    x, u = one_term(s1), one_term(s2)  # x not projective, u not injective
+
+    _, cmp = projective_resolution(x)
+    fs = [f for y in (x, one_term(p1)) for f in derived_hom0(y, x).reps]
+    assert fs and not any(is_null_homotopic(f) for f in fs)
+    ident = ChainMap.identity(x)
+    for f in fs:
+        assert lift_postcompose(ident, f) is f
+        for q in (ident.scale(2), cmp):
+            g = lift_postcompose(q, f)
+            assert is_null_homotopic(q.compose(g) + f.scale(-1))
+        assert not is_null_homotopic(lift_postcompose(ident.scale(2), f)
+                                     + f.scale(-1))
+    with pytest.raises(ValueError, match="common target"):
+        lift_postcompose(ChainMap.identity(u), fs[0])
+
+    _, into = injective_coresolution(u)
+    _, cmp_u = projective_resolution(u)
+    ident = ChainMap.identity(u)
+    assert lift_precompose(ident, into) is into
+    cases = [(ident.scale(2), into)]
+    cases += [(into.compose(cmp_u), into.compose(r))
+              for r in derived_hom0(u, u).reps]
+    for w, v in cases:
+        g = lift_precompose(w, v)
+        assert is_null_homotopic(g.compose(w) + v.scale(-1))
+    assert not is_null_homotopic(lift_precompose(ident.scale(2), into)
+                                 + into.scale(-1))
+    with pytest.raises(ValueError, match="common source"):
+        lift_precompose(ChainMap.identity(x), into)
+
+
 def test_preimage_of_a_morphism_that_does_not_factor(a2):
     s1 = simple_module(a2, 0)
     p1 = projective_module(a2, 0)

@@ -718,48 +718,53 @@ def test_exactness_needs_the_kernel_inside_the_image(a2):
     assert heart_exact_at(ts, stalk_map(incl), stalk_map(cover))
 
 
-def test_les_check_builds_one_cone_per_map_and_lifts_through_no_identity(
-        tmp_path, monkeypatch, capsys):
-    # The bundled scenario's les-check at bound 3: no lift goes through
-    # an identity comparison (a quasi-isomorphism whose source is its
-    # target), and each walk builds at most one cone per map.
-    scenario = json.loads(BUNDLED.read_text(encoding="utf-8"))
-    scenario["commands"] = [c for c in scenario["commands"]
-                            if isinstance(c, dict) and c["op"] == "les-check"]
-    assert len(scenario["commands"]) == 1
-    path = tmp_path / "les_check.json"
-    path.write_text(json.dumps(scenario), encoding="utf-8")
-    identity_lifts = []
-    lifts = []
-    walks = []  # [maps, cones built] per walk
-    real_lift = derived.lift_postcompose
+def test_scenario_builds_one_cone_per_map_and_solves_no_identity_lift(
+        monkeypatch, capsys):
+    # Every command of the bundled scenario at bound 3: no homotopy
+    # solve serves a lift through or against an identity (the lifts
+    # return the map itself), and each exactness walk builds at most one
+    # cone per map.
+    lift_code = (derived.lift_postcompose.__code__,
+                 derived.lift_precompose.__code__)
+    quasi_isos = []  # the quasi-isomorphism of every lift that solves
+    walks = []  # [maps, cones built] per finished walk
+    walking = []  # the walk under way; cones outside walks are not counted
+    real_solve = derived._solve_homotopy
     real_cone = heart.cone
     real_walk = heart._heart_exact_sequence
 
-    def lift(q, f):
-        lifts.append(q)
-        if q.source == q.target:
-            identity_lifts.append(q)
-        return real_lift(q, f)
+    def solve(f, gridg=None, g_flat=None):
+        if gridg is not None:
+            frame = sys._getframe(1)
+            assert frame.f_code in lift_code
+            quasi_isos.append(frame.f_locals[frame.f_code.co_varnames[0]])
+        return real_solve(f, gridg, g_flat)
 
     def counted_cone(f):
-        walks[-1][1] += 1
+        if walking:
+            walking[-1][1] += 1
         return real_cone(f)
 
     def walk(ts, maps):
-        walks.append([len(maps), 0])
-        return real_walk(ts, maps)
+        walking.append([len(maps), 0])
+        try:
+            return real_walk(ts, maps)
+        finally:
+            walks.append(walking.pop())
 
-    for mod in (derived, heart):
-        monkeypatch.setattr(mod, "lift_postcompose", lift)
+    def is_identity(q):
+        return q.source == q.target and q == ChainMap.identity(q.source)
+
+    monkeypatch.setattr(derived, "_solve_homotopy", solve)
     monkeypatch.setattr(heart, "cone", counted_cone)
     monkeypatch.setattr(heart, "_heart_exact_sequence", walk)
-    assert cli.main([str(path), "--bound", "3", "--no-timing",
+    assert cli.main([str(BUNDLED), "--bound", "3", "--no-timing",
                      "--json-only"]) == 0
-    (report,) = json.loads(capsys.readouterr().out)["commands"]
-    assert report["ok"] and report["checked"] == len(walks) > 0
-    assert lifts and identity_lifts == []
-    assert all(cones <= maps for maps, cones in walks)
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and len(report["commands"]) > 1
+    assert quasi_isos
+    assert [q for q in quasi_isos if is_identity(q)] == []
+    assert walks and all(cones <= maps for maps, cones in walks)
     assert sum(cones for _, cones in walks) > 0
 
 

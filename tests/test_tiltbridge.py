@@ -19,12 +19,13 @@ from dataclasses import replace
 
 import pytest
 
-from quivertilt.algebras import corner_algebra
+from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt import heart
 from quivertilt.complexes import ChainMap, enumerate_complexes
-from quivertilt.derived import DerivedHom, DerivedMorphism
+from quivertilt.derived import DerivedHom, DerivedMorphism, derived_hom0
 from quivertilt.enumeration import enumerate_submodules, universe
 from quivertilt.giraud import co_giraud_context, giraud_context
+from quivertilt.linalg import Field
 from quivertilt.heart import (
     heart_cokernel,
     heart_is_isomorphic,
@@ -35,6 +36,7 @@ from quivertilt.heart import (
     one_term,
 )
 from quivertilt.modules import Module, ses_from_submodule
+from quivertilt.quivers import Quiver
 from quivertilt.tiltbridge import (
     _stalk_failures,
     dl_commutation_report,
@@ -188,6 +190,34 @@ def test_co_counit_triangle(g2):
 def test_counit_is_isomorphism(g2):
     for n in heart_class_reps(g2.hctx.ts_c, g2.uni_c):
         assert heart_counit(g2.hctx, n).is_iso()
+
+
+@pytest.mark.parametrize("p", [2, 3], ids=["A2/F_2", "A2/F_3"])
+def test_section_maps_are_functorial(p):
+    # On the corner heart classes of the A2 fixture, both sections send
+    # identities to identities and g . f to the composite of the images,
+    # for every composable pair of basis morphisms.
+    alg = path_algebra(Field(p), Quiver((1, 2), ((1, 2, "a"),)))
+    g = _Setup(alg, (1,), (1,), 2, 2)
+    for hctx, section, section_map in ((g.hctx, i_heart, i_heart_map),
+                                       (g.co_hctx, j_heart, j_heart_map)):
+        downs = heart_class_reps(hctx.ts_c, g.uni_c)
+        for n in downs:
+            ident = DerivedMorphism.from_chain_map(ChainMap.identity(n))
+            image = DerivedMorphism.from_chain_map(
+                ChainMap.identity(section(hctx, n)))
+            assert section_map(hctx, ident).equals(image)
+        pairs = 0
+        for a in downs:
+            for b in downs:
+                for c in downs:
+                    for f in derived_hom0(a, b).basis():
+                        for h in derived_hom0(b, c).basis():
+                            both = section_map(hctx, h).compose(
+                                section_map(hctx, f))
+                            assert section_map(hctx, h.compose(f)).equals(both)
+                            pairs += 1
+        assert pairs == 45
 
 
 def test_kernel_membership(a2, g2):
