@@ -43,6 +43,8 @@ class Algebra:
         # Set by derived._check_hereditary once global dimension at most
         # one is certified.
         self._euler_form = None
+        # Set by opposite_algebra on first use, on both algebras.
+        self._opposite = None
 
     # -- element arithmetic on coordinate tuples --
 
@@ -146,17 +148,8 @@ class Algebra:
             out.append(hits[0])
         return tuple(out)
 
-    def source_pos(self, b: int) -> int:
-        return self.endpoints[b][0]
-
-    def target_pos(self, b: int) -> int:
-        return self.endpoints[b][1]
-
     def basis_by_source(self, ipos: int) -> list[int]:
         return [b for b in range(self.dim) if self.endpoints[b][0] == ipos]
-
-    def basis_by_target(self, ipos: int) -> list[int]:
-        return [b for b in range(self.dim) if self.endpoints[b][1] == ipos]
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -209,13 +202,6 @@ class PathAlgebra(Algebra):
             [i for i, p in enumerate(self.paths) if p.length > 0],
         )
 
-    def vertex_pos(self, v) -> int:
-        """Position of vertex v in the idempotent list."""
-        for pos, i in enumerate(self.idem):
-            if self.paths[i].source == v:
-                return pos
-        raise ValueError(f"unknown vertex {v!r}")
-
 
 def path_algebra(field: Field, quiver: Quiver) -> PathAlgebra:
     alg = PathAlgebra(field, quiver)
@@ -224,9 +210,15 @@ def path_algebra(field: Field, quiver: Quiver) -> PathAlgebra:
 
 
 def opposite_algebra(alg: Algebra) -> Algebra:
-    """Same basis with reversed multiplication."""
-    mult = [[alg.mult[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
-    return Algebra(alg.field, alg.labels, mult, alg.unit, alg.idem, alg.radical)
+    """Same basis with reversed multiplication, built once per algebra.
+    The opposite of the opposite is the algebra itself, so a double
+    dual lands on the original object."""
+    if alg._opposite is None:
+        mult = [[alg.mult[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
+        op = Algebra(alg.field, alg.labels, mult, alg.unit, alg.idem, alg.radical)
+        op._opposite = alg
+        alg._opposite = op
+    return alg._opposite
 
 
 @dataclass(frozen=True)
@@ -285,7 +277,8 @@ def _combine(mats, coords, p, dim) -> Mat:
 @dataclass(frozen=True)
 class CornerData:
     """The corner algebra eAe of a chosen idempotent e together with the
-    bimodules eA and Ae that drive the section functors."""
+    bimodule eA that drives the section functor Hom_eAe(eA, -).  The
+    bimodule Ae of the other section is eA of the opposite corner."""
 
     parent: Algebra
     positions: tuple[int, ...]
@@ -293,9 +286,7 @@ class CornerData:
     sub: Algebra
     kept: tuple[int, ...]
     eA: Bimodule
-    Ae: Bimodule
     eA_e_coords: tuple[int, ...]
-    Ae_e_coords: tuple[int, ...]
 
 
 def corner_algebra(alg: Algebra, positions) -> CornerData:
@@ -343,42 +334,30 @@ def corner_algebra(alg: Algebra, positions) -> CornerData:
     sub.check()
 
     eA_basis = tuple(b for b in range(alg.dim) if alg.endpoints[b][1] in posset)
-    Ae_basis = tuple(b for b in range(alg.dim) if alg.endpoints[b][0] in posset)
+    pos_of = {b: t for t, b in enumerate(eA_basis)}
+    d = len(eA_basis)
 
-    def action_mats(space, acting_dim, product):
-        pos_of = {b: t for t, b in enumerate(space)}
+    def action_mats(acting_dim, product):
         mats = []
         for a in range(acting_dim):
-            data = [0] * (len(space) * len(space))
-            for t, b in enumerate(space):
+            data = [0] * (d * d)
+            for t, b in enumerate(eA_basis):
                 vec = product(a, b)
                 for k in range(alg.dim):
                     if vec[k]:
                         if k not in pos_of:
                             raise ValueError("bimodule action escapes the basis")
-                        data[pos_of[k] * len(space) + t] = vec[k]
-            mats.append(Mat(p, len(space), len(space), data))
+                        data[pos_of[k] * d + t] = vec[k]
+            mats.append(Mat(p, d, d, data))
         return tuple(mats)
 
     eA = Bimodule(
-        sub, alg, len(eA_basis), tuple(alg.labels[b] for b in eA_basis),
-        action_mats(eA_basis, sub.dim,
+        sub, alg, d, tuple(alg.labels[b] for b in eA_basis),
+        action_mats(sub.dim,
                     lambda c, b: alg.mul_vecs(alg.basis_vec(kept[c]), alg.basis_vec(b))),
-        action_mats(eA_basis, alg.dim,
+        action_mats(alg.dim,
                     lambda a, b: alg.mul_vecs(alg.basis_vec(b), alg.basis_vec(a))),
     )
-    Ae = Bimodule(
-        alg, sub, len(Ae_basis), tuple(alg.labels[b] for b in Ae_basis),
-        action_mats(Ae_basis, alg.dim,
-                    lambda a, b: alg.mul_vecs(alg.basis_vec(a), alg.basis_vec(b))),
-        action_mats(Ae_basis, sub.dim,
-                    lambda c, b: alg.mul_vecs(alg.basis_vec(b), alg.basis_vec(kept[c]))),
-    )
     eA.check()
-    Ae.check()
-
-    def coords_in(space):
-        return tuple(e[b] for b in space)
-
-    return CornerData(alg, positions, e, sub, kept, eA, Ae,
-                      coords_in(eA_basis), coords_in(Ae_basis))
+    return CornerData(alg, positions, e, sub, kept, eA,
+                      tuple(e[b] for b in eA_basis))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .algebras import Algebra
+from .algebras import Algebra, opposite_algebra
 from .complexes import (
     ChainMap,
     Complex,
@@ -109,8 +109,6 @@ def projective_resolution(c: Complex) -> tuple[Complex, ChainMap]:
 
 def dual_complex(c: Complex) -> Complex:
     """The linear dual over the opposite algebra, with degrees negated."""
-    from .algebras import opposite_algebra
-
     op = opposite_algebra(c.algebra)
     if c.is_zero():
         return Complex.zero(op)
@@ -421,7 +419,6 @@ class DerivedHom:
     target: Complex
     resolution: Complex
     grid: _MapGrid
-    chain_space: Subspace
     boundary_space: Subspace
     rep_coords: tuple[tuple[int, ...], ...]
     reps: tuple[ChainMap, ...]
@@ -486,7 +483,7 @@ def derived_hom0(x: Complex, y: Complex) -> DerivedHom:
     assert space.contains_space(bounds), "boundaries are not cycles"
     reps = tuple(complement_in(space, bounds))
     chain_reps = tuple(ChainMap(res, y, grid.comps_from(v)) for v in reps)
-    return DerivedHom(x, y, res, grid, space, bounds, reps, chain_reps)
+    return DerivedHom(x, y, res, grid, bounds, reps, chain_reps)
 
 
 # -- the hereditary split formula --

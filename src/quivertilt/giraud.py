@@ -7,6 +7,14 @@ situations between A-modules and eAe-modules:
   localization whose kernel S consists of the modules killed by e;
 * restriction r = e(-) with left adjoint j = Ae (x) -, the co-dual.
 
+The colocalization is computed from the localization of the opposite
+corner e A^op e through k-duality D = Hom_k(-, k): since
+Ae (x)_eAe N = D Hom_(eAe)^op(Ae, DN) (tensor-hom adjunction),
+j = D ∘ i^op ∘ D, and the unit and counit of (j, r) are the duals of
+the counit and unit of (l^op, i^op).  D commutes with restriction on the
+nose here, since every module the package builds has a basis on which
+the idempotents act by diagonal 0/1 matrices.
+
 A colocalization context is a localization context of the opposite
 category: there r plays the part of l, j that of i, the torsion class
 that of the free class, and the surjective counit that of the injective
@@ -14,10 +22,10 @@ unit.  Each context class states its side as data (restriction,
 section, admissibility test, the class that is cut down, message text),
 so one transport and one certificate serve both sides.  Torsion pairs
 are pulled back along the restriction (the "hat" construction, with a
-fiber-product or pushout decomposition witness) and pushed forward by
-applying it to both classes; the compatible pairs on the two sides
-biject, which verify_bijection certifies exhaustively on bounded
-universes.
+fiber-product decomposition witness, dualized on the colocalization
+side) and pushed forward by applying it to both classes; the compatible
+pairs on the two sides biject, which verify_bijection certifies
+exhaustively on bounded universes.
 """
 
 from __future__ import annotations
@@ -25,27 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
-from .algebras import CornerData
+from .algebras import CornerData, corner_algebra, opposite_algebra
 from .enumeration import ModuleUniverse
-from .linalg import (
-    Mat,
-    Subspace,
-    image_basis,
-    kernel_basis,
-    kron,
-    quotient_maps,
-    solve,
-)
+from .linalg import Mat, Subspace, image_basis, kernel_basis, kron, solve
 from .modules import (
     Module,
     ModuleMap,
-    direct_sum,
-    cokernel,
+    ShortExactSeq,
+    dual_map,
+    dual_module,
     fiber_product,
-    quotient_by_subspace,
     ses_from_submodule,
     submodule_from_subspace,
-    ShortExactSeq,
 )
 from .torsion import (
     ClassSpec,
@@ -153,53 +152,6 @@ class HomSectionFunctor:
         return ModuleMap(src, tgt, Mat.from_cols(p, cols, tgt.dim))
 
 
-class TensorSectionFunctor:
-    """The left adjoint n -> Ae (x)_eAe n of corner restriction."""
-
-    def __init__(self, corner: CornerData):
-        self.corner = corner
-        self.source_algebra = corner.sub
-        self.target_algebra = corner.parent
-        self._cache: dict[Module, tuple[Module, Mat, Mat]] = {}
-
-    def data(self, n: Module) -> tuple[Module, Mat, Mat]:
-        """The module Ae (x) n with projection from and section into the
-        plain tensor space of dimension dim(Ae) * dim(n)."""
-        if n not in self._cache:
-            cd = self.corner
-            p = cd.parent.field.p
-            ae = cd.Ae
-            big = ae.dim * n.dim
-            vecs = []
-            ident_n = Mat.identity(p, n.dim)
-            ident_a = Mat.identity(p, ae.dim)
-            for t in range(cd.sub.dim):
-                rel = kron(ae.right_act[t], ident_n) - kron(ident_a, n.action[t])
-                vecs.extend(rel.transpose().row_list())
-            w = Subspace(p, big, vecs)
-            proj, sect = quotient_maps(w)
-            action = []
-            for a in range(cd.parent.dim):
-                move = kron(ae.left_act[a], ident_n)
-                for k in range(w.dim):
-                    if not w.contains(move.apply(w.basis.row(k))):
-                        raise AssertionError("tensor relations are not stable")
-                action.append(proj @ move @ sect)
-            self._cache[n] = (Module(cd.parent, big - w.dim, action), proj, sect)
-        return self._cache[n]
-
-    def apply(self, n: Module) -> Module:
-        return self.data(n)[0]
-
-    def apply_map(self, g: ModuleMap) -> ModuleMap:
-        cd = self.corner
-        p = cd.parent.field.p
-        src, _, sect_s = self.data(g.source)
-        tgt, proj_t, _ = self.data(g.target)
-        move = kron(Mat.identity(p, cd.Ae.dim), g.mat)
-        return ModuleMap(src, tgt, proj_t @ move @ sect_s)
-
-
 @dataclass
 class GiraudContext:
     """Exact localization l with right adjoint section i."""
@@ -233,17 +185,18 @@ class GiraudContext:
         lm, incl = self.l.data(m)
         iln, space = self.i.data(lm)
         ea = cd.eA
-        ea_idx = [b for b in range(cd.parent.dim)
-                  if cd.parent.endpoints[b][1] in set(cd.positions)]
+        posset = set(cd.positions)
+        # One matrix per eA basis element b: its column t holds the
+        # coordinates in e.m of b.x for the t-th basis vector x of m.
+        restricted = [solve(incl, m.action[b]) for b in range(cd.parent.dim)
+                      if cd.parent.endpoints[b][1] in posset]
+        assert all(x is not None for x in restricted), "eA.m escapes e.m"
         cols = []
         for t in range(m.dim):
             flat = [0] * (lm.dim * ea.dim)
-            for s, b in enumerate(ea_idx):
-                vec = m.action[b].col(t)
-                lvec = solve(incl, Mat(p, m.dim, 1, vec))
-                assert lvec is not None
+            for s, lmat in enumerate(restricted):
                 for r in range(lm.dim):
-                    flat[r * ea.dim + s] = lvec.entry(r, 0)
+                    flat[r * ea.dim + s] = lmat.entry(r, t)
             cols.append(space.coords(flat))
         return ModuleMap(m, iln, Mat.from_cols(p, cols, iln.dim))
 
@@ -275,13 +228,38 @@ class GiraudContext:
         return self.unit(m).is_injective()
 
 
+class TensorSectionFunctor:
+    """The left adjoint n -> Ae (x)_eAe n of corner restriction, read
+    through k-duality D = Hom_k(-, k) as D Hom_(eAe)^op(Ae, Dn): the
+    right section of the opposite corner, conjugated by D."""
+
+    def __init__(self, corner: CornerData, i_op: HomSectionFunctor):
+        self.corner = corner
+        self.i_op = i_op
+        self.source_algebra = corner.sub
+        self.target_algebra = corner.parent
+        self._cache: dict[Module, Module] = {}
+
+    def apply(self, n: Module) -> Module:
+        if n not in self._cache:
+            self._cache[n] = dual_module(self.i_op.apply(dual_module(n)))
+        return self._cache[n]
+
+    def apply_map(self, g: ModuleMap) -> ModuleMap:
+        return dual_map(self.i_op.apply_map(dual_map(g)))
+
+
 @dataclass
 class CoGiraudContext:
-    """Exact colocalization r with left adjoint section j."""
+    """Exact colocalization r with left adjoint section j, the dual of
+    the localization `dual` of the opposite corner: D carries its unit
+    to this counit, its counit to this unit, and its unit-injective
+    modules to the modules with surjective counit."""
 
     corner: CornerData
     j: TensorSectionFunctor
     r: CornerFunctor
+    dual: GiraudContext
 
     # The side: the torsion class (index 0 of a pair) is cut down to the
     # modules with surjective counit.
@@ -302,44 +280,19 @@ class CoGiraudContext:
         return self.in_perp_s(m)
 
     def unit(self, n: Module) -> ModuleMap:
-        """n -> r(j(n)), sending x to the class of e (x) x."""
-        cd = self.corner
-        p = cd.parent.field.p
-        jn, proj, _ = self.j.data(n)
-        rjn, incl = self.r.data(jn)
-        e_row = cd.Ae_e_coords
-        cols = []
-        for u in range(n.dim):
-            flat = [0] * (cd.Ae.dim * n.dim)
-            for s, c in enumerate(e_row):
-                if c:
-                    flat[s * n.dim + u] = c
-            big = proj.apply(flat)
-            rvec = solve(incl, Mat(p, jn.dim, 1, big))
-            assert rvec is not None, "e (x) n is not in the corner part"
-            cols.append(rvec.col(0))
-        return ModuleMap(n, rjn, Mat.from_cols(p, cols, rjn.dim))
+        """n -> r(j(n)), sending x to the class of e (x) x: the dual of
+        the opposite corner's counit at Dn."""
+        return dual_map(self.dual.counit(dual_module(n)))
 
     def counit(self, m: Module) -> ModuleMap:
-        """j(r(m)) -> m, the action map a.e (x) x -> a.x."""
-        cd = self.corner
-        p = cd.parent.field.p
-        rm, incl = self.r.data(m)
-        jrm, proj, sect = self.j.data(rm)
-        ae_idx = [b for b in range(cd.parent.dim)
-                  if cd.parent.endpoints[b][0] in set(cd.positions)]
-        cols = []
-        for s, b in enumerate(ae_idx):
-            for u in range(rm.dim):
-                cols.append((m.action[b] @ incl).col(u))
-        full = Mat.from_cols(p, cols, m.dim)
-        out = ModuleMap(jrm, m, full @ sect)
-        assert out.mat @ proj == full, "tensor relations are not killed"
-        return out
+        """j(r(m)) -> m, the action map a.e (x) x -> a.x: the dual of
+        the opposite corner's unit at Dm."""
+        return dual_map(self.dual.unit(dual_module(m)))
 
     def in_perp_s(self, m: Module) -> bool:
-        """Whether the counit at m is surjective."""
-        return self.counit(m).is_surjective()
+        """Whether the counit at m is surjective, that is, whether the
+        opposite corner's unit at Dm is injective."""
+        return self.dual.in_s_perp(dual_module(m))
 
 
 def giraud_context(corner: CornerData) -> GiraudContext:
@@ -347,8 +300,10 @@ def giraud_context(corner: CornerData) -> GiraudContext:
 
 
 def co_giraud_context(corner: CornerData) -> CoGiraudContext:
-    return CoGiraudContext(corner, TensorSectionFunctor(corner),
-                           CornerFunctor(corner))
+    dual = giraud_context(
+        corner_algebra(opposite_algebra(corner.parent), corner.positions))
+    return CoGiraudContext(corner, TensorSectionFunctor(corner, dual.i),
+                           CornerFunctor(corner), dual)
 
 
 AnyGiraudContext = Union[GiraudContext, CoGiraudContext]
@@ -388,20 +343,15 @@ def hat_decompose(ctx: GiraudContext, pair_c: TorsionPair,
 
 def co_hat_decompose(co: CoGiraudContext, pair_c: TorsionPair,
                      m: Module) -> ShortExactSeq:
-    """Decomposition of m for the co-pulled-back pair: the torsion part
-    is the kernel of m -> pushout of j(r(m)/t) <- j(r(m)) -> m.  Public
-    as the colocalization counterpart of `hat_decompose`, which states
-    the paper's decomposition on the localization side."""
-    rm = co.r.apply(m)
-    t_sub = trace_subspace(pair_c.torsion.generators, rm)
-    fmod, fproj = quotient_by_subspace(rm, t_sub)
-    jq = co.j.apply_map(fproj)
-    eps = co.counit(m)
-    whole, incls, _ = direct_sum(m.algebra, [jq.target, m])
-    combined = incls[0].compose(jq) + incls[1].compose(eps).scale(-1)
-    _, onto = cokernel(combined)
-    to_pushout = onto.compose(incls[1])
-    return ses_from_submodule(m, kernel_basis(to_pushout.mat))
+    """Decomposition of m for the co-pulled-back pair: the dual of the
+    decomposition of Dm for the dual pair (DF, DT) on the opposite
+    corner.  Public as the colocalization counterpart of `hat_decompose`,
+    which states the paper's decomposition on the localization side."""
+    dual_pair = TorsionPair(
+        ClassSpec(tuple(map(dual_module, pair_c.free.generators)), "torsion"),
+        ClassSpec(tuple(map(dual_module, pair_c.torsion.generators)), "free"))
+    ses = hat_decompose(co.dual, dual_pair, dual_module(m))
+    return ShortExactSeq(dual_map(ses.epi), dual_map(ses.mono))
 
 
 def push_pair_classes(ctx_l: CornerFunctor, pair_d: TorsionPair,

@@ -539,10 +539,7 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 def injective_module(alg: Algebra, pos: int) -> Module:
     """The injective envelope of the simple at an idempotent, realized
     as the dual of the opposite projective."""
-    op = opposite_algebra(alg)
-    proj = projective_module(op, pos)
-    # Dualizing an op-module gives back a module over the original algebra.
-    return Module(alg, proj.dim, [a.transpose() for a in proj.action])
+    return dual_module(projective_module(opposite_algebra(alg), pos))
 
 
 def radical_subspace(m: Module) -> Subspace:

@@ -484,14 +484,9 @@ def reconstruct_serre(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
     the roundtrip claims on the enumerated universes."""
     _require_side(hctx, GiraudContext, "reconstruct_serre")
     base = hctx.base
-    for m in uni_d.nonzero_members():
-        if not hctx.pair_d.in_torsion(m):
-            continue
-        back = i_heart(hctx, l_heart(hctx, one_term(m)))
-        if cohomology(back, -1).dim != 0 \
-                or not hctx.pair_d.in_torsion(cohomology(back, 0)):
-            raise ValueError("compatibility hypothesis fails at "
-                             f"{uni_d.signature(m)}")
+    stalks = _stalk_failures(hctx, uni_d)
+    if stalks:
+        raise ValueError(f"compatibility hypothesis fails: {stalks[0]}")
 
     membership = tuple(_recovered_member(hctx, m) for m in uni_d.members)
     matches = all(got == base.in_s(m)
@@ -511,8 +506,7 @@ def reconstruct_serre(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
         if not serre:
             break
 
-    pushed = push_pair(base, hctx.pair_d, uni_d, uni_c)
-    pair_ok = pushed.ok and is_torsion_pair(pushed.pair, uni_c).ok
+    pair_ok = is_torsion_pair(hctx.pair_c, uni_c).ok
 
     ups = heart_class_reps(hctx.ts_d, uni_d, dim_bound)
     downs = heart_class_reps(hctx.ts_c, uni_c, dim_bound)
@@ -546,6 +540,6 @@ def reconstruct_serre(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
             context_ok = False
             break
 
-    return ReconstructionReport(membership, pushed.pair, tuple(table),
+    return ReconstructionReport(membership, hctx.pair_c, tuple(table),
                                 serre, pair_ok, equivalence,
                                 context_ok, generates, matches)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from quivertilt import enumeration, torsion
-from quivertilt.algebras import corner_algebra
+from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
 from quivertilt.enumeration import is_isomorphic, universe
 from quivertilt.giraud import (
     co_giraud_context,
@@ -25,7 +25,24 @@ from quivertilt.giraud import (
     verify_bijection,
     verify_co_bijection,
 )
-from quivertilt.modules import direct_sum, projective_module, simple_module
+from quivertilt.linalg import (
+    Field,
+    Mat,
+    Subspace,
+    image_basis,
+    kron,
+    quotient_maps,
+    solve,
+)
+from quivertilt.modules import (
+    Module,
+    ModuleMap,
+    direct_sum,
+    dual_module,
+    projective_module,
+    simple_module,
+)
+from quivertilt.quivers import Quiver
 from quivertilt.torsion import (
     ClassSpec,
     TorsionPair,
@@ -125,6 +142,131 @@ def test_triangle_identities(ctx2, co2, a2):
         assert tri.mat == tri.mat.identity(2, ten.dim)
 
 
+# -- the tensor-quotient reference for the colocalization side --
+
+def _ae_bimodule(cd):
+    """Ae as an (A, eAe)-bimodule, from the parent's multiplication:
+    its basis, the left action of A, the right action of eAe, and the
+    coordinates of e."""
+    alg = cd.parent
+    p = alg.field.p
+    basis = tuple(b for b in range(alg.dim)
+                  if alg.endpoints[b][0] in set(cd.positions))
+    pos_of = {b: t for t, b in enumerate(basis)}
+    d = len(basis)
+
+    def mats(acting, product):
+        out = []
+        for a in acting:
+            data = [0] * (d * d)
+            for t, b in enumerate(basis):
+                vec = product(alg.basis_vec(a), alg.basis_vec(b))
+                for k, c in enumerate(vec):
+                    if c:
+                        data[pos_of[k] * d + t] = c
+            out.append(Mat(p, d, d, data))
+        return out
+
+    left = mats(range(alg.dim), alg.mul_vecs)
+    right = mats(cd.kept, lambda a, b: alg.mul_vecs(b, a))
+    return basis, left, right, tuple(cd.e_vec[b] for b in basis)
+
+
+class _TensorReference:
+    """j(n) = Ae (x)_eAe n as the quotient of the plain tensor space by
+    the balancing relations, with the unit x |-> e (x) x and the counit
+    a.e (x) x |-> a.x written out by hand."""
+
+    def __init__(self, cd):
+        self.cd = cd
+        self.basis, self.left, self.right, self.e_row = _ae_bimodule(cd)
+
+    def data(self, n):
+        cd, p, d = self.cd, self.cd.parent.field.p, len(self.basis)
+        ident_n, ident_a = Mat.identity(p, n.dim), Mat.identity(p, d)
+        vecs = []
+        for t in range(cd.sub.dim):
+            rel = kron(self.right[t], ident_n) - kron(ident_a, n.action[t])
+            vecs.extend(rel.transpose().row_list())
+        w = Subspace(p, d * n.dim, vecs)
+        proj, sect = quotient_maps(w)
+        action = [proj @ kron(left, ident_n) @ sect for left in self.left]
+        return Module(cd.parent, d * n.dim - w.dim, action), proj, sect
+
+    def apply(self, n):
+        return self.data(n)[0]
+
+    def unit(self, co, n):
+        p = self.cd.parent.field.p
+        jn, proj, _ = self.data(n)
+        rjn, incl = co.r.data(jn)
+        cols = []
+        for u in range(n.dim):
+            flat = [0] * (len(self.basis) * n.dim)
+            for s, c in enumerate(self.e_row):
+                if c:
+                    flat[s * n.dim + u] = c
+            rvec = solve(incl, Mat(p, jn.dim, 1, proj.apply(flat)))
+            cols.append(rvec.col(0))
+        return ModuleMap(n, rjn, Mat.from_cols(p, cols, rjn.dim))
+
+    def counit(self, co, m):
+        p = self.cd.parent.field.p
+        rm, incl = co.r.data(m)
+        jrm, _, sect = self.data(rm)
+        cols = [(m.action[b] @ incl).col(u)
+                for b in self.basis for u in range(rm.dim)]
+        return ModuleMap(jrm, m, Mat.from_cols(p, cols, m.dim) @ sect)
+
+
+_CORNER_ALGEBRAS = {
+    # p, quiver, universe bound
+    "A2/F_2": (2, Quiver((1, 2), ((1, 2, "a"),)), 2),
+    "A2/F_3": (3, Quiver((1, 2), ((1, 2, "a"),)), 2),
+    "A3/F_2": (2, Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b"))), 3),
+    "A3 1->2<-3/F_2": (2, Quiver((1, 2, 3), ((1, 2, "a"), (3, 2, "b"))), 3),
+    "A3/F_3": (3, Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b"))), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_CORNER_ALGEBRAS))
+def test_dual_colocalization_matches_the_tensor_quotient(name):
+    # On every proper corner: Ae is eA of the opposite corner, j = D i^op D
+    # agrees with the tensor quotient up to isomorphism, and the unit and
+    # counit verdicts agree with the hand-written maps.
+    p, quiver, bound = _CORNER_ALGEBRAS[name]
+    alg = path_algebra(Field(p), quiver)
+    uni_d = universe(alg, bound)
+    n_idem = len(alg.idem)
+    corners = [tuple(k for k in range(n_idem) if mask >> k & 1)
+               for mask in range(1, 2 ** n_idem - 1)]
+    for positions in corners:
+        cd = corner_algebra(alg, positions)
+        co = co_giraud_context(cd)
+        ref = _TensorReference(cd)
+        ea_op = corner_algebra(opposite_algebra(alg), positions).eA
+        assert ea_op.labels == tuple(alg.labels[b] for b in ref.basis)
+        assert (ea_op.left_act, ea_op.right_act) == (tuple(ref.right),
+                                                     tuple(ref.left))
+        assert co.dual.corner.eA_e_coords == ref.e_row
+        for n in universe(cd.sub, bound).members:
+            jn, want = co.j.apply(n), ref.apply(n)
+            assert jn.vertex_dims() == want.vertex_dims()
+            assert is_isomorphic(jn, want)
+            assert co.unit(n).is_injective() == ref.unit(co, n).is_injective()
+        verdicts = set()
+        for m in uni_d.members:
+            # D commutes with restriction on the nose, not just up to
+            # isomorphism, so the dual maps compose with r's.
+            assert dual_module(co.r.apply(m)) == co.dual.l.apply(dual_module(m))
+            want = ref.counit(co, m)
+            # Both counits land in m, on the submodule A.e.m.
+            assert image_basis(co.counit(m).mat) == image_basis(want.mat)
+            assert co.in_perp_s(m) == want.is_surjective()
+            verdicts.add(co.in_perp_s(m))
+        assert verdicts == {True, False}
+
+
 def corner_pairs(ctx):
     uni_c = universe(ctx.corner.sub, 2)
     return uni_c, enumerate_torsion_pairs(uni_c)
@@ -178,6 +320,22 @@ def test_co_hat_decompose_a2(co2, a2):
             ses = co_hat_decompose(co2, pair_c, m)
             ses.check()
             assert hat.in_torsion(ses.sub)
+            assert hat.in_free(ses.quot)
+            assert ses.sub.dim == hat.torsion_subspace(m).dim
+
+
+def test_co_hat_decompose_a3(co3, a3):
+    # The dual decomposition embeds exactly the trace of the co-pulled-back
+    # torsion class, on every module up to dimension 3 and every pair.
+    uni_d = universe(a3, 3)
+    uni_c = universe(co3.corner.sub, 2)
+    for pair_c in enumerate_torsion_pairs(uni_c):
+        hat = hat_pair(co3, pair_c, uni_d)
+        for m in uni_d.nonzero_members():
+            ses = co_hat_decompose(co3, pair_c, m)
+            ses.check()
+            assert ses.middle == m
+            assert image_basis(ses.mono.mat) == hat.torsion_subspace(m)
             assert hat.in_free(ses.quot)
 
 

@@ -267,6 +267,17 @@ def test_stalk_check_flags_the_class_not_cut_down(g2):
     assert _stalk_failures(g2.co_hctx, g2.uni_d) == []
 
 
+def test_reconstruction_rejects_an_incompatible_section(g2):
+    # The same patched section makes the reconstruction refuse its
+    # hypothesis, naming the first failing torsion stalk.
+    s2 = g2.uni_d.indecs[0]
+    loc = _with_section(g2.hctx, lambda hctx, n: one_term(s2, 1))
+    with pytest.raises(ValueError, match=(
+            r"^compatibility hypothesis fails: section of a collapsed "
+            r"torsion stalk left the torsion stalks at \(1,\)$")):
+        reconstruct_serre(loc, g2.uni_d, g2.uni_c)
+
+
 def test_quotient_report(g2):
     report = verify_heart_quotient(g2.hctx, g2.uni_d, g2.uni_c)
     assert report.ok
