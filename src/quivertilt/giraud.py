@@ -30,7 +30,7 @@ exhaustively on bounded universes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Union
 
 from .algebras import CornerData, corner_algebra, opposite_algebra
@@ -300,8 +300,18 @@ def giraud_context(corner: CornerData) -> GiraudContext:
 
 
 def co_giraud_context(corner: CornerData) -> CoGiraudContext:
-    dual = giraud_context(
-        corner_algebra(opposite_algebra(corner.parent), corner.positions))
+    """The colocalization at a corner, read off the localization at the
+    same corner of the opposite algebra.  That corner is taken over
+    opposite_algebra(corner.sub) itself, so the duals of its modules
+    land on corner.sub; ValueError if the two algebras differ."""
+    op_sub = opposite_algebra(corner.sub)
+    op_corner = corner_algebra(opposite_algebra(corner.parent),
+                               corner.positions)
+    if op_corner.sub != op_sub:
+        raise ValueError("the corner of the opposite algebra is not the "
+                         "opposite of the corner algebra")
+    dual = giraud_context(replace(op_corner, sub=op_sub,
+                                  eA=replace(op_corner.eA, left_alg=op_sub)))
     return CoGiraudContext(corner, TensorSectionFunctor(corner, dual.i),
                            CornerFunctor(corner), dual)
 

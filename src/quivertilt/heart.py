@@ -9,6 +9,12 @@ are truncations of shifted cones.  Objects of the heart are represented
 by two-term complexes in degrees [-1, 0] whose outer cohomologies land
 in the free and torsion classes.
 
+The truncations of a complex depend on the pair only through that
+preimage, the aisle subspace of degree zero.  They are built once per
+(complex, aisle subspace), so every pair that cuts a complex at the
+same subspace gets back the same truncation objects, and with them the
+same cohomology, rank caches and cache keys.
+
 Over a hereditary algebra every heart object splits as F[1] + T with F
 free and T torsion (Happel-Reiten-Smalo, Mem. AMS 575, 1996): the
 extension 0 -> F[1] -> X -> T -> 0 is classified by
@@ -127,29 +133,22 @@ def induced_t_structure(pair: TorsionPair) -> InducedTStructure:
 
 
 @lru_cache(maxsize=None)
-def _degree_zero_part(ts: InducedTStructure, c: Complex,
-                      ) -> tuple[Subspace, Module, ModuleMap]:
+def _aisle_subspace(ts: InducedTStructure, c: Complex) -> Subspace:
     """The preimage of the torsion part of H^0 inside the cycles of
-    degree zero, as a submodule of the degree-zero component."""
-    c0 = c.component(0)
+    degree zero: all that the truncations of c read off the pair."""
     data = cohomology_data(c, 0)
     th = ts.pair.torsion_subspace(data.h)
     tproj, _ = quotient_maps(th)
     pre = kernel_basis(tproj @ data.h_proj.mat)
     vecs = [data.cycles_incl.mat.apply(v) for v in pre.basis.row_list()]
-    x_sub = Subspace(c.algebra.field.p, c0.dim, vecs)
-    x_mod, x_incl = submodule_from_subspace(c0, x_sub)
-    return x_sub, x_mod, x_incl
+    return Subspace(c.algebra.field.p, c.component(0).dim, vecs)
 
 
 @lru_cache(maxsize=None)
-def truncate_le0(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
-    """The aisle truncation, with its inclusion into c.
-
-    Everything below degree zero is kept; the degree-zero term shrinks
-    to the preimage of the torsion part of H^0 in the cycles.
-    """
-    _, x_mod, x_incl = _degree_zero_part(ts, c)
+def _cut_below(c: Complex, x_sub: Subspace) -> tuple[Complex, ChainMap]:
+    """c with degree zero shrunk to x_sub and nothing above, with its
+    inclusion into c."""
+    x_mod, x_incl = submodule_from_subspace(c.component(0), x_sub)
     lo = min(c.lo, 0)
     comps = [c.component(i) for i in range(lo, 0)] + [x_mod]
     diffs = [c.diff(i) for i in range(lo, -1)]
@@ -165,15 +164,10 @@ def truncate_le0(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
 
 
 @lru_cache(maxsize=None)
-def truncate_ge1(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
-    """The coaisle truncation at level one, with the projection from c.
-
-    Degree zero becomes the quotient by the aisle part; everything above
-    is kept, everything below is dropped.
-    """
-    x_sub, _, _ = _degree_zero_part(ts, c)
-    c0 = c.component(0)
-    q_mod, q_proj = quotient_by_subspace(c0, x_sub)
+def _cut_above(c: Complex, x_sub: Subspace) -> tuple[Complex, ChainMap]:
+    """c with degree zero divided by x_sub and nothing below, with the
+    projection from c."""
+    q_mod, q_proj = quotient_by_subspace(c.component(0), x_sub)
     sol = solve(q_proj.mat.transpose(), c.diff(0).mat.transpose())
     assert sol is not None, "differential does not descend to the quotient"
     comps = [q_mod] + [c.component(i) for i in range(1, c.hi + 1)]
@@ -188,6 +182,27 @@ def truncate_ge1(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
     return q, ChainMap(c, q, proj_comps)
 
 
+def truncate_le0(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
+    """The aisle truncation, with its inclusion into c.
+
+    Everything below degree zero is kept; the degree-zero term shrinks
+    to the preimage of the torsion part of H^0 in the cycles.  It
+    depends on the pair only through that subspace, so pairs that cut c
+    at the same subspace get back the same objects.
+    """
+    return _cut_below(c, _aisle_subspace(ts, c))
+
+
+def truncate_ge1(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
+    """The coaisle truncation at level one, with the projection from c.
+
+    Degree zero becomes the quotient by the aisle subspace; everything
+    above is kept, everything below is dropped.  Like `truncate_le0` it
+    is shared by the pairs that cut c at the same subspace.
+    """
+    return _cut_above(c, _aisle_subspace(ts, c))
+
+
 def truncate_ge(ts: InducedTStructure, c: Complex, n: int,
                 ) -> tuple[Complex, ChainMap]:
     q, proj = truncate_ge1(ts, c.shift(n - 1))
@@ -196,14 +211,14 @@ def truncate_ge(ts: InducedTStructure, c: Complex, n: int,
 
 def truncate_le0_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
     """The truncation applied to a chain map."""
-    tr_s, _ = truncate_le0(ts, f.source)
-    tr_t, _ = truncate_le0(ts, f.target)
-    _, xs_mod, xs_incl = _degree_zero_part(ts, f.source)
-    _, xt_mod, xt_incl = _degree_zero_part(ts, f.target)
+    tr_s, incl_s = truncate_le0(ts, f.source)
+    tr_t, incl_t = truncate_le0(ts, f.target)
+    xs_incl = incl_s.component(0)
+    xt_incl = incl_t.component(0)
     restricted = solve(xt_incl.mat, f.component(0).mat @ xs_incl.mat)
     assert restricted is not None, "map does not respect the truncation"
     comps: dict[int, ModuleMap] = {
-        0: ModuleMap(xs_mod, xt_mod, restricted)}
+        0: ModuleMap(xs_incl.source, xt_incl.source, restricted)}
     for i in range(min(tr_s.lo, tr_t.lo), 0):
         comps[i] = f.component(i)
     return ChainMap(tr_s, tr_t, comps)

@@ -10,6 +10,8 @@ compatible on each side, matching the two corner pairs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from quivertilt import enumeration, torsion
@@ -39,6 +41,7 @@ from quivertilt.modules import (
     ModuleMap,
     direct_sum,
     dual_module,
+    injective_module,
     projective_module,
     simple_module,
 )
@@ -265,6 +268,50 @@ def test_dual_colocalization_matches_the_tensor_quotient(name):
             assert co.in_perp_s(m) == want.is_surjective()
             verdicts.add(co.in_perp_s(m))
         assert verdicts == {True, False}
+
+
+def _stalks(alg):
+    """The simple, projective and injective modules over alg itself."""
+    return [make(alg, pos) for pos in range(len(alg.idem))
+            for make in (simple_module, projective_module, injective_module)]
+
+
+@pytest.mark.parametrize("name", ["A2/F_2", "A2/F_3", "A3/F_2", "A3/F_3"])
+def test_colocalization_stays_on_the_corner_algebra(name):
+    # The opposite corner is taken over the opposite of corner.sub, so
+    # the duals of the co side land on corner.sub and on the parent
+    # themselves, not on equal copies; a second context keeps the link.
+    p, quiver, _ = _CORNER_ALGEBRAS[name]
+    alg = path_algebra(Field(p), quiver)
+    n_idem = len(alg.idem)
+    for mask in range(1, 2 ** n_idem - 1):
+        cd = corner_algebra(alg, [k for k in range(n_idem) if mask >> k & 1])
+        co = co_giraud_context(cd)
+        op_sub = co.dual.corner.sub
+        assert op_sub is opposite_algebra(cd.sub)
+        assert opposite_algebra(op_sub) is cd.sub
+        assert co.dual.corner.eA.left_alg is op_sub
+        assert co_giraud_context(cd).dual.corner.sub is op_sub
+        assert opposite_algebra(cd.sub) is op_sub
+        # Built here rather than read from a universe, whose cache may
+        # hand back modules over an equal algebra of another test.
+        for n in _stalks(cd.sub):
+            unit = co.unit(n)
+            assert unit.source.algebra is cd.sub
+            assert unit.target.algebra is cd.sub
+        for m in _stalks(alg):
+            counit = co.counit(m)
+            assert counit.source.algebra is alg
+            assert counit.target.algebra is alg
+
+
+def test_colocalization_rejects_a_corner_over_another_algebra(a2):
+    # A corner that claims the opposite of its own corner algebra: the
+    # corner of the opposite parent is then not the opposite of it.
+    cd = corner_algebra(a2, (0, 1))
+    bad = replace(cd, sub=opposite_algebra(cd.sub))
+    with pytest.raises(ValueError, match="not the opposite"):
+        co_giraud_context(bad)
 
 
 def corner_pairs(ctx):

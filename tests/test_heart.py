@@ -13,6 +13,7 @@ freezing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -69,7 +70,9 @@ from quivertilt.heart import (
     tilted_pair_report,
     truncate_ge,
     truncate_ge1,
+    truncate_ge1_map,
     truncate_le0,
+    truncate_le0_map,
 )
 from quivertilt.linalg import Field, Mat, all_vectors, image_basis
 from quivertilt.modules import (
@@ -925,8 +928,8 @@ def test_truncation_solves_read_unit_rows(a2, monkeypatch):
     uni1 = universe(a2, 1)
     uni2 = universe(a2, 2)
     sample = enumerate_complexes(uni1, -1, 1, 1, total_bound=3)
-    for cached in (heart._degree_zero_part, heart.truncate_le0,
-                   heart.truncate_ge1, complexes.cohomology_data):
+    for cached in (heart._aisle_subspace, heart._cut_below,
+                   heart._cut_above, complexes.cohomology_data):
         cached.cache_clear()
     solve_code = linalg.solve.__code__
     reduced_in_solve = []
@@ -953,6 +956,92 @@ def test_truncation_solves_read_unit_rows(a2, monkeypatch):
         assert t_structure_report(induced_t_structure(pair), sample).ok
     assert read
     assert reduced_in_solve == []
+
+
+def _a2_pairs_and_sample(a2):
+    """The 5 induced t-structures of A2/F_2 and a sample of complexes."""
+    structures = [induced_t_structure(pair)
+                  for pair in enumerate_torsion_pairs(universe(a2, 2))]
+    assert len(structures) == 5
+    sample = enumerate_complexes(universe(a2, 1), -1, 1, 1, total_bound=3)
+    return structures, sample
+
+
+def test_pairs_that_cut_alike_share_the_truncation(a2):
+    # A truncation reads the pair only through the aisle subspace of
+    # degree zero, so two pairs get back the same objects exactly when
+    # they cut the complex at the same subspace.
+    structures, sample = _a2_pairs_and_sample(a2)
+    verdicts = set()
+    for c in sample:
+        for ts1, ts2 in itertools.combinations(structures, 2):
+            same = (heart._aisle_subspace(ts1, c)
+                    == heart._aisle_subspace(ts2, c))
+            verdicts.add(same)
+            for truncate in (truncate_le0, truncate_ge1):
+                assert (truncate(ts1, c)[0] is truncate(ts2, c)[0]) == same
+    assert verdicts == {True, False}
+
+
+def test_report_cuts_each_complex_once_per_aisle_subspace(a2, monkeypatch):
+    # Over all five pairs the report builds one submodule and one
+    # quotient per distinct (complex, aisle subspace), not one per
+    # (pair, complex).
+    structures, sample = _a2_pairs_and_sample(a2)
+    for cached in (heart._aisle_subspace, heart._cut_below,
+                   heart._cut_above):
+        cached.cache_clear()
+    calls = {"sub": 0, "quo": 0}
+    real_sub = heart.submodule_from_subspace
+    real_quo = heart.quotient_by_subspace
+
+    def counted_sub(*args):
+        calls["sub"] += 1
+        return real_sub(*args)
+
+    def counted_quo(*args):
+        calls["quo"] += 1
+        return real_quo(*args)
+
+    monkeypatch.setattr(heart, "submodule_from_subspace", counted_sub)
+    monkeypatch.setattr(heart, "quotient_by_subspace", counted_quo)
+    for ts in structures:
+        assert t_structure_report(ts, sample).ok
+    cuts = {(c, heart._aisle_subspace(ts, c))
+            for ts in structures for c in sample}
+    assert len(cuts) < len(structures) * len(sample)
+    assert calls == {"sub": len(cuts), "quo": len(cuts)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_truncated_maps_commute_with_the_cuts(p):
+    # The cover P1 -> S1, the identity of P1 and the truncation maps of
+    # P1, under every pair: both truncated maps are chain maps, and in
+    # degree zero the restriction commutes with the inclusions and the
+    # descent with the projections.
+    alg = path_algebra(Field(p), _A2)
+    s1 = simple_module(alg, 0)
+    p1 = projective_module(alg, 0)
+    _, _, cover = syzygy(s1)
+    for pair in enumerate_torsion_pairs(universe(alg, 2)):
+        ts = induced_t_structure(pair)
+        maps = [ChainMap(one_term(p1), one_term(s1), {0: cover}),
+                ChainMap.identity(one_term(p1)),
+                truncate_le0(ts, one_term(p1))[1],
+                truncate_ge1(ts, one_term(p1))[1]]
+        for f in maps:
+            low = truncate_le0_map(ts, f)
+            high = truncate_ge1_map(ts, f)
+            low.check()
+            high.check()
+            incl_s = truncate_le0(ts, f.source)[1].component(0)
+            incl_t = truncate_le0(ts, f.target)[1].component(0)
+            assert (incl_t.compose(low.component(0))
+                    == f.component(0).compose(incl_s))
+            proj_s = truncate_ge1(ts, f.source)[1].component(0)
+            proj_t = truncate_ge1(ts, f.target)[1].component(0)
+            assert (high.component(0).compose(proj_s)
+                    == proj_t.compose(f.component(0)))
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -1,9 +1,13 @@
-"""No library module imports a name it does not use.
+"""No library module imports a name it does not use, and no library
+module defines a private function or class that nothing references.
 
-There is no linter in the toolchain, so this scan stands in for one: it
-parses every module of src/quivertilt and fails on a module-level import
-whose bound name is never read in that module, neither in code, nor in a
-quoted annotation, nor in `__all__`.
+There is no linter in the toolchain, so these scans stand in for one.
+They parse every module of src/quivertilt.  The first fails on a
+module-level import whose bound name is never read in that module,
+neither in code, nor in a quoted annotation, nor in `__all__`.  The
+second fails on a module-level function or class with a private name
+that no library module reads, imports or reaches as an attribute,
+outside its own definition.
 """
 
 from __future__ import annotations
@@ -89,3 +93,67 @@ def test_library_has_no_unused_imports():
     # The allowlisted re-export is still imported, so the entry is live.
     heart = ast.parse((SRC / "heart.py").read_text())
     assert "NotHereditary" in _imported(heart)
+
+
+def _private_defs(tree: ast.Module) -> list[ast.stmt]:
+    """The module-level functions and classes with a private name."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _referenced(stmts: list[ast.stmt]) -> set[str]:
+    """Names the statements read, import or reach as an attribute."""
+    names = _read(ast.Module(body=stmts, type_ignores=[]))
+    for stmt in stmts:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level definitions, as "module:line name", that no
+    module references outside the definition itself."""
+    trees = {name: ast.parse(text, filename=name)
+             for name, text in sources.items()}
+    refs = {name: _referenced(tree.body) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(r for n, r in refs.items() if n != name))
+        for node in _private_defs(tree):
+            rest = [stmt for stmt in tree.body if stmt is not node]
+            if node.name not in elsewhere | _referenced(rest):
+                found.append(f"{name}:{node.lineno} defines {node.name} "
+                             "but nothing references it")
+    return found
+
+
+def test_scan_sees_an_unreferenced_private():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n"
+                "def _recursive():\n    return _recursive()\n\n"
+                "class _Shape:\n    pass\n\n"
+                "def f(x: '_Shape'):\n    return _used()\n",
+        "b.py": "from .a import _imported\nfrom . import a\n\n"
+                "def g():\n    return a._attr()\n",
+        "c.py": "def _imported():\n    pass\n\n"
+                "def _attr():\n    pass\n\n"
+                "class _Dead:\n    pass\n",
+    }
+    assert unreferenced_privates(sources) == [
+        "a.py:4 defines _recursive but nothing references it",
+        "c.py:7 defines _Dead but nothing references it"]
+
+
+def test_library_has_no_unreferenced_privates():
+    paths = sorted(SRC.rglob("*.py"))
+    sources = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in paths}
+    assert unreferenced_privates(sources) == []
+    # The scan has something to check.
+    assert sum(len(_private_defs(ast.parse(text)))
+               for text in sources.values()) > 40
