@@ -45,6 +45,8 @@ class Algebra:
         self._euler_form = None
         # Set by opposite_algebra on first use, on both algebras.
         self._opposite = None
+        # Filled by enumeration.universe, one universe per bound.
+        self._universes = {}
 
     # -- element arithmetic on coordinate tuples --
 

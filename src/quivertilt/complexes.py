@@ -32,7 +32,7 @@ from .modules import (
 
 
 class Complex:
-    __slots__ = ("algebra", "lo", "components", "diffs", "_hash")
+    __slots__ = ("algebra", "lo", "components", "diffs", "_hash", "_dual")
 
     def __init__(self, algebra: Algebra, lo: int, components: Iterable[Module],
                  diffs: Iterable[ModuleMap]):
@@ -57,6 +57,8 @@ class Complex:
         self.components = tuple(components)
         self.diffs = tuple(diffs)
         self._hash: Optional[int] = None
+        # Set by derived.dual_complex on first use, on both complexes.
+        self._dual: Optional[Complex] = None
 
     def check(self) -> None:
         """Raise ValueError unless every component lies over the algebra,

@@ -12,14 +12,21 @@ Morphisms are chain maps.  A morphism x -> y is represented by a chain
 map from the canonical projective resolution of x to y; equality is
 equality up to homotopy, composition lifts representatives through
 quasi-isomorphisms by solving the corresponding linear systems, and
-isomorphy is quasi-isomorphy of the representative.  A lift through an
-identity is the map itself and costs no solve; so does composing
-through a complex of projectives, which is its own resolution.
-`derived_hom0` builds a basis of Hom_D(x, y) this way; its dimension
-is the independent oracle for the split formula.  Everything stays
-exact: a lift either exists and is found, or an assertion fires.  The
-chain maps built here commute by construction and are not checked as
-they are built; `ChainMap.check` verifies one on request.
+isomorphy is quasi-isomorphy of the representative.  `derived_hom0`
+builds a basis of Hom_D(x, y) this way; its dimension is the
+independent oracle for the split formula.  Everything stays exact: a
+lift either exists and is found, or an assertion fires.  The chain maps
+built here commute by construction and are not checked as they are
+built; `ChainMap.check` verifies one on request.
+
+Each complex has one projective resolution, and `lift_postcompose` is
+the only lift.  The rule "a lift through an identity is the map itself,
+at no solve" lives there alone, so composing through a complex of
+projectives, which is its own resolution, costs no solve either.  There
+are no injective coresolutions: k-duality (`dual_complex`,
+`dual_chain_map`) turns a projective resolution over the opposite
+algebra into one, and `tiltbridge` reads the heart's right section, the
+one right-derived construction, through it.
 """
 
 from __future__ import annotations
@@ -108,13 +115,18 @@ def projective_resolution(c: Complex) -> tuple[Complex, ChainMap]:
 
 
 def dual_complex(c: Complex) -> Complex:
-    """The linear dual over the opposite algebra, with degrees negated."""
-    op = opposite_algebra(c.algebra)
-    if c.is_zero():
-        return Complex.zero(op)
-    comps = [dual_module(c.component(-i)) for i in range(-c.hi, -c.lo + 1)]
-    diffs = [dual_map(c.diff(-i - 1)) for i in range(-c.hi, -c.lo)]
-    return Complex(op, -c.hi, comps, diffs)
+    """The linear dual over the opposite algebra, with degrees negated,
+    built once per complex.  The two are linked, so the dual of the dual
+    is c itself."""
+    if c._dual is None:
+        op = opposite_algebra(c.algebra)
+        comps = [dual_module(c.component(-i))
+                 for i in range(-c.hi, -c.lo + 1)]
+        diffs = [dual_map(c.diff(-i - 1)) for i in range(-c.hi, -c.lo)]
+        d = Complex(op, -c.hi, comps, diffs) if comps else Complex.zero(op)
+        d._dual = c
+        c._dual = d
+    return c._dual
 
 
 def dual_chain_map(f: ChainMap) -> ChainMap:
@@ -123,26 +135,6 @@ def dual_chain_map(f: ChainMap) -> ChainMap:
     comps = {i: dual_map(f.component(-i))
              for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1)}
     return ChainMap(src, tgt, comps)
-
-
-def _is_injective_complex(c: Complex) -> bool:
-    from .modules import is_injective
-
-    return all(is_injective(m) for m in c.components)
-
-
-@lru_cache(maxsize=None)
-def injective_coresolution(c: Complex) -> tuple[Complex, ChainMap]:
-    """A bounded complex of injectives under c, by dualizing a
-    projective resolution over the opposite algebra."""
-    if c.is_zero() or _is_injective_complex(c):
-        return c, ChainMap.identity(c)
-    res, comparison = projective_resolution(dual_complex(c))
-    cores = dual_complex(res)
-    into = dual_chain_map(comparison)
-    assert into.source == c, "double dual failed to return to the source"
-    assert is_quasi_iso(into), "coresolution comparison map failed"
-    return cores, into
 
 
 # -- graded map coordinates --
@@ -336,21 +328,6 @@ def lift_postcompose(q: ChainMap, f: ChainMap) -> ChainMap:
                           lambda i, h: (q.component(i).mat @ h.mat).data)
     assert sol is not None, "no lift through the quasi-isomorphism"
     return ChainMap(f.source, q.source, gridg.comps_from(sol))
-
-
-def lift_precompose(w: ChainMap, v: ChainMap) -> ChainMap:
-    """g with g . w homotopic to v, for w a quasi-isomorphism out of a
-    shared source and v into a bounded complex of injectives.  Against
-    an identity w the lift is v itself, returned without a solve."""
-    if w.source != v.source:
-        raise ValueError("lift needs a common source")
-    if _is_identity(w):
-        return v
-    gridg = _MapGrid(w.target, v.target, 0)
-    sol = _solve_homotopy(v, gridg,
-                          lambda i, h: (h.mat @ w.component(i).mat).data)
-    assert sol is not None, "no lift against the quasi-isomorphism"
-    return ChainMap(w.target, v.target, gridg.comps_from(sol))
 
 
 # -- derived morphisms --

@@ -150,11 +150,12 @@ def enumerate_modules(alg: Algebra, dim_bound: int) -> list[Module]:
     return reps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuleUniverse:
     """All modules of bounded total dimension, as sums of enumerated
     indecomposables.  Signatures are sorted tuples of indecomposable
-    indices, so class comparisons are plain set comparisons."""
+    indices, so class comparisons are plain set comparisons.  Equality
+    is identity, so caches keyed by a universe answer over its members."""
 
     algebra: Algebra
     dim_bound: int
@@ -200,9 +201,12 @@ class ModuleUniverse:
         return [m for m in self.members if m.dim > 0]
 
 
-@lru_cache(maxsize=None)
 def universe(alg: Algebra, dim_bound: int) -> ModuleUniverse:
-    return ModuleUniverse.build(alg, dim_bound)
+    """The universe at the bound, kept on the algebra object, so its
+    members lie over alg itself and not over an equal algebra."""
+    if dim_bound not in alg._universes:
+        alg._universes[dim_bound] = ModuleUniverse.build(alg, dim_bound)
+    return alg._universes[dim_bound]
 
 
 @lru_cache(maxsize=None)

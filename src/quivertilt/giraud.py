@@ -301,7 +301,25 @@ def giraud_context(corner: CornerData) -> GiraudContext:
 
 def co_giraud_context(corner: CornerData) -> CoGiraudContext:
     """The colocalization at a corner, read off the localization at the
-    same corner of the opposite algebra.  That corner is taken over
+    same corner of the opposite algebra; ValueError if that corner is not
+    the opposite of corner.sub."""
+    return _colocalization(corner, giraud_context(_opposite_corner(corner)))
+
+
+def opposite_colocalization(ctx: GiraudContext) -> CoGiraudContext:
+    """The colocalization at the same corner of the opposite algebra,
+    with ctx itself as its `dual`: no second section functor is built."""
+    return _colocalization(_opposite_corner(ctx.corner), ctx)
+
+
+def _colocalization(corner: CornerData,
+                    dual: GiraudContext) -> CoGiraudContext:
+    return CoGiraudContext(corner, TensorSectionFunctor(corner, dual.i),
+                           CornerFunctor(corner), dual)
+
+
+def _opposite_corner(corner: CornerData) -> CornerData:
+    """The same corner of the opposite algebra, taken over
     opposite_algebra(corner.sub) itself, so the duals of its modules
     land on corner.sub; ValueError if the two algebras differ."""
     op_sub = opposite_algebra(corner.sub)
@@ -310,10 +328,8 @@ def co_giraud_context(corner: CornerData) -> CoGiraudContext:
     if op_corner.sub != op_sub:
         raise ValueError("the corner of the opposite algebra is not the "
                          "opposite of the corner algebra")
-    dual = giraud_context(replace(op_corner, sub=op_sub,
-                                  eA=replace(op_corner.eA, left_alg=op_sub)))
-    return CoGiraudContext(corner, TensorSectionFunctor(corner, dual.i),
-                           CornerFunctor(corner), dual)
+    return replace(op_corner, sub=op_sub,
+                   eA=replace(op_corner.eA, left_alg=op_sub))
 
 
 AnyGiraudContext = Union[GiraudContext, CoGiraudContext]
@@ -357,10 +373,7 @@ def co_hat_decompose(co: CoGiraudContext, pair_c: TorsionPair,
     decomposition of Dm for the dual pair (DF, DT) on the opposite
     corner.  Public as the colocalization counterpart of `hat_decompose`,
     which states the paper's decomposition on the localization side."""
-    dual_pair = TorsionPair(
-        ClassSpec(tuple(map(dual_module, pair_c.free.generators)), "torsion"),
-        ClassSpec(tuple(map(dual_module, pair_c.torsion.generators)), "free"))
-    ses = hat_decompose(co.dual, dual_pair, dual_module(m))
+    ses = hat_decompose(co.dual, pair_c.dual(), dual_module(m))
     return ShortExactSeq(dual_map(ses.epi), dual_map(ses.mono))
 
 

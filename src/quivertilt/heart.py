@@ -21,8 +21,7 @@ extension 0 -> F[1] -> X -> T -> 0 is classified by
 Hom_D(T, F[2]) = Ext^2(T, F) = 0.  So the isomorphism classes of heart
 objects are the pairs (free member, torsion member) of a universe, and
 `heart_class_reps` lists them in closed form once global dimension at
-most one is certified.  The exhaustive `enumerate_heart_objects` stays
-for the report that tests the enumeration itself.
+most one is certified; `tilted_pair_report` decides on them.
 
 The same splitting holds for every bounded complex: it is isomorphic in
 D^b to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
@@ -73,15 +72,9 @@ from .derived import (
     lift_postcompose,
     projective_resolution,
 )
-from .enumeration import (
-    SEARCH_CAP,
-    BoundExceeded,
-    ModuleUniverse,
-    is_isomorphic,
-)
+from .enumeration import ModuleUniverse, is_isomorphic
 from .linalg import (
     Subspace,
-    all_vectors,
     kernel_basis,
     quotient_maps,
     solve,
@@ -91,7 +84,6 @@ from .modules import (
     ModuleMap,
     ShortExactSeq,
     cokernel,
-    hom_basis,
     kernel,
     lift_through,
     quotient_by_subspace,
@@ -538,33 +530,6 @@ def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
     return _heart_exact_sequence(ts, [m1, m2, m3, m4, m5])
 
 
-def enumerate_heart_objects(ts: InducedTStructure, uni: ModuleUniverse,
-                            dim_bound: int) -> list[Complex]:
-    """All two-term heart objects with components from the universe and
-    total dimension within the bound, by a scan of every differential."""
-    pair = ts.pair
-    p = uni.algebra.field.p
-    out: list[Complex] = []
-    for a in uni.members:
-        for b in uni.members:
-            if a.dim + b.dim > dim_bound:
-                continue
-            maps = hom_basis(a, b)
-            if p ** len(maps) > SEARCH_CAP:
-                raise BoundExceeded("heart object scan too large")
-            for coeffs in all_vectors(p, len(maps)):
-                d = ModuleMap.zero(a, b)
-                for cf, h in zip(coeffs, maps):
-                    if cf:
-                        d = d + h.scale(cf)
-                if not pair.in_free(kernel(d)[0]):
-                    continue
-                if not pair.in_torsion(cokernel(d)[0]):
-                    continue
-                out.append(Complex(uni.algebra, -1, [a, b], [d]))
-    return out
-
-
 def heart_is_isomorphic(x: Complex, y: Complex) -> bool:
     """Whether two complexes are isomorphic in the derived category: over
     a hereditary algebra each is the sum of its shifted cohomologies, so
@@ -615,16 +580,20 @@ def kv_classes(ts: InducedTStructure, uni: ModuleUniverse,
 def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
                        dim_bound: int = 3) -> PairReport:
     """The pair (shifted free class, torsion stalks) as a torsion pair
-    on the heart: the canonical decomposition of every enumerated heart
-    object within the bound is a heart-exact sequence; a failure names
-    the object by its position #k among those.
+    on the heart: the canonical decomposition of a representative of
+    every heart isomorphism class within the bound (`heart_class_reps`)
+    is a heart-exact sequence.  Exactness is invariant under
+    isomorphism, so one object per class decides it; a failure names
+    the class by its position #k among the representatives, which is
+    not its position in an exhaustive scan of heart objects.  Raises
+    NotHereditary on an algebra of global dimension above one.
 
     The orthogonality Hom_D(F[1], T) = 0 and the full faithfulness of
     the shifts hold for any modules, as dim Hom_D(A[1], B) = 0 and
     dim Hom_D(A[s], B[s]) = dim Hom(A, B), so they are not tested here;
     the tests hold `derived_hom_dim` to both identities."""
     failures: list[str] = []
-    for k, x in enumerate(enumerate_heart_objects(ts, uni, dim_bound)):
+    for k, x in enumerate(heart_class_reps(ts, uni, dim_bound)):
         dec = heart_decompose(ts, x)
         if not heart_ses_ok(ts, dec.t_incl, dec.q_proj):
             failures.append(f"decomposition of heart object #{k} "

@@ -448,13 +448,6 @@ def _solve_by_unit_rows(a: Mat, b: Mat, units: list[int]) -> Optional[Mat]:
     return Mat(a.p, n, k, x)
 
 
-def invert(m: Mat) -> Optional[Mat]:
-    """Two-sided inverse of a square matrix, or None if singular."""
-    if m.rows != m.cols:
-        return None
-    return solve(m, Mat.identity(m.p, m.rows))
-
-
 def pullback_linear(f: Mat, g: Mat) -> Subspace:
     """Pairs (u, v) with f u = g v, as a subspace of F_p^(f.cols+g.cols)."""
     if f.p != g.p or f.rows != g.rows:

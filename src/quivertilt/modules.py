@@ -34,13 +34,15 @@ from .linalg import (
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "action", "_hash")
+    __slots__ = ("algebra", "dim", "action", "_hash", "_dual")
 
     def __init__(self, algebra: Algebra, dim: int, action: Iterable[Mat]):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
         self._hash: Optional[int] = None
+        # Set by dual_module on first use, on both modules.
+        self._dual: Optional[Module] = None
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
         for m in self.action:
@@ -526,9 +528,15 @@ def projective_module(alg: Algebra, pos: int) -> Module:
 
 
 def dual_module(m: Module) -> Module:
-    """The linear dual as a module over the opposite algebra."""
-    op = opposite_algebra(m.algebra)
-    return Module(op, m.dim, [a.transpose() for a in m.action])
+    """The linear dual as a module over the opposite algebra, built once
+    per module.  The two are linked, so the dual of the dual is m itself
+    and D is an involution on the nose."""
+    if m._dual is None:
+        d = Module(opposite_algebra(m.algebra), m.dim,
+                   [a.transpose() for a in m.action])
+        d._dual = m
+        m._dual = d
+    return m._dual
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -591,10 +599,6 @@ def syzygy(m: Module) -> tuple[Module, ModuleMap, ModuleMap]:
 def is_projective(m: Module) -> bool:
     cover_src, cover = projective_cover(m)
     return cover_src.dim == m.dim
-
-
-def is_injective(m: Module) -> bool:
-    return is_projective(dual_module(m))
 
 
 # -- extensions --

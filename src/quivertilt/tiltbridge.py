@@ -2,14 +2,17 @@
 
 An exact corner functor that matches a compatible torsion pair upstairs
 with its pushed pair downstairs descends to an exact functor between
-the tilted hearts.  Its adjoint sections are computed derived-style:
-the right section as heart cohomology of the section functor applied to
-an injective coresolution, the left one dually through a projective
-resolution.  Everything the construction promises -- the counit or unit
-being invertible, full faithfulness of the section, adjunction hom
-spaces matching, the kernel on hearts being a Serre class, and the
-original corner datum being recoverable from the heart datum -- is
-checked exhaustively over enumerated universes.
+the tilted hearts.  Its adjoint sections are left-derived, through
+projective resolutions only: the right section is the conjugate of the
+left one by Phi(x) = D(x)[1], which carries the heart of (T, F) onto the
+opposite of the heart of (DF, DT) over the opposite algebra, and the
+localization at a corner onto the colocalization at the same corner of
+the opposite algebra (`HeartGiraudContext.dual`).  Everything the
+construction promises -- the counit or unit being invertible, full
+faithfulness of the section, adjunction hom spaces matching, the kernel
+on hearts being a Serre class, and the original corner datum being
+recoverable from the heart datum -- is checked exhaustively over
+enumerated universes.
 
 A colocalization is read as a localization of the opposite category:
 its homs and compositions are reversed, its unit plays the counit's
@@ -21,6 +24,7 @@ serve both sides; the side is data chosen when the context is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .complexes import (
@@ -37,14 +41,20 @@ from .derived import (
     DerivedMorphism,
     derived_hom0,
     derived_hom_dim,
-    injective_coresolution,
+    dual_chain_map,
+    dual_complex,
     lift_postcompose,
-    lift_precompose,
     projective_resolution,
     transport_exact,
 )
 from .enumeration import ModuleUniverse, enumerate_submodules
-from .giraud import AnyGiraudContext, CoGiraudContext, GiraudContext, push_pair
+from .giraud import (
+    AnyGiraudContext,
+    CoGiraudContext,
+    GiraudContext,
+    opposite_colocalization,
+    push_pair,
+)
 from .heart import (
     InducedTStructure,
     h0_lower,
@@ -91,6 +101,17 @@ class HeartGiraudContext:
     ts_d: InducedTStructure
     ts_c: InducedTStructure
     side: HeartSide
+
+    @cached_property
+    def dual(self) -> HeartGiraudContext:
+        """For a localization: the colocalization at the same corner of
+        the opposite algebra, for the dual pairs (DF, DT).  Its base's
+        `dual` is this context's base, so it shares the section functor."""
+        co = opposite_colocalization(self.base)
+        pair_d, pair_c = self.pair_d.dual(), self.pair_c.dual()
+        return HeartGiraudContext(co, pair_d, pair_c,
+                                  induced_t_structure(pair_d),
+                                  induced_t_structure(pair_c), _side_of(co))
 
 
 def heart_giraud_context(ctx: AnyGiraudContext, pair_d: TorsionPair,
@@ -149,51 +170,53 @@ def heart_unit(hctx: HeartGiraudContext, x: Complex) -> DerivedMorphism:
 
 
 # -- the right section on hearts --------------------------------------------
+#
+# Phi shifts without the sign on the differentials: projective resolutions
+# commute with that on the nose, so i_heart lands on the very complexes
+# an injective coresolution gives.  Phi is its own inverse.
+
+def _phi(x: Complex) -> Complex:
+    d = dual_complex(x)
+    return Complex(d.algebra, d.lo - 1, d.components, d.diffs)
+
+
+def _phi_chain(f: ChainMap) -> ChainMap:
+    g = dual_chain_map(f)
+    return ChainMap(_phi(f.target), _phi(f.source),
+                    {g.lo + k - 1: c for k, c in enumerate(g.comps)})
+
+
+def _phi_map(f: DerivedMorphism) -> DerivedMorphism:
+    """Phi(f): Phi(y) -> Phi(x) for f: x -> y, lifted from Phi of the
+    resolution of x through Phi of its comparison map."""
+    fy = _phi(f.target)
+    _, cmp_x = projective_resolution(f.source)
+    _, cmp_y = projective_resolution(fy)
+    v = _phi_chain(f.rep).compose(cmp_y)
+    return DerivedMorphism(fy, _phi(f.source),
+                           lift_postcompose(_phi_chain(cmp_x), v))
+
 
 def i_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
-    """Heart cohomology of the derived section: the right adjoint of
-    the descended corner functor."""
+    """The right adjoint of the descended corner functor: Phi of the
+    left section of the dual context at Phi(n)."""
     _require_side(hctx, GiraudContext, "i_heart")
-    cores, _ = injective_coresolution(n)
-    lifted = apply_functor(hctx.base.i, cores)
-    h = h0_lower(hctx.ts_d, lifted).h
-    assert hctx.ts_d.in_heart(h)
-    return h
+    return _phi(j_heart(hctx.dual, _phi(n)))
 
 
 def i_heart_map(hctx: HeartGiraudContext,
                 f: DerivedMorphism) -> DerivedMorphism:
     """Functorial image of a heart morphism under the right section."""
     _require_side(hctx, GiraudContext, "i_heart_map")
-    _, into = injective_coresolution(f.source)
-    _, into2 = injective_coresolution(f.target)
-    _, cmp = projective_resolution(f.source)
-    g = lift_precompose(into.compose(cmp), into2.compose(f.rep))
-    lifted = apply_functor_map(hctx.base.i, g)
-    return DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
+    return _phi_map(j_heart_map(hctx.dual, _phi_map(f)))
 
 
 def heart_counit(hctx: HeartGiraudContext, n: Complex) -> DerivedMorphism:
     """The evaluation l_heart(i_heart(n)) -> n; invertible over a
-    localization context."""
+    localization context.  Phi of the dual context's coinsertion at
+    Phi(n), since D commutes with restriction on the nose."""
     _require_side(hctx, GiraudContext, "heart_counit")
-    base = hctx.base
-    cores, into = injective_coresolution(n)
-    lifted = apply_functor(base.i, cores)
-    data = h0_lower(hctx.ts_d, lifted)
-    l_h = apply_functor(base.l, data.h)
-    l_proj = apply_functor_map(base.l, data.proj)
-    l_incl = apply_functor_map(base.l, data.incl)
-    collapsed = apply_functor(base.l, lifted)
-    evaluate = ChainMap(collapsed, cores,
-                        {k: base.counit(cores.component(k))
-                         for k in range(cores.lo, cores.hi + 1)})
-    assert is_quasi_iso(l_proj), \
-        "corner functor must collapse the low truncation"
-    _, cmp = projective_resolution(l_h)
-    w = lift_postcompose(l_proj, cmp)
-    rep = lift_postcompose(into, evaluate.compose(l_incl).compose(w))
-    return DerivedMorphism(l_h, n, rep)
+    return _phi_map(heart_co_unit(hctx.dual, _phi(n)))
 
 
 # -- the left section on hearts ---------------------------------------------

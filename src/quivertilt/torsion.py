@@ -32,6 +32,7 @@ from .linalg import Subspace, all_vectors, image_basis, kernel_basis, quotient_m
 from .modules import (
     Module,
     ShortExactSeq,
+    dual_module,
     ext1_basis,
     extension_realize,
     hom_basis,
@@ -132,6 +133,12 @@ class TorsionPair:
     def in_class(self, k: int, m: Module) -> bool:
         """Membership in class k: 0 the torsion class, 1 the free class."""
         return (self.torsion, self.free)[k].contains(m)
+
+    def dual(self) -> "TorsionPair":
+        """The pair (DF, DT) over the opposite algebra."""
+        return TorsionPair(
+            ClassSpec(tuple(map(dual_module, self.free.generators)), "torsion"),
+            ClassSpec(tuple(map(dual_module, self.torsion.generators)), "free"))
 
 
 @dataclass(frozen=True)

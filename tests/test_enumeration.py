@@ -18,13 +18,15 @@ from quivertilt.enumeration import (
     split_summands,
     universe,
 )
-from quivertilt.linalg import Mat
+from quivertilt.algebras import path_algebra
+from quivertilt.linalg import Field, Mat
 from quivertilt.modules import (
     direct_sum,
     module_from_vertex_data,
     projective_module,
     simple_module,
 )
+from quivertilt.quivers import Quiver
 
 
 def test_indecomposables_a2(a2):
@@ -79,6 +81,20 @@ def test_universe_a3(a3):
     uni = universe(a3, 3)
     assert len(uni.members) == 29
     assert len(uni.nonzero_members()) == 28
+
+
+def test_universe_lies_over_the_algebra_it_is_asked_for():
+    # Two equal but distinct algebras each get their own universe, with
+    # members over that algebra object, and each keeps it.
+    quiver = Quiver((1, 2), ((1, 2, "a"),))
+    a, b = path_algebra(Field(2), quiver), path_algebra(Field(2), quiver)
+    assert a == b and a is not b
+    for alg in (a, b, a):
+        uni = universe(alg, 2)
+        assert uni.algebra is alg
+        assert all(m.algebra is alg for m in uni.members)
+        assert universe(alg, 2) is uni
+    assert universe(a, 2) is not universe(b, 2)
 
 
 def test_submodules_of_p1(a2):

@@ -293,8 +293,6 @@ def test_colocalization_stays_on_the_corner_algebra(name):
         assert co.dual.corner.eA.left_alg is op_sub
         assert co_giraud_context(cd).dual.corner.sub is op_sub
         assert opposite_algebra(cd.sub) is op_sub
-        # Built here rather than read from a universe, whose cache may
-        # hand back modules over an equal algebra of another test.
         for n in _stalks(cd.sub):
             unit = co.unit(n)
             assert unit.source.algebra is cd.sub

@@ -1,5 +1,6 @@
-"""No library module imports a name it does not use, and no library
-module defines a private function or class that nothing references.
+"""No library module imports a name it does not use, no library module
+defines a private function or class that nothing references, and no
+public name goes uncalled without a stated reason.
 
 There is no linter in the toolchain, so these scans stand in for one.
 They parse every module of src/quivertilt.  The first fails on a
@@ -7,7 +8,10 @@ module-level import whose bound name is never read in that module,
 neither in code, nor in a quoted annotation, nor in `__all__`.  The
 second fails on a module-level function or class with a private name
 that no library module reads, imports or reaches as an attribute,
-outside its own definition.
+outside its own definition.  The third fails on a public module-level
+function, class or assignment that no library module references
+outside its own definition, that the benchmark in perfbench/ does not
+name, and that has no entry in UNCALLED_PUBLIC.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quivertilt"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 # Imports kept on purpose although the module itself does not read them.
 REEXPORTS = {("heart.py", "NotHereditary")}
@@ -157,3 +162,102 @@ def test_library_has_no_unreferenced_privates():
     # The scan has something to check.
     assert sum(len(_private_defs(ast.parse(text)))
                for text in sources.values()) > 40
+
+
+# Public names that no library module calls and the benchmark does not
+# name, kept on purpose, with the reason.
+UNCALLED_PUBLIC = {
+    ("heart.py", "factor_through_mono"):
+        "acceptance tests state the paper's factorizations with it",
+    ("heart.py", "factor_through_epi"):
+        "acceptance tests state the paper's factorizations with it",
+    ("heart.py", "heart_exact_at"):
+        "exactness at one node, the definition the sequence walk runs",
+    ("heart.py", "is_heart_mono"): "the heart's monomorphisms, for callers",
+    ("heart.py", "is_heart_epi"): "the heart's epimorphisms, for callers",
+    ("tiltbridge.py", "heart_unit"):
+        "the one unit of the heart-level adjunction, for both sides",
+    ("tiltbridge.py", "dl_commutation_report"):
+        "acceptance test 08 certifies commutation with truncation by it",
+    ("modules.py", "injective_module"):
+        "the injective at a vertex, the dual of the opposite projective",
+    ("modules.py", "arrow_blocks"):
+        "the vertex-graded view of a module, inverse of the front end",
+    ("giraud.py", "co_hat_decompose"):
+        "the colocalization counterpart of hat_decompose",
+    ("torsion.py", "self_test"):
+        "the member-by-member sweep that tests the trace and the reject",
+}
+
+
+def _public_defs(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The public names bound at module level by a function, a class or
+    an assignment, with the statement that binds each."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in out if not name.startswith("_")]
+
+
+def _named_by(texts: list[str]) -> set[str]:
+    """Names the sources reference, and the identifiers they spell out as
+    strings (the benchmark looks some functions up by name)."""
+    names: set[str] = set()
+    for text in texts:
+        tree = ast.parse(text)
+        names |= _referenced(tree.body)
+        names |= {c.value for c in ast.walk(tree)
+                  if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                  and c.value.isidentifier()}
+    return names
+
+
+def uncalled_publics(sources: dict[str, str],
+                     bench: list[str]) -> list[tuple[str, str]]:
+    """(module, name) for every public module-level name that no module
+    references outside its definition and no bench source names."""
+    trees = {name: ast.parse(text, filename=name)
+             for name, text in sources.items()}
+    refs = {name: _referenced(tree.body) for name, tree in trees.items()}
+    named = _named_by(bench)
+    found = []
+    for name, tree in trees.items():
+        elsewhere = set().union(named, *(r for n, r in refs.items()
+                                         if n != name))
+        for public, node in _public_defs(tree):
+            rest = [stmt for stmt in tree.body if stmt is not node]
+            if public not in elsewhere | _referenced(rest):
+                found.append((name, public))
+    return found
+
+
+def test_scan_sees_an_uncalled_public():
+    sources = {
+        "a.py": "def used():\n    pass\n\n"
+                "def recursive():\n    return recursive()\n\n"
+                "LIMIT = 3\n\nALIAS = used\n\n"
+                "class Shape:\n    pass\n",
+        "b.py": "from .a import Shape\n\ndef timed():\n    pass\n",
+    }
+    bench = ["from quivertilt import a\n\na.used()\n"
+             "TABLE = (('b', 'timed'),)\n"]
+    assert uncalled_publics(sources, bench) == [
+        ("a.py", "recursive"), ("a.py", "LIMIT"), ("a.py", "ALIAS")]
+
+
+def test_library_has_no_uncalled_publics_without_a_reason():
+    paths = sorted(SRC.rglob("*.py"))
+    sources = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in paths}
+    bench = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    found = uncalled_publics(sources, bench)
+    assert sorted(set(found) - set(UNCALLED_PUBLIC)) == []
+    # Every entry is still uncalled, so none is stale.
+    assert sorted(set(UNCALLED_PUBLIC) - set(found)) == []
+    assert all(reason for reason in UNCALLED_PUBLIC.values())

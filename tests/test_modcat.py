@@ -15,7 +15,7 @@ from quivertilt.algebras import (
     path_algebra,
 )
 from quivertilt.complexes import Complex
-from quivertilt.derived import injective_coresolution
+from quivertilt.derived import dual_complex, projective_resolution
 from quivertilt.enumeration import is_isomorphic, universe
 from quivertilt.linalg import (
     Field,
@@ -39,7 +39,6 @@ from quivertilt.modules import (
     hom_dim,
     image,
     injective_module,
-    is_injective,
     is_projective,
     kernel,
     lift_through,
@@ -158,8 +157,9 @@ def test_projectives_and_injectives_a2(a2):
     assert not is_projective(s1)
     assert is_isomorphic(injective_module(a2, 0), s1)
     assert is_isomorphic(injective_module(a2, 1), p1)
-    assert is_injective(s1) and is_injective(p1)
-    assert not is_injective(s2)
+    # A module is injective when its dual is projective.
+    assert is_projective(dual_module(s1)) and is_projective(dual_module(p1))
+    assert not is_projective(dual_module(s2))
 
 
 def test_hom_dims_a2(a2):
@@ -281,9 +281,15 @@ def test_dual_double(a2):
     assert opposite_algebra(a2) is opposite_algebra(a2)
     assert opposite_algebra(opposite_algebra(a2)) is a2
     assert dual_module(dual_module(p1)).algebra is p1.algebra
-    # S2 is not injective, so its coresolution is built by dualizing.
+    # Each dual is built once and linked back, so D is an involution on
+    # the nose, for complexes as for modules.
+    assert dual_module(dual_module(p1)) is p1
     c = Complex.from_module(simple_module(a2, 1))
-    cores, _ = injective_coresolution(c)
+    assert dual_complex(dual_complex(c)) is c
+    # S2 is not injective: the dual of the resolution of D(S2) is a new
+    # complex, over a2 itself.
+    res, _ = projective_resolution(dual_complex(c))
+    cores = dual_complex(res)
     assert cores != c
     assert all(m.algebra is a2 for m in cores.components)
 

@@ -16,17 +16,38 @@ generate, so the context roundtrip is not forced for it.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
 from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt import heart
-from quivertilt.complexes import ChainMap, enumerate_complexes
-from quivertilt.derived import DerivedHom, DerivedMorphism, derived_hom0
+from quivertilt.complexes import (
+    ChainMap,
+    Complex,
+    apply_functor,
+    apply_functor_map,
+    enumerate_complexes,
+    is_quasi_iso,
+)
+from quivertilt.derived import (
+    DerivedHom,
+    DerivedMorphism,
+    _is_identity,
+    _MapGrid,
+    _solve_homotopy,
+    derived_hom0,
+    dual_chain_map,
+    dual_complex,
+    lift_postcompose,
+    projective_resolution,
+)
 from quivertilt.enumeration import enumerate_submodules, universe
-from quivertilt.giraud import co_giraud_context, giraud_context
+from quivertilt.giraud import co_giraud_context, giraud_context, push_pair
 from quivertilt.linalg import Field
 from quivertilt.heart import (
+    h0_lower,
+    h0_lower_map,
     heart_cokernel,
     heart_is_isomorphic,
     heart_kernel,
@@ -35,7 +56,15 @@ from quivertilt.heart import (
     is_heart_zero,
     one_term,
 )
-from quivertilt.modules import Module, ses_from_submodule
+from quivertilt.modules import (
+    Module,
+    ModuleMap,
+    dual_module,
+    is_projective,
+    projective_module,
+    ses_from_submodule,
+    simple_module,
+)
 from quivertilt.quivers import Quiver
 from quivertilt.tiltbridge import (
     _stalk_failures,
@@ -337,8 +366,6 @@ def test_exactness_runs_no_factoring_solve(a2, g2, monkeypatch):
 
 
 def test_compatible_pair_count_a3(g3):
-    from quivertilt.giraud import push_pair
-
     pairs = enumerate_torsion_pairs(g3.uni_d)
     assert len(pairs) == 14
     descend = [torsion_indec_indices(q, g3.uni_d) for q in pairs
@@ -380,3 +407,132 @@ def test_reconstruction_roundtrip_a3(a3, g3):
     assert partial.ok
     assert not partial.free_class_generates
     assert partial.context_recovered
+
+
+# -- the injective reference for the right section --------------------------
+
+@lru_cache(maxsize=None)
+def _injective_coresolution(c):
+    """A bounded complex of injectives under c, by dualizing a
+    projective resolution over the opposite algebra."""
+    if c.is_zero() or all(is_projective(dual_module(m))
+                          for m in c.components):
+        return c, ChainMap.identity(c)
+    res, comparison = projective_resolution(dual_complex(c))
+    into = dual_chain_map(comparison)
+    assert into.source == c and is_quasi_iso(into)
+    return dual_complex(res), into
+
+
+def _lift_precompose(w, v):
+    """g with g . w homotopic to v, for w a quasi-isomorphism out of a
+    shared source and v into a bounded complex of injectives; v itself
+    against an identity w."""
+    assert w.source == v.source
+    if _is_identity(w):
+        return v
+    gridg = _MapGrid(w.target, v.target, 0)
+    sol = _solve_homotopy(v, gridg,
+                          lambda i, h: (h.mat @ w.component(i).mat).data)
+    assert sol is not None
+    return ChainMap(w.target, v.target, gridg.comps_from(sol))
+
+
+def _ref_i_heart(hctx, n):
+    cores, _ = _injective_coresolution(n)
+    return h0_lower(hctx.ts_d, apply_functor(hctx.base.i, cores)).h
+
+
+def _ref_i_heart_map(hctx, f):
+    _, into = _injective_coresolution(f.source)
+    _, into2 = _injective_coresolution(f.target)
+    _, cmp = projective_resolution(f.source)
+    g = _lift_precompose(into.compose(cmp), into2.compose(f.rep))
+    lifted = apply_functor_map(hctx.base.i, g)
+    return DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
+
+
+def _ref_heart_counit(hctx, n):
+    base = hctx.base
+    cores, into = _injective_coresolution(n)
+    lifted = apply_functor(base.i, cores)
+    data = h0_lower(hctx.ts_d, lifted)
+    l_h = apply_functor(base.l, data.h)
+    l_proj = apply_functor_map(base.l, data.proj)
+    l_incl = apply_functor_map(base.l, data.incl)
+    evaluate = ChainMap(apply_functor(base.l, lifted), cores,
+                        {k: base.counit(cores.component(k))
+                         for k in range(cores.lo, cores.hi + 1)})
+    _, cmp = projective_resolution(l_h)
+    w = lift_postcompose(l_proj, cmp)
+    rep = lift_postcompose(into, evaluate.compose(l_incl).compose(w))
+    return DerivedMorphism(l_h, n, rep)
+
+
+_A2Q = Quiver((1, 2), ((1, 2, "a"),))
+_A3Q = Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b")))
+_ORACLE_ALGEBRAS = {
+    # p, quiver, parent universe bound; corners use bound 2, hearts 2.
+    "A2/F_2": (2, _A2Q, 2),
+    "A2/F_3": (3, _A2Q, 2),
+    "A3/F_2": (2, _A3Q, 3),
+    "A3 1->2<-3/F_2": (2, Quiver((1, 2, 3), ((1, 2, "a"), (3, 2, "b"))), 3),
+    "A3/F_3": (3, _A3Q, 3),
+}
+
+
+def _compatible_heart_contexts(name):
+    p, quiver, bound = _ORACLE_ALGEBRAS[name]
+    alg = path_algebra(Field(p), quiver)
+    uni_d = universe(alg, bound)
+    n_idem = len(alg.idem)
+    for mask in range(1, 2 ** n_idem - 1):
+        corner = corner_algebra(alg, [k for k in range(n_idem)
+                                      if mask >> k & 1])
+        ctx = giraud_context(corner)
+        uni_c = universe(corner.sub, 2)
+        for pair in enumerate_torsion_pairs(uni_d):
+            if push_pair(ctx, pair, uni_d, uni_c).ok:
+                yield heart_giraud_context(ctx, pair, uni_d, uni_c), uni_c
+
+
+def _same(got, want):
+    return (got.source == want.source and got.target == want.target
+            and got.equals(want))
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_ALGEBRAS))
+def test_right_section_is_the_dual_of_the_left_matching_the_reference(name):
+    # On every compatible pair of every proper corner, the right section,
+    # its action on a basis of every hom space and the counit, read
+    # through the dual colocalization, equal the injective-coresolution
+    # construction: objects structurally, maps up to homotopy with the
+    # same endpoints.
+    objects = maps = 0
+    for hctx, uni_c in _compatible_heart_contexts(name):
+        assert hctx.dual.base.dual is hctx.base
+        downs = heart_class_reps(hctx.ts_c, uni_c, 2)
+        for n in downs:
+            assert i_heart(hctx, n) == _ref_i_heart(hctx, n)
+            assert _same(heart_counit(hctx, n), _ref_heart_counit(hctx, n))
+            objects += 1
+        for n in downs:
+            for n2 in downs:
+                for f in derived_hom0(n, n2).basis():
+                    assert _same(i_heart_map(hctx, f),
+                                 _ref_i_heart_map(hctx, f))
+                    maps += 1
+    assert objects and maps
+
+
+def test_duals_are_linked_both_ways(a2):
+    # D is an involution on the nose: the dual of the dual is the object
+    # itself, for modules and complexes alike, and is built once.
+    s1, p1 = simple_module(a2, 0), projective_module(a2, 0)
+    for m in (s1, p1, Module.zero(a2)):
+        assert dual_module(m) is dual_module(m)
+        assert dual_module(dual_module(m)) is m
+    c = Complex(a2, -1, [s1, p1], [ModuleMap.zero(s1, p1)])
+    for x in (c, one_term(p1, 1), Complex.zero(a2)):
+        assert dual_complex(x) is dual_complex(x)
+        assert dual_complex(dual_complex(x)) is x
