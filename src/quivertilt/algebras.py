@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Field, Mat, Subspace
+from .linalg import Field, Mat, Subspace, combine
 from .quivers import Path, Quiver
 
 
@@ -37,7 +37,6 @@ class Algebra:
         self.radical = tuple(radical)
         self._check_shape()
         self.endpoints = self._compute_endpoints()
-        self._left_mats: dict[int, Mat] = {}
         # Set by modules.Module.zero on first use.
         self._zero_module = None
         # Set by derived._check_hereditary once global dimension at most
@@ -67,17 +66,6 @@ class Algebra:
                 for k, c in self.mult[i][j]:
                     out[k] = (out[k] + xi * yj * c) % p
         return tuple(out)
-
-    def left_mult_mat(self, i: int) -> Mat:
-        """Matrix of x -> basis_i * x in the basis (column convention)."""
-        if i not in self._left_mats:
-            p = self.field.p
-            data = [0] * (self.dim * self.dim)
-            for j in range(self.dim):
-                for k, c in self.mult[i][j]:
-                    data[k * self.dim + j] = c % p
-            self._left_mats[i] = Mat(p, self.dim, self.dim, data)
-        return self._left_mats[i]
 
     # -- structure checks --
 
@@ -269,11 +257,7 @@ def _basis_product(alg: Algebra, i: int, j: int) -> tuple[int, ...]:
 
 
 def _combine(mats, coords, p, dim) -> Mat:
-    out = Mat.zeros(p, dim, dim)
-    for i, c in enumerate(coords):
-        if c:
-            out = out + mats[i].scale(c)
-    return out
+    return Mat(p, dim, dim, combine(p, dim * dim, coords, [m.data for m in mats]))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .algebras import Algebra
 from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse
-from .linalg import Mat, all_vectors, solve
+from .linalg import Mat, all_vectors, combine, solve
 from .modules import (
     Module,
     ModuleMap,
@@ -385,12 +385,11 @@ def enumerate_complexes(uni: ModuleUniverse, lo: int, hi: int,
                 usable = maps
             if p ** len(usable) > SEARCH_CAP:
                 raise BoundExceeded("differential scan too large")
+            flats = [h.mat.data for h in usable]
+            size = nxt.dim * prev.dim
             for coeffs in all_vectors(p, len(usable)):
-                d = ModuleMap.zero(prev, nxt)
-                for cf, h in zip(coeffs, usable):
-                    if cf:
-                        d = d + h.scale(cf)
-                extend(comps + [nxt], diffs + [d])
+                d = Mat(p, nxt.dim, prev.dim, combine(p, size, coeffs, flats))
+                extend(comps + [nxt], diffs + [ModuleMap(prev, nxt, d)])
 
     extend([], [])
     return out
@@ -407,12 +406,6 @@ def _kill_previous(maps: list[ModuleMap], prev_d: ModuleMap) -> list[ModuleMap]:
     nrows = maps[0].target.dim * prev_d.source.dim
     cols = [(h.mat @ prev_d.mat).data for h in maps]
     ker = kernel_basis(Mat.from_cols(p, cols, nrows))
-    out = []
-    for k in range(ker.dim):
-        v = ker.basis.row(k)
-        m = ModuleMap.zero(prev_d.target, maps[0].target)
-        for cf, h in zip(v, maps):
-            if cf:
-                m = m + h.scale(cf)
-        out.append(m)
-    return out
+    return [ModuleMap.combination(prev_d.target, maps[0].target,
+                                  ker.basis.row(k), maps)
+            for k in range(ker.dim)]

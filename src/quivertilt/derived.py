@@ -43,7 +43,7 @@ from .complexes import (
     cohomology,
     is_quasi_iso,
 )
-from .linalg import Mat, Subspace, complement_in, kernel_basis, solve
+from .linalg import Mat, Subspace, combine, complement_in, kernel_basis, solve
 from .modules import (
     Module,
     ModuleMap,
@@ -53,6 +53,7 @@ from .modules import (
     fiber_product,
     hom_basis,
     hom_dim,
+    hom_space,
     is_projective,
     kernel,
     projective_cover,
@@ -150,7 +151,6 @@ class _MapGrid:
         self.p = x.algebra.field.p
         self.degrees: list[int] = []
         self.bases: dict[int, list[ModuleMap]] = {}
-        self.spaces: dict[int, Subspace] = {}  # built on first use
         self.offsets: dict[int, int] = {}
         total = 0
         for i in range(x.lo, x.hi + 1):
@@ -170,14 +170,12 @@ class _MapGrid:
     def comps_from(self, vec) -> dict[int, ModuleMap]:
         comps = {}
         for i in self.degrees:
-            base = self.offsets[i]
-            out = None
-            for k, h in enumerate(self.bases[i]):
-                cf = vec[base + k]
-                if cf:
-                    out = h.scale(cf) if out is None else out + h.scale(cf)
-            if out is not None:
-                comps[i] = out
+            basis = self.bases[i]
+            coeffs = vec[self.offsets[i]:self.offsets[i] + len(basis)]
+            if any(coeffs):
+                comps[i] = ModuleMap.combination(
+                    self.x.component(i), self.y.component(i + self.shift),
+                    coeffs, basis)
         return comps
 
     def coords_of(self, comps: dict[int, ModuleMap]) -> tuple[int, ...]:
@@ -187,11 +185,9 @@ class _MapGrid:
                 continue
             if i not in self.offsets:
                 raise ValueError(f"nonzero component at impossible degree {i}")
-            if i not in self.spaces:
-                self.spaces[i] = Subspace(self.p, len(f.mat.data),
-                                          [h.mat.data for h in self.bases[i]])
-            for k, cf in enumerate(self.spaces[i].coords(f.mat.data)):
-                vec[self.offsets[i] + k] = cf
+            coords = hom_space(self.x.component(i),
+                               self.y.component(i + self.shift)).coords(f.mat.data)
+            vec[self.offsets[i]:self.offsets[i] + len(coords)] = coords
         return tuple(vec)
 
 
@@ -408,13 +404,9 @@ class DerivedHom:
         return [DerivedMorphism(self.source, self.target, r) for r in self.reps]
 
     def element(self, coeffs: Iterable[int]) -> DerivedMorphism:
-        coeffs = tuple(coeffs)
-        out = DerivedMorphism.zero(self.source, self.target)
-        for cf, r in zip(coeffs, self.reps):
-            if cf:
-                out = out.add(DerivedMorphism(self.source, self.target,
-                                              r.scale(cf)))
-        return out
+        vec = combine(self.grid.p, self.grid.dim, coeffs, self.rep_coords)
+        return DerivedMorphism(self.source, self.target, ChainMap(
+            self.resolution, self.target, self.grid.comps_from(vec)))
 
     def class_coords(self, m: DerivedMorphism) -> tuple[int, ...]:
         """Coefficients of m's class in the chosen representative basis."""

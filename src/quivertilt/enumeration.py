@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .algebras import Algebra
-from .linalg import Mat, Subspace, all_vectors, rank
+from .linalg import Mat, Subspace, all_vectors, combine, rank
 from .modules import (
     Module,
     ModuleMap,
@@ -33,12 +33,14 @@ class BoundExceeded(RuntimeError):
     """Raised when an exhaustive scan would leave desk scale."""
 
 
-def _combo(maps: list[ModuleMap], coeffs) -> Mat:
-    out = maps[0].mat.scale(coeffs[0])
-    for c, h in zip(coeffs[1:], maps[1:]):
-        if c:
-            out = out + h.mat.scale(c)
-    return out
+def _combos(m: Module, maps: list[ModuleMap]):
+    """The matrices of the nonzero linear combinations of a basis of maps
+    between modules of the dimension of m, in the order of all_vectors."""
+    p = m.algebra.field.p
+    flats = [h.mat.data for h in maps]
+    for coeffs in all_vectors(p, len(maps)):
+        if any(coeffs):
+            yield Mat(p, m.dim, m.dim, combine(p, m.dim * m.dim, coeffs, flats))
 
 
 def is_isomorphic(m: Module, n: Module) -> bool:
@@ -52,15 +54,10 @@ def is_isomorphic(m: Module, n: Module) -> bool:
     if any(rank(m.action[b]) != rank(n.action[b]) for b in m.algebra.radical):
         return False
     maps = hom_basis(m, n)
-    if not maps:
-        return False
     p = m.algebra.field.p
     if p ** len(maps) > SEARCH_CAP:
         raise BoundExceeded(f"iso search over {p}^{len(maps)} combinations")
-    for coeffs in all_vectors(p, len(maps)):
-        if any(coeffs) and rank(_combo(maps, coeffs)) == m.dim:
-            return True
-    return False
+    return any(rank(cand) == m.dim for cand in _combos(m, maps))
 
 
 def nontrivial_idempotent(m: Module) -> Optional[ModuleMap]:
@@ -74,9 +71,8 @@ def nontrivial_idempotent(m: Module) -> Optional[ModuleMap]:
     if p ** len(ends) > SEARCH_CAP:
         raise BoundExceeded(f"idempotent search over {p}^{len(ends)} combinations")
     ident = Mat.identity(p, m.dim)
-    for coeffs in all_vectors(p, len(ends)):
-        cand = _combo(ends, coeffs)
-        if cand.is_zero() or cand == ident:
+    for cand in _combos(m, ends):
+        if cand == ident:
             continue
         if cand @ cand == cand:
             return ModuleMap(m, m, cand)

@@ -35,7 +35,7 @@ from typing import ClassVar, Optional, Union
 
 from .algebras import CornerData, corner_algebra, opposite_algebra
 from .enumeration import ModuleUniverse
-from .linalg import Mat, Subspace, image_basis, kernel_basis, kron, solve
+from .linalg import Mat, Subspace, combine, image_basis, solve
 from .modules import (
     Module,
     ModuleMap,
@@ -43,6 +43,8 @@ from .modules import (
     dual_map,
     dual_module,
     fiber_product,
+    hom_basis,
+    hom_space,
     ses_from_submodule,
     submodule_from_subspace,
 )
@@ -103,35 +105,21 @@ class HomSectionFunctor:
         self.corner = corner
         self.source_algebra = corner.sub
         self.target_algebra = corner.parent
+        # eA as a left eAe-module: i(n) is its hom space to n.
+        self._ea = Module(corner.sub, corner.eA.dim, corner.eA.left_act)
         self._cache: dict[Module, tuple[Module, Subspace]] = {}
 
     def data(self, n: Module) -> tuple[Module, Subspace]:
-        """The module Hom_eAe(eA, n) and its space of flat matrices."""
+        """The module Hom_eAe(eA, n) and its space of flat matrices, on
+        which A acts through the right action of A on eA."""
         if n not in self._cache:
             cd = self.corner
             p = cd.parent.field.p
-            ea = cd.eA
-            amb = n.dim * ea.dim
-            if amb == 0:
-                space = Subspace.zero(p, amb)
-            else:
-                blocks = []
-                ident_n = Mat.identity(p, n.dim)
-                ident_e = Mat.identity(p, ea.dim)
-                for t in range(cd.sub.dim):
-                    lhs = kron(ident_n, ea.left_act[t].transpose())
-                    rhs = kron(n.action[t], ident_e)
-                    blocks.append(lhs - rhs)
-                stacked = blocks[0]
-                for b in blocks[1:]:
-                    stacked = stacked.vstack(b)
-                space = kernel_basis(stacked)
-            mats = [Mat(p, n.dim, ea.dim, space.basis.row(k))
-                    for k in range(space.dim)]
+            space = hom_space(self._ea, n)
+            basis = hom_basis(self._ea, n)
             action = []
-            for a in range(cd.parent.dim):
-                cols = [space.coords((phi @ ea.right_act[a]).data)
-                        for phi in mats]
+            for right in cd.eA.right_act:
+                cols = [space.coords((phi.mat @ right).data) for phi in basis]
                 action.append(Mat.from_cols(p, cols, space.dim))
             self._cache[n] = (Module(cd.parent, space.dim, action), space)
         return self._cache[n]
@@ -142,13 +130,10 @@ class HomSectionFunctor:
     def apply_map(self, g: ModuleMap) -> ModuleMap:
         cd = self.corner
         p = cd.parent.field.p
-        src, sspace = self.data(g.source)
+        src, _ = self.data(g.source)
         tgt, tspace = self.data(g.target)
-        ea = cd.eA
-        cols = []
-        for k in range(sspace.dim):
-            phi = Mat(p, g.source.dim, ea.dim, sspace.basis.row(k))
-            cols.append(tspace.coords((g.mat @ phi).data))
+        cols = [tspace.coords((g.mat @ phi.mat).data)
+                for phi in hom_basis(self._ea, g.source)]
         return ModuleMap(src, tgt, Mat.from_cols(p, cols, tgt.dim))
 
 
@@ -208,14 +193,11 @@ class GiraudContext:
         lin, incl = self.l.data(inn)
         ea = cd.eA
         e_col = Mat(p, ea.dim, 1, cd.eA_e_coords)
+        rows = space.basis.row_list()
         cols = []
         for t in range(lin.dim):
-            w = incl.col(t)
-            phi = Mat.zeros(p, n.dim, ea.dim)
-            for k in range(space.dim):
-                if w[k]:
-                    phi = phi + Mat(p, n.dim, ea.dim,
-                                    space.basis.row(k)).scale(w[k])
+            phi = Mat(p, n.dim, ea.dim,
+                      combine(p, space.ambient, incl.col(t), rows))
             cols.append((phi @ e_col).col(0))
         return ModuleMap(lin, n, Mat.from_cols(p, cols, n.dim))
 

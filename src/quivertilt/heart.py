@@ -195,22 +195,32 @@ def truncate_ge1(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
     return _cut_above(c, _aisle_subspace(ts, c))
 
 
-def truncate_ge(ts: InducedTStructure, c: Complex, n: int,
-                ) -> tuple[Complex, ChainMap]:
-    q, proj = truncate_ge1(ts, c.shift(n - 1))
-    return q.shift(1 - n), proj.shift(1 - n)
+def truncate_ge(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
+    """The coaisle truncation at level zero, with the projection from c."""
+    q, proj = truncate_ge1(ts, c.shift(-1))
+    return q.shift(1), proj.shift(1)
+
+
+def _restrict(f: ModuleMap, incl_s: ModuleMap, incl_t: ModuleMap) -> ModuleMap:
+    """f restricted to submodules of its ends, given by their inclusions."""
+    sol = solve(incl_t.mat, f.mat @ incl_s.mat)
+    assert sol is not None, "map does not respect the truncation"
+    return ModuleMap(incl_s.source, incl_t.source, sol)
+
+
+def _descend(f: ModuleMap, proj_s: ModuleMap, proj_t: ModuleMap) -> ModuleMap:
+    """f descended to quotients of its ends, given by their projections."""
+    sol = solve(proj_s.mat.transpose(), (proj_t.mat @ f.mat).transpose())
+    assert sol is not None, "map does not descend to the quotient"
+    return ModuleMap(proj_s.target, proj_t.target, sol.transpose())
 
 
 def truncate_le0_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
     """The truncation applied to a chain map."""
     tr_s, incl_s = truncate_le0(ts, f.source)
     tr_t, incl_t = truncate_le0(ts, f.target)
-    xs_incl = incl_s.component(0)
-    xt_incl = incl_t.component(0)
-    restricted = solve(xt_incl.mat, f.component(0).mat @ xs_incl.mat)
-    assert restricted is not None, "map does not respect the truncation"
-    comps: dict[int, ModuleMap] = {
-        0: ModuleMap(xs_incl.source, xt_incl.source, restricted)}
+    comps: dict[int, ModuleMap] = {0: _restrict(
+        f.component(0), incl_s.component(0), incl_t.component(0))}
     for i in range(min(tr_s.lo, tr_t.lo), 0):
         comps[i] = f.component(i)
     return ChainMap(tr_s, tr_t, comps)
@@ -219,18 +229,15 @@ def truncate_le0_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
 def truncate_ge1_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
     q_s, ps = truncate_ge1(ts, f.source)
     q_t, pt = truncate_ge1(ts, f.target)
-    sol = solve(ps.component(0).mat.transpose(),
-                (pt.component(0).mat @ f.component(0).mat).transpose())
-    assert sol is not None, "map does not descend to the quotient"
-    comps: dict[int, ModuleMap] = {
-        0: ModuleMap(q_s.component(0), q_t.component(0), sol.transpose())}
+    comps: dict[int, ModuleMap] = {0: _descend(
+        f.component(0), ps.component(0), pt.component(0))}
     for i in range(1, max(q_s.hi, q_t.hi) + 1):
         comps[i] = f.component(i)
     return ChainMap(q_s, q_t, comps)
 
 
-def truncate_ge_map(ts: InducedTStructure, f: ChainMap, n: int) -> ChainMap:
-    return truncate_ge1_map(ts, f.shift(n - 1)).shift(1 - n)
+def truncate_ge_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
+    return truncate_ge1_map(ts, f.shift(-1)).shift(1)
 
 
 @dataclass(frozen=True)
@@ -246,12 +253,12 @@ class LowerH0:
 
 def h0_lower(ts: InducedTStructure, c: Complex) -> LowerH0:
     low, incl = truncate_le0(ts, c)
-    h, proj = truncate_ge(ts, low, 0)
+    h, proj = truncate_ge(ts, low)
     return LowerH0(h, low, incl, proj)
 
 
 def h0_lower_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
-    return truncate_ge_map(ts, truncate_le0_map(ts, f), 0)
+    return truncate_ge_map(ts, truncate_le0_map(ts, f))
 
 
 def t_cohomology(ts: InducedTStructure, c: Complex, i: int) -> Complex:
@@ -290,7 +297,7 @@ class _HeartCone:
         the projection of the aisle part onto k."""
         cn, _, _ = self._cone
         low, lincl = truncate_le0(self.ts, cn.shift(-1))
-        k, kproj = truncate_ge(self.ts, low, 0)
+        k, kproj = truncate_ge(self.ts, low)
         assert is_quasi_iso(kproj), "aisle truncation of the shifted cone " \
                                     "is not concentrated in the heart"
         return k, lincl, kproj
@@ -300,7 +307,7 @@ class _HeartCone:
         """The cokernel c with the projection of the cone onto its coaisle
         part and the inclusion of c into that part."""
         cn, _, _ = self._cone
-        high, hproj = truncate_ge(self.ts, cn, 0)
+        high, hproj = truncate_ge(self.ts, cn)
         ck, cincl = truncate_le0(self.ts, high)
         assert is_quasi_iso(cincl), "coaisle truncation of the cone is not " \
                                     "concentrated in the heart"
@@ -481,20 +488,6 @@ def connecting_morphism(ses: ShortExactSeq) -> DerivedMorphism:
     return DerivedMorphism(one_term(ses.quot), one_term(ses.sub, 1), rep)
 
 
-def _restrict_to_torsion(f: ModuleMap, incl_s: ModuleMap,
-                         incl_t: ModuleMap) -> ModuleMap:
-    sol = solve(incl_t.mat, f.mat @ incl_s.mat)
-    assert sol is not None, "map does not preserve the torsion part"
-    return ModuleMap(incl_s.source, incl_t.source, sol)
-
-
-def _descend_to_free(f: ModuleMap, proj_s: ModuleMap,
-                     proj_t: ModuleMap) -> ModuleMap:
-    sol = solve(proj_s.mat.transpose(), (proj_t.mat @ f.mat).transpose())
-    assert sol is not None, "map does not descend to the free part"
-    return ModuleMap(proj_s.target, proj_t.target, sol.transpose())
-
-
 def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
     """The six-term heart sequence of a module short exact sequence:
     torsion parts in degree zero, free parts shifted once, joined by the
@@ -506,12 +499,12 @@ def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
     f_proj = {k: d.epi for k, d in dec.items()}
 
     def t_morphism(src, tgt, f):
-        g = _restrict_to_torsion(f, t_incl[src], t_incl[tgt])
+        g = _restrict(f, t_incl[src], t_incl[tgt])
         return DerivedMorphism.from_chain_map(
             ChainMap(one_term(g.source), one_term(g.target), {0: g}))
 
     def f_morphism(src, tgt, f):
-        g = _descend_to_free(f, f_proj[src], f_proj[tgt])
+        g = _descend(f, f_proj[src], f_proj[tgt])
         return DerivedMorphism.from_chain_map(
             ChainMap(one_term(g.source, 1), one_term(g.target, 1), {-1: g}))
 

@@ -19,7 +19,7 @@ Everything is immutable after construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import kernels
 
@@ -211,6 +211,22 @@ class Mat:
         return f"Mat({self.p}, {self.rows}x{self.cols}, {list(self.row_list())})"
 
 
+def combine(p: int, size: int, coeffs: Iterable[int],
+            vectors: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The linear combination sum_k c_k v_k over F_p of flat vectors of
+    the given size (matrices pass their data).  Terms with a zero
+    coefficient are skipped; the others are summed into one list, and
+    each entry is reduced once at the end."""
+    out = None
+    for c, v in zip(coeffs, vectors):
+        if c % p:
+            out = ([c * x for x in v] if out is None
+                   else [a + c * x for a, x in zip(out, v)])
+    if out is None:
+        return (0,) * size
+    return tuple([a % p for a in out])
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form of m and its pivot columns."""
     if m._rref is None:
@@ -303,17 +319,11 @@ class Subspace:
         # Solve x*A = y*B; columns of the stacked transpose are the unknowns.
         stacked = self.basis.transpose().hstack(-other.basis.transpose())
         coeffs = kernel_basis(stacked)
-        vecs = []
-        for i in range(coeffs.dim):
-            c = coeffs.basis.row(i)[: self.dim]
-            v = [0] * self.ambient
-            for t, ct in enumerate(c):
-                if ct:
-                    row = self.basis.row(t)
-                    for j in range(self.ambient):
-                        v[j] = (v[j] + ct * row[j]) % self.p
-            vecs.append(v)
-        return Subspace(self.p, self.ambient, vecs)
+        rows = self.basis.row_list()
+        return Subspace(self.p, self.ambient,
+                        [combine(self.p, self.ambient,
+                                 coeffs.basis.row(i)[: self.dim], rows)
+                         for i in range(coeffs.dim)])
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.p != other.p or self.ambient != other.ambient:
@@ -354,28 +364,6 @@ def kernel_basis(m: Mat) -> Subspace:
 def image_basis(m: Mat) -> Subspace:
     """Column space of m as a subspace of F_p^rows."""
     return Subspace(m.p, m.rows, m.transpose().row_list())
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; with row-major flattening of X into vec(X),
-    vec(A @ X @ B) = kron(A, B.transpose()) applied to vec(X)."""
-    if a.p != b.p:
-        raise ValueError("fields differ")
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    data = [0] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            c = a.entry(i, j)
-            if c == 0:
-                continue
-            for k in range(b.rows):
-                base = (i * b.rows + k) * cols + j * b.cols
-                for l in range(b.cols):
-                    x = b.entry(k, l)
-                    if x:
-                        data[base + l] = c * x % a.p
-    return Mat(a.p, rows, cols, data)
 
 
 def _unit_rows(a: Mat) -> Optional[list[int]]:

@@ -23,6 +23,7 @@ from .algebras import Algebra, opposite_algebra
 from .linalg import (
     Mat,
     Subspace,
+    combine,
     complement_in,
     image_basis,
     kernel_basis,
@@ -54,18 +55,19 @@ class Module:
         action is multiplicative."""
         alg = self.algebra
         p = alg.field.p
-        ident = Mat.identity(p, self.dim)
-        unit = Mat.zeros(p, self.dim, self.dim)
-        for i, c in enumerate(alg.unit):
-            if c:
-                unit = unit + self.action[i].scale(c)
-        if unit != ident:
+        size = self.dim * self.dim
+
+        def acting(coeffs, mats) -> Mat:
+            return Mat(p, self.dim, self.dim,
+                       combine(p, size, coeffs, [a.data for a in mats]))
+
+        if acting(alg.unit, self.action) != Mat.identity(p, self.dim):
             raise ValueError("unit does not act as the identity")
         for i in range(alg.dim):
             for j in range(alg.dim):
-                prod = Mat.zeros(p, self.dim, self.dim)
-                for k, c in alg.mult[i][j]:
-                    prod = prod + self.action[k].scale(c)
+                pairs = alg.mult[i][j]
+                prod = acting([c for _, c in pairs],
+                              [self.action[k] for k, _ in pairs])
                 if self.action[i] @ self.action[j] != prod:
                     raise ValueError(
                         f"action is not multiplicative on "
@@ -79,9 +81,6 @@ class Module:
             algebra._zero_module = cls(
                 algebra, 0, [Mat.zeros(algebra.field.p, 0, 0)] * algebra.dim)
         return algebra._zero_module
-
-    def act(self, i: int) -> Mat:
-        return self.action[i]
 
     def vertex_dims(self) -> tuple[int, ...]:
         """Rank of each designated idempotent on the module."""
@@ -138,6 +137,15 @@ class ModuleMap:
     @classmethod
     def identity(cls, m: Module) -> "ModuleMap":
         return cls(m, m, Mat.identity(m.algebra.field.p, m.dim))
+
+    @classmethod
+    def combination(cls, source: Module, target: Module, coeffs: Iterable[int],
+                    maps: Iterable["ModuleMap"]) -> "ModuleMap":
+        """sum_k c_k h_k for maps h_k: source -> target."""
+        p = source.algebra.field.p
+        size = target.dim * source.dim
+        return cls(source, target, Mat(p, target.dim, source.dim, combine(
+            p, size, coeffs, [h.mat.data for h in maps])))
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""
@@ -311,12 +319,15 @@ def arrow_blocks(m: Module) -> tuple[tuple[int, ...], dict[int, Mat]]:
 # -- hom spaces --
 
 @lru_cache(maxsize=None)
-def _hom_basis_cached(m: Module, n: Module) -> tuple[ModuleMap, ...]:
+def _hom(m: Module, n: Module) -> tuple[Subspace, tuple[ModuleMap, ...]]:
+    """Hom(m, n) as a reduced kernel, with one module map per basis row."""
     alg = m.algebra
+    if alg != n.algebra:
+        raise ValueError("modules over different algebras")
     p = alg.field.p
     nm = n.dim * m.dim
     if nm == 0:
-        return ()
+        return Subspace.zero(p, nm), ()
     md, nd = m.dim, n.dim
     flat: list[int] = []
     for t in range(alg.dim):
@@ -334,21 +345,23 @@ def _hom_basis_cached(m: Module, n: Module) -> tuple[ModuleMap, ...]:
                         row[a * md + j] = (row[a * md + j] - x) % p
                 flat += row
     ker = kernel_basis(Mat(p, alg.dim * nm, nm, flat))
-    out = []
-    for i in range(ker.dim):
-        out.append(ModuleMap(m, n, Mat(p, n.dim, m.dim, ker.basis.row(i))))
-    return tuple(out)
+    return ker, tuple(ModuleMap(m, n, Mat(p, nd, md, ker.basis.row(i)))
+                      for i in range(ker.dim))
+
+
+def hom_space(m: Module, n: Module) -> Subspace:
+    """The space of module maps m -> n, as the subspace of the flat
+    n.dim-by-m.dim matrices held by its reduced echelon basis."""
+    return _hom(m, n)[0]
 
 
 def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
-    """Basis of the space of module maps m -> n, in canonical order."""
-    if m.algebra != n.algebra:
-        raise ValueError("modules over different algebras")
-    return list(_hom_basis_cached(m, n))
+    """The rows of `hom_space` as module maps, in canonical order."""
+    return list(_hom(m, n)[1])
 
 
 def hom_dim(m: Module, n: Module) -> int:
-    return len(hom_basis(m, n))
+    return hom_space(m, n).dim
 
 
 # -- exact constructions --
@@ -491,11 +504,7 @@ def lift_through(epi: ModuleMap, f: ModuleMap) -> Optional[ModuleMap]:
     sol = solve(a, Mat(p, a.rows, 1, f.mat.data))
     if sol is None:
         return None
-    out = ModuleMap.zero(f.source, epi.source)
-    for cf, h in zip(sol.col(0), basis):
-        if cf:
-            out = out + h.scale(cf)
-    return out
+    return ModuleMap.combination(f.source, epi.source, sol.col(0), basis)
 
 
 # -- simples, projectives, injectives --
@@ -532,8 +541,11 @@ def dual_module(m: Module) -> Module:
     per module.  The two are linked, so the dual of the dual is m itself
     and D is an involution on the nose."""
     if m._dual is None:
-        d = Module(opposite_algebra(m.algebra), m.dim,
-                   [a.transpose() for a in m.action])
+        op = opposite_algebra(m.algebra)
+        if m is Module.zero(m.algebra):
+            d = Module.zero(op)
+        else:
+            d = Module(op, m.dim, [a.transpose() for a in m.action])
         d._dual = m
         m._dual = d
     return m._dual
@@ -622,23 +634,15 @@ class Ext1:
         return len(self.cocycles)
 
     def element(self, coeffs: Iterable[int]) -> ModuleMap:
-        omega = self.incl.source
-        out = ModuleMap.zero(omega, self.n)
-        for c, rep in zip(coeffs, self.cocycles):
-            if c:
-                out = out + rep.scale(c)
-        return out
+        return ModuleMap.combination(self.incl.source, self.n, coeffs, self.cocycles)
 
 
 def ext1_basis(m: Module, n: Module) -> Ext1:
     omega, incl, cover = syzygy(m)
     p = m.algebra.field.p
-    amb = n.dim * omega.dim
-    hom_o = hom_basis(omega, n)
-    hom_p = hom_basis(cover.source, n)
-    full = Subspace(p, amb, [h.mat.data for h in hom_o]) if amb else Subspace(p, 0, [])
-    restricted = Subspace(p, amb, [(h.mat @ incl.mat).data for h in hom_p]) \
-        if amb else Subspace(p, 0, [])
+    full = hom_space(omega, n)
+    restricted = Subspace(p, full.ambient, [(h.mat @ incl.mat).data
+                                            for h in hom_basis(cover.source, n)])
     reps = complement_in(full, restricted)
     cocycles = tuple(ModuleMap(omega, n, Mat(p, n.dim, omega.dim, v))
                      for v in reps)

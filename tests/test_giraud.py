@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from conftest import kron
 
 from quivertilt import enumeration, torsion
 from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
@@ -32,7 +33,7 @@ from quivertilt.linalg import (
     Mat,
     Subspace,
     image_basis,
-    kron,
+    kernel_basis,
     quotient_maps,
     solve,
 )
@@ -268,6 +269,47 @@ def test_dual_colocalization_matches_the_tensor_quotient(name):
             assert co.in_perp_s(m) == want.is_surjective()
             verdicts.add(co.in_perp_s(m))
         assert verdicts == {True, False}
+
+
+def _kron_section_space(cd, n):
+    """Hom_eAe(eA, n) as the kernel of the stacked systems
+    kron(I, L_t^T) - kron(N_t, I), one per basis element t of eAe, with
+    L_t its left action on eA and X: eA -> n flattened row-major."""
+    p, ea = cd.parent.field.p, cd.eA
+    system = Mat.zeros(p, 0, n.dim * ea.dim)
+    for left, act in zip(ea.left_act, n.action):
+        system = system.vstack(kron(Mat.identity(p, n.dim), left.transpose())
+                               - kron(act, Mat.identity(p, ea.dim)))
+    return kernel_basis(system)
+
+
+_SECTION_ALGEBRAS = {
+    # p, quiver, corner modules over all proper corners at bound 2
+    "A3/F_2": (2, Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b"))), 30),
+    "A3/F_3": (3, Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b"))), 30),
+    "A3 1<-2->3/F_2": (2, Quiver((1, 2, 3), ((2, 1, "a"), (2, 3, "b"))), 29),
+}
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["A", "A^op"])
+@pytest.mark.parametrize("name", list(_SECTION_ALGEBRAS))
+def test_section_space_is_the_kronecker_kernel(name, opposite):
+    # On every proper corner the section's space is the Kronecker
+    # system's reduced kernel, row for row, for every corner module.
+    p, quiver, want_cases = _SECTION_ALGEBRAS[name]
+    alg = path_algebra(Field(p), quiver)
+    if opposite:
+        alg = opposite_algebra(alg)
+    cases = 0
+    for mask in range(1, 2 ** len(alg.idem) - 1):
+        cd = corner_algebra(alg, [k for k in range(len(alg.idem)) if mask >> k & 1])
+        section = giraud_context(cd).i
+        for n in universe(cd.sub, 2).members:
+            space = section.data(n)[1]
+            assert space.basis.row_list() == \
+                _kron_section_space(cd, n).basis.row_list()
+            cases += 1
+    assert cases == want_cases
 
 
 def _stalks(alg):

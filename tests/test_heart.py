@@ -201,7 +201,7 @@ def test_truncation_shift_conjugation(a2_setup):
     c = one_term(s2, 1)
     tr, _ = truncate_le0(ts, c.shift(-1))
     assert tr.shift(1).is_zero()
-    q, proj = truncate_ge(ts, c, 0)
+    q, proj = truncate_ge(ts, c)
     assert is_quasi_iso(proj)
     # Far above the support everything lies in the aisle.
     full, incl = truncate_le0(ts, one_term(p1).shift(2))
@@ -244,7 +244,7 @@ class UpperH0:
 
 
 def h0_upper(ts, c: Complex) -> UpperH0:
-    high, proj = truncate_ge(ts, c, 0)
+    high, proj = truncate_ge(ts, c)
     h, incl = truncate_le0(ts, high)
     return UpperH0(h, high, proj, incl)
 

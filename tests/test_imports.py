@@ -11,7 +11,9 @@ that no library module reads, imports or reaches as an attribute,
 outside its own definition.  The third fails on a public module-level
 function, class or assignment that no library module references
 outside its own definition, that the benchmark in perfbench/ does not
-name, and that has no entry in UNCALLED_PUBLIC.
+name, and that has no entry in UNCALLED_PUBLIC.  The fourth fails on a
+public method of a library class whose name nothing in src/, tests/ or
+perfbench/ reaches as an attribute.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quivertilt"
 PERFBENCH = SRC.parent.parent / "perfbench"
+TESTS = SRC.parent.parent / "tests"
 
 # Imports kept on purpose although the module itself does not read them.
 REEXPORTS = {("heart.py", "NotHereditary")}
@@ -261,3 +264,56 @@ def test_library_has_no_uncalled_publics_without_a_reason():
     # Every entry is still uncalled, so none is stale.
     assert sorted(set(UNCALLED_PUBLIC) - set(found)) == []
     assert all(reason for reason in UNCALLED_PUBLIC.values())
+
+
+def _public_methods(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The public methods (properties and class methods included) of the
+    module-level classes, as "Class.method" with the definition."""
+    return [(f"{cls.name}.{node.name}", node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
+def unreached_methods(sources: dict[str, str],
+                      others: list[str]) -> list[tuple[str, str]]:
+    """(module, "Class.method") for every public method whose name no
+    library source and no other source reaches as an attribute.  A name
+    spelled out in a string does not count."""
+    reached = {node.attr
+               for text in list(sources.values()) + others
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.Attribute)}
+    return [(name, method)
+            for name, text in sources.items()
+            for method, node in _public_methods(ast.parse(text, filename=name))
+            if method.split(".")[1] not in reached]
+
+
+def test_scan_sees_an_unreached_method():
+    sources = {
+        "a.py": "class Shape:\n"
+                "    def used(self):\n        return self.helper()\n\n"
+                "    def helper(self):\n        pass\n\n"
+                "    @property\n    def size(self):\n        return 1\n\n"
+                "    @classmethod\n    def build(cls):\n        return cls()\n\n"
+                "    def named(self):\n        pass\n\n"
+                "    def _private(self):\n        pass\n",
+        "b.py": "from .a import Shape\n\n"
+                "def f():\n    return Shape.build().size\n",
+    }
+    others = ["def test(x):\n    x.used()\n",
+              "METHODS = ('Shape.named',)\n"]
+    assert unreached_methods(sources, others) == [("a.py", "Shape.named")]
+
+
+def test_library_has_no_unreached_methods():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in sorted(SRC.rglob("*.py"))}
+    others = [path.read_text() for directory in (TESTS, PERFBENCH)
+              for path in sorted(directory.glob("*.py"))]
+    assert unreached_methods(sources, others) == []
+    # The scan has something to check.
+    assert sum(len(_public_methods(ast.parse(text)))
+               for text in sources.values()) > 100

@@ -17,9 +17,11 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Names of the colocalization copies that the side-parametrised
-# functions replaced; the tracer's tables may still list them.
+# functions replaced, and of a method deleted because nothing called it;
+# the tracer's tables may still list them.
 STALE = {("giraud", "co_push_pair"), ("giraud", "co_hat_pair"),
-         ("tiltbridge", "verify_heart_cogiraud")}
+         ("tiltbridge", "verify_heart_cogiraud"),
+         ("algebras", "Algebra.left_mult_mat")}
 
 
 def _layertrace():

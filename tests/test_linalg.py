@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import kron
 
 from quivertilt import kernels
 from quivertilt.kernels import _pure
@@ -13,10 +14,10 @@ from quivertilt.linalg import (
     Mat,
     Subspace,
     all_vectors,
+    combine,
     complement_in,
     image_basis,
     kernel_basis,
-    kron,
     pullback_linear,
     quotient_maps,
     rank,
@@ -324,6 +325,40 @@ def _reduced(m, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 251])
+def test_combine_is_the_schoolbook_sum(p):
+    rng = random.Random(53 + p)
+    for _ in range(60):
+        size, k = rng.randrange(0, 7), rng.randrange(0, 5)
+        vecs = [tuple(rng.randrange(p) for _ in range(size)) for _ in range(k)]
+        # Zero coefficients, also as multiples of p, and unreduced ones.
+        coeffs = [rng.choice((0, p, rng.randrange(-2 * p, 2 * p)))
+                  for _ in range(k)]
+        want = tuple(sum(c * v[j] for c, v in zip(coeffs, vecs)) % p
+                     for j in range(size))
+        assert combine(p, size, coeffs, vecs) == want
+    # An empty basis gives the zero vector of the stated size.
+    assert combine(p, 3, [], []) == (0, 0, 0)
+    assert combine(p, 0, [], []) == ()
+    # Matrices pass their data, zero-size ones included.
+    a, b = rand_mat(rng, p, 2, 3), rand_mat(rng, p, 2, 3)
+    assert Mat(p, 2, 3, combine(p, 6, [1, p - 1], [a.data, b.data])) == a - b
+    assert combine(p, 0, [1, 1], [Mat.zeros(p, 0, 3).data,
+                                  Mat.zeros(p, 2, 0).data]) == ()
+
+
+def test_kron_oracle_vectorizes_products():
+    # The tests' Kronecker oracle: vec(A X B) = kron(A, B^T) vec(X) with
+    # X flattened row-major.
+    rng = random.Random(59)
+    for p in (2, 3, 251):
+        for _ in range(10):
+            m, n, k, l = (rng.randrange(0, 4) for _ in range(4))
+            a, x, b = rand_mat(rng, p, m, n), rand_mat(rng, p, n, k), \
+                rand_mat(rng, p, k, l)
+            assert kron(a, b.transpose()).apply(x.data) == (a @ x @ b).data
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
 def test_outputs_are_reduced(p):
     rng = random.Random(41 + p)
 
@@ -337,8 +372,7 @@ def test_outputs_are_reduced(p):
         a, a_alt, b, c = raw(m, n), raw(m, n), raw(n, k), raw(m, k)
         outs = [
             a @ b, a + a_alt, a - a_alt, a.scale(rng.randrange(-p, 2 * p)),
-            -a, a.transpose(), a.hstack(c), a.vstack(a_alt), kron(a, b),
-            rref(a)[0],
+            -a, a.transpose(), a.hstack(c), a.vstack(a_alt), rref(a)[0],
         ]
         x = solve(a, c)
         if x is not None:

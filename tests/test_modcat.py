@@ -7,6 +7,7 @@ from the path bases and frozen here.
 from __future__ import annotations
 
 import pytest
+from conftest import kron
 
 from quivertilt.algebras import (
     Bimodule,
@@ -23,7 +24,6 @@ from quivertilt.linalg import (
     Subspace,
     image_basis,
     kernel_basis,
-    kron,
 )
 from quivertilt.modules import (
     Module,
@@ -37,6 +37,7 @@ from quivertilt.modules import (
     fiber_product,
     hom_basis,
     hom_dim,
+    hom_space,
     image,
     injective_module,
     is_projective,
@@ -362,5 +363,6 @@ def test_hom_basis_is_kernel_of_kron_system(p, vertices, bound):
     for m in members:
         for n in members:
             want = _kron_hom_space(m, n)
+            assert hom_space(m, n) == want
             assert [h.mat.data for h in hom_basis(m, n)] == \
                 want.basis.row_list()

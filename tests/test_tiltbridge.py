@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import pytest
 
-from quivertilt.algebras import corner_algebra, path_algebra
+from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
 from quivertilt import heart
 from quivertilt.complexes import (
     ChainMap,
@@ -532,6 +532,11 @@ def test_duals_are_linked_both_ways(a2):
     for m in (s1, p1, Module.zero(a2)):
         assert dual_module(m) is dual_module(m)
         assert dual_module(dual_module(m)) is m
+    # The shared zero modules of an algebra and its opposite are each
+    # other's duals, so a dual zero module is the shared one.
+    op = opposite_algebra(a2)
+    assert dual_module(Module.zero(a2)) is Module.zero(op)
+    assert dual_module(Module.zero(op)) is Module.zero(a2)
     c = Complex(a2, -1, [s1, p1], [ModuleMap.zero(s1, p1)])
     for x in (c, one_term(p1, 1), Complex.zero(a2)):
         assert dual_complex(x) is dual_complex(x)
