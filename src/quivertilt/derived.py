@@ -515,11 +515,18 @@ def derived_hom_dim(x: Complex, y: Complex) -> int:
             total += hom_dim(m, n)
         n = hy.get(i - 1)
         if n is not None:
-            a, b = m.vertex_dims(), n.vertex_dims()
-            total += hom_dim(m, n) - sum(a_k * c * b_l
-                                         for a_k, row in zip(a, euler)
-                                         for c, b_l in zip(row, b))
+            total += _ext1_dim(m, n, euler)
     return total
+
+
+def _ext1_dim(m: Module, n: Module,
+              euler: tuple[tuple[int, ...], ...]) -> int:
+    """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n>, by the Euler
+    form that `_check_hereditary` returns."""
+    a, b = m.vertex_dims(), n.vertex_dims()
+    return hom_dim(m, n) - sum(a_k * c * b_l
+                               for a_k, row in zip(a, euler)
+                               for c, b_l in zip(row, b))
 
 
 def transport_exact(fun, m: DerivedMorphism) -> DerivedMorphism:

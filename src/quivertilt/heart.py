@@ -34,17 +34,27 @@ against shifted coaisle once per pair of them with the split formula of
 NotHereditary on an algebra of global dimension above one, with no
 fallback scan.
 
-Exactness of 0 -> X_0 -> ... -> X_n -> 0 is decided by its definition
-in one walk, behind `heart_ses_ok` and `heart_les_ok`.  A zero object
-splits the sequence into runs of nonzero objects, and the sequence is
-exact exactly when each run is exact on its own; a run of one object
-never is.  A run needs the kernel object of its first map to vanish,
-the cokernel object of its last map to vanish, and, at each inner node
-f, g, that g f = 0 and that the kernel of g dies in the cokernel of f.
-Each map's cone is built once and serves both its kernel, asked for at
-one node, and its cokernel, asked for at the next.  An object asked for
-only to vanish is built without the lifts behind its inclusion or
-projection.
+Exactness of 0 -> X_0 -> ... -> X_n -> 0 is decided in one walk, behind
+`heart_ses_ok` and `heart_les_ok`.  A zero object splits the sequence
+into runs of nonzero objects, and the sequence is exact exactly when
+each run is exact on its own; a run of one object never is.  A run
+needs the kernel object of its first map to vanish, the cokernel object
+of its last map to vanish, and, at each inner node f, g, that g f = 0
+and that the image of f fills the kernel of g.  Each map's cone is
+built once and serves the node before it and the node after it.
+
+The walk takes the maps in either of two forms.  `heart_ses_ok` takes
+derived morphisms, as `tilted_pair_report` and `tiltbridge` build them:
+their cones are cones of chain maps, truncated, and an inner node asks
+whether the kernel of g dies in the cokernel of f.  `heart_les_ok`
+builds its five maps as `SplitMorphism`s, (a, b, eps) between heart
+objects F[1] + T, straight from the module sequence; their kernels,
+images and cokernels are module pairs read off one extension, and an
+inner node compares dim Hom_D(ker g, im f) with dim Hom_D(ker g, ker g)
+by the split formula: g f = 0 makes im f -> ker g a mono, and in a
+Hom-finite abelian category a mono u: I -> K is an iso exactly when
+Hom(K, u) is onto.  That path builds no complex, resolution, cone or
+truncation.
 """
 
 from __future__ import annotations
@@ -67,6 +77,7 @@ from .derived import (
     DerivedMorphism,
     NotHereditary,
     _check_hereditary,
+    _ext1_dim,
     derived_hom0,
     derived_hom_dim,
     lift_postcompose,
@@ -80,10 +91,15 @@ from .linalg import (
     solve,
 )
 from .modules import (
+    Ext1,
     Module,
     ModuleMap,
     ShortExactSeq,
     cokernel,
+    direct_sum,
+    ext1_basis,
+    extension_realize,
+    hom_dim,
     kernel,
     lift_through,
     quotient_by_subspace,
@@ -313,13 +329,30 @@ class _HeartCone:
                                     "concentrated in the heart"
         return ck, hproj, cincl
 
-    @property
-    def kernel_object(self) -> Complex:
-        return self._kernel_parts[0]
+    @cached_property
+    def source_is_zero(self) -> bool:
+        return is_heart_zero(self.m.source)
+
+    @cached_property
+    def target_is_zero(self) -> bool:
+        return is_heart_zero(self.m.target)
 
     @property
-    def cokernel_object(self) -> Complex:
-        return self._cokernel_parts[0]
+    def kernel_is_zero(self) -> bool:
+        return is_heart_zero(self._kernel_parts[0])
+
+    @property
+    def cokernel_is_zero(self) -> bool:
+        return is_heart_zero(self._cokernel_parts[0])
+
+    def exact_after(self, f: "_HeartCone") -> bool:
+        """Exactness at the middle of f then self: the composite vanishes
+        and the kernel of self dies in the cokernel of f."""
+        if not self.m.compose(f.m).is_zero():
+            return False
+        _, kincl = self.kernel
+        _, cproj = f.cokernel
+        return cproj.compose(kincl).is_zero()
 
     @cached_property
     def kernel(self) -> tuple[Complex, DerivedMorphism]:
@@ -361,11 +394,11 @@ def is_heart_zero(c: Complex) -> bool:
 
 
 def is_heart_mono(ts: InducedTStructure, m: DerivedMorphism) -> bool:
-    return is_heart_zero(_HeartCone(ts, m).kernel_object)
+    return _HeartCone(ts, m).kernel_is_zero
 
 
 def is_heart_epi(ts: InducedTStructure, m: DerivedMorphism) -> bool:
-    return is_heart_zero(_HeartCone(ts, m).cokernel_object)
+    return _HeartCone(ts, m).cokernel_is_zero
 
 
 def factor_through_mono(mono: DerivedMorphism, f: DerivedMorphism,
@@ -392,51 +425,183 @@ def factor_through_epi(epi: DerivedMorphism, f: DerivedMorphism,
     return g
 
 
-def _exact_at(f: _HeartCone, g: _HeartCone) -> bool:
-    if not g.m.compose(f.m).is_zero():
-        return False
-    _, kincl = g.kernel
-    _, cproj = f.cokernel
-    return cproj.compose(kincl).is_zero()
-
-
 def heart_exact_at(ts: InducedTStructure, f: DerivedMorphism,
                    g: DerivedMorphism) -> bool:
     """Exactness of a composable heart pair at the middle object: g f = 0
     puts the image of f inside the kernel of g, and the kernel of g lies
     inside the image of f exactly when it dies in the cokernel of f."""
-    return _exact_at(_HeartCone(ts, f), _HeartCone(ts, g))
+    return _HeartCone(ts, g).exact_after(_HeartCone(ts, f))
 
 
-def _exact_run(ts: InducedTStructure, maps: list[DerivedMorphism]) -> bool:
-    """0 -> X_0 -> ... -> X_n -> 0 with every X_i nonzero: mono at the
-    first map, epi at the last, exact at every inner node.  With no map
-    the run is one nonzero object, which is never exact."""
-    if not maps:
+@lru_cache(maxsize=None)
+def _ext(t: Module, f: Module) -> Ext1:
+    """Ext^1(t, f) as `ext1_basis` presents it, built once per pair of
+    modules, so every split cocycle from t sits on the same syzygy."""
+    return ext1_basis(t, f)
+
+
+def _syzygy_lift(b: ModuleMap, src: Ext1, tgt: Ext1) -> ModuleMap:
+    """A map from the syzygy of src.m to that of tgt.m over b: the lift
+    of b to the projective covers, restricted to the syzygies."""
+    beta = lift_through(tgt.cover, b.compose(src.cover))
+    mu = solve(tgt.incl.mat, beta.mat @ src.incl.mat)
+    return ModuleMap(src.incl.source, tgt.incl.source, mu)
+
+
+class SplitMorphism:
+    """A heart morphism F_X[1] + T_X -> F_Y[1] + T_Y in Happel's split
+    form, over a hereditary algebra: a: F_X -> F_Y, b: T_X -> T_Y, and
+    eps, a cocycle of Ext^1(T_X, F_Y) = Hom_D(T_X, F_Y[1]) on the
+    syzygy of T_X as `ext` presents it.  Hom_D(F_X[1], T_Y) = 0, so
+    that is the whole morphism."""
+
+    __slots__ = ("a", "b", "eps")
+
+    def __init__(self, a: ModuleMap, b: ModuleMap, eps: ModuleMap):
+        self.a = a
+        self.b = b
+        self.eps = eps
+
+    @classmethod
+    def diagonal(cls, a: ModuleMap, b: ModuleMap) -> "SplitMorphism":
+        """(a, b) with the zero Ext part."""
+        omega = _ext(b.source, a.target).incl.source
+        return cls(a, b, ModuleMap.zero(omega, a.target))
+
+    @property
+    def ext(self) -> Ext1:
+        return _ext(self.b.source, self.a.target)
+
+    def compose(self, other: "SplitMorphism") -> "SplitMorphism":
+        """self after other, the Yoneda product (a'a, b'b, a'.eps +
+        eps'.b); Ext^1 after Ext^1 lands in Ext^2 = 0."""
+        eps = self.a.compose(other.eps)
+        if not self.eps.is_zero():
+            lift = _syzygy_lift(other.b, other.ext, self.ext)
+            eps = eps + self.eps.compose(lift)
+        return SplitMorphism(self.a.compose(other.a),
+                             self.b.compose(other.b), eps)
+
+    def is_zero(self) -> bool:
+        return (self.a.is_zero() and self.b.is_zero()
+                and self.ext.is_coboundary(self.eps))
+
+
+def _split_hom_dim(x: tuple[Module, Module], y: tuple[Module, Module]) -> int:
+    """dim Hom_D(F_x[1] + T_x, F_y[1] + T_y) by the split formula."""
+    euler = _check_hereditary(x[1].algebra)
+    return (hom_dim(x[0], y[0]) + hom_dim(x[1], y[1])
+            + _ext1_dim(x[1], y[0], euler))
+
+
+class _SplitCone:
+    """Kernel, image and cokernel of a split heart morphism (a, b, eps),
+    as pairs (free part, torsion part) of modules.
+
+    H^-1 of the cone is the extension 0 -> coker a -> E -> ker b -> 0
+    whose class is eps pulled back to ker b and pushed to coker a; its
+    other cohomologies are ker a (degree -2) and coker b (degree 0).  So
+    the kernel is (ker a, t(E)), the cokernel (f(E), coker b) and the
+    image (ker(F_Y -> f(E)), coker(t(E) -> T_X)).  E is built as the
+    preimage of ker b in the extension of T_X by coker a, which
+    realizes eps pushed to coker a, so no lift to the syzygy of ker b
+    is needed.
+    """
+
+    def __init__(self, ts: InducedTStructure, m: SplitMorphism):
+        self.ts = ts
+        self.m = m
+
+    @cached_property
+    def source_is_zero(self) -> bool:
+        return not (self.m.a.source.dim or self.m.b.source.dim)
+
+    @cached_property
+    def target_is_zero(self) -> bool:
+        return not (self.m.a.target.dim or self.m.b.target.dim)
+
+    @cached_property
+    def _middle(self) -> tuple[ModuleMap, ShortExactSeq, ModuleMap,
+                               ShortExactSeq]:
+        """coker a's projection, the extension 0 -> coker a -> E' -> T_X
+        -> 0, the inclusion of E into E' and the torsion decomposition
+        of E."""
+        a, b = self.m.a, self.m.b
+        _, ca = cokernel(a)
+        pushed = ca.compose(self.m.eps)
+        if pushed.is_zero():
+            _, incls, projs = direct_sum(a.source.algebra,
+                                         [ca.target, b.source])
+            whole = ShortExactSeq(incls[0], projs[1])
+        else:
+            whole = extension_realize(self.m.ext, pushed)
+        _, e_incl = kernel(b.compose(whole.epi))
+        return ca, whole, e_incl, self.ts.pair.decompose(e_incl.source)
+
+    @cached_property
+    def kernel_object(self) -> tuple[Module, Module]:
+        _, _, _, dec = self._middle
+        return kernel(self.m.a)[0], dec.sub
+
+    @cached_property
+    def image_object(self) -> tuple[Module, Module]:
+        ca, whole, e_incl, dec = self._middle
+        into_e = solve(e_incl.mat, whole.mono.mat @ ca.mat)
+        onto_free = ModuleMap(self.m.a.target, dec.quot, dec.epi.mat @ into_e)
+        t_image = whole.epi.compose(e_incl).compose(dec.mono)
+        return kernel(onto_free)[0], cokernel(t_image)[0]
+
+    @property
+    def kernel_is_zero(self) -> bool:
+        _, _, _, dec = self._middle
+        return self.m.a.is_injective() and not dec.sub.dim
+
+    @property
+    def cokernel_is_zero(self) -> bool:
+        _, _, _, dec = self._middle
+        return self.m.b.is_surjective() and not dec.quot.dim
+
+    def exact_after(self, f: "_SplitCone") -> bool:
+        """Exactness at the middle of f then self.  A vanishing composite
+        makes the image of f a subobject of the kernel K of self, and in
+        a Hom-finite abelian category a mono u: I -> K is an iso exactly
+        when Hom(K, u) is onto, that is, when the dimensions of Hom(K, I)
+        and Hom(K, K) agree."""
+        if not self.m.compose(f.m).is_zero():
+            return False
+        k = self.kernel_object
+        return _split_hom_dim(k, f.image_object) == _split_hom_dim(k, k)
+
+
+def _exact_run(cones: list) -> bool:
+    """0 -> X_0 -> ... -> X_n -> 0 with every X_i nonzero, given by the
+    cones of its maps: mono at the first map, epi at the last, exact at
+    every inner node.  With no map the run is one nonzero object, which
+    is never exact."""
+    if not cones:
         return False
-    cones = [_HeartCone(ts, m) for m in maps]
-    return (is_heart_zero(cones[0].kernel_object)
-            and is_heart_zero(cones[-1].cokernel_object)
-            and all(_exact_at(f, g) for f, g in pairwise(cones)))
+    return (cones[0].kernel_is_zero and cones[-1].cokernel_is_zero
+            and all(g.exact_after(f) for f, g in pairwise(cones)))
 
 
-def _heart_exact_sequence(ts: InducedTStructure,
-                          maps: list[DerivedMorphism]) -> bool:
-    """0 -> X_0 -> ... -> X_n -> 0 through composable heart maps.
+def _heart_exact_sequence(ts: InducedTStructure, maps: list) -> bool:
+    """0 -> X_0 -> ... -> X_n -> 0 through composable heart maps, all
+    derived morphisms or all split morphisms.
 
     Every map into or out of a zero object is zero, so exactness at a
     zero object holds, and exactness next to one asks for an epi or a
     mono.  The sequence is therefore exact exactly when each maximal
     run of nonzero objects is exact on its own, and only those runs are
-    walked.  Within a run each map builds one cone, shared by the
-    kernel one node asks for and the cokernel the next node asks for.
+    walked.  Each map gets one cone, shared by the kernel one node asks
+    for and the cokernel or image the next node asks for.
     """
-    objs = [maps[0].source] + [m.target for m in maps]
-    cuts = [-1] + [k for k, x in enumerate(objs) if is_heart_zero(x)]
-    cuts.append(len(objs))
-    # The run between zero objects a and b is objs[a + 1:b], joined by
-    # maps[a + 1:b - 1].
-    return all(_exact_run(ts, maps[a + 1:b - 1])
+    cone = _SplitCone if isinstance(maps[0], SplitMorphism) else _HeartCone
+    cones = [cone(ts, m) for m in maps]
+    zero = [cones[0].source_is_zero] + [c.target_is_zero for c in cones]
+    cuts = [-1] + [k for k, z in enumerate(zero) if z] + [len(zero)]
+    # The run between zero objects a and b is X_(a+1), ..., X_(b-1),
+    # joined by cones[a + 1:b - 1].
+    return all(_exact_run(cones[a + 1:b - 1])
                for a, b in pairwise(cuts) if b > a + 1)
 
 
@@ -472,55 +637,37 @@ def heart_decompose(ts: InducedTStructure, x: Complex) -> HeartDecomposition:
                               quo, DerivedMorphism.from_chain_map(q_map))
 
 
-def connecting_morphism(ses: ShortExactSeq) -> DerivedMorphism:
-    """The boundary morphism quot[0] -> sub[1] of a module short exact
-    sequence, realized on the projective resolution of the quotient."""
-    res, cmp = projective_resolution(one_term(ses.quot))
-    lam = lift_through(ses.epi, cmp.component(0))
-    assert lam is not None, "map does not lift through the cover"
-    if res.lo == 0:
-        return DerivedMorphism.zero(one_term(ses.quot), one_term(ses.sub, 1))
-    iota = res.diff(-1)
-    mu = solve(ses.mono.mat, lam.mat @ iota.mat)
-    assert mu is not None, "syzygy image escapes the submodule"
-    rep = ChainMap(res, one_term(ses.sub, 1),
-                   {-1: ModuleMap(res.component(-1), ses.sub, mu)})
-    return DerivedMorphism(one_term(ses.quot), one_term(ses.sub, 1), rep)
-
-
 def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
-    """The six-term heart sequence of a module short exact sequence:
-    torsion parts in degree zero, free parts shifted once, joined by the
-    boundary morphism.  Checks exactness at every node."""
+    """The six-term heart sequence of a module short exact sequence
+    0 -> A -> B -> C -> 0: torsion parts in degree zero, free parts
+    shifted once, joined by the boundary morphism t(C) -> f(A)[1].
+    Checks exactness at every node, on split morphisms built from the
+    module sequence: the boundary's class is the sequence's cocycle,
+    pulled back to t(C) and pushed to f(A).  Raises NotHereditary on an
+    algebra of global dimension above one."""
+    alg = ses.sub.algebra
+    _check_hereditary(alg)
     pair = ts.pair
-    dec = {name: pair.decompose(m) for name, m in
-           (("a", ses.sub), ("b", ses.middle), ("c", ses.quot))}
-    t_incl = {k: d.mono for k, d in dec.items()}
-    f_proj = {k: d.epi for k, d in dec.items()}
+    a, b, c = (pair.decompose(m) for m in (ses.sub, ses.middle, ses.quot))
+    zero = Module.zero(alg)
+    nothing = ModuleMap.zero(zero, zero)
 
-    def t_morphism(src, tgt, f):
-        g = _restrict(f, t_incl[src], t_incl[tgt])
-        return DerivedMorphism.from_chain_map(
-            ChainMap(one_term(g.source), one_term(g.target), {0: g}))
+    def on_torsion(f, s, t):
+        return SplitMorphism.diagonal(nothing, _restrict(f, s.mono, t.mono))
 
-    def f_morphism(src, tgt, f):
-        g = _descend(f, f_proj[src], f_proj[tgt])
-        return DerivedMorphism.from_chain_map(
-            ChainMap(one_term(g.source, 1), one_term(g.target, 1), {-1: g}))
+    def on_free(f, s, t):
+        return SplitMorphism.diagonal(_descend(f, s.epi, t.epi), nothing)
 
-    m1 = t_morphism("a", "b", ses.mono)
-    m2 = t_morphism("b", "c", ses.epi)
-    m4 = f_morphism("a", "b", ses.mono)
-    m5 = f_morphism("b", "c", ses.epi)
-    bound = connecting_morphism(ses)
-    into_c = DerivedMorphism.from_chain_map(
-        ChainMap(one_term(dec["c"].sub), one_term(ses.quot),
-                 {0: t_incl["c"]}))
-    onto_fa = DerivedMorphism.from_chain_map(
-        ChainMap(one_term(ses.sub, 1), one_term(dec["a"].quot, 1),
-                 {-1: f_proj["a"]}))
-    m3 = onto_fa.compose(bound.compose(into_c))
-    return _heart_exact_sequence(ts, [m1, m2, m3, m4, m5])
+    ext = _ext(c.sub, a.quot)
+    lam = lift_through(ses.epi, c.mono.compose(ext.cover))
+    mu = solve(ses.mono.mat, lam.mat @ ext.incl.mat)
+    bound = SplitMorphism(ModuleMap.zero(zero, a.quot),
+                          ModuleMap.zero(c.sub, zero),
+                          ModuleMap(ext.incl.source, a.quot,
+                                    a.epi.mat @ mu))
+    return _heart_exact_sequence(ts, [
+        on_torsion(ses.mono, a, b), on_torsion(ses.epi, b, c), bound,
+        on_free(ses.mono, a, b), on_free(ses.epi, b, c)])
 
 
 def heart_is_isomorphic(x: Complex, y: Complex) -> bool:

@@ -77,7 +77,9 @@ class Mat:
                 f"expected {rows * cols} entries, got {len(data)}"
             )
         self.data = data
-        self._rref: Optional[tuple[Mat, tuple[int, ...]]] = None
+        # (reduced form, pivots); the form is None on a matrix that is
+        # its own reduction, which keeps no reference to itself.
+        self._rref: Optional[tuple[Optional[Mat], tuple[int, ...]]] = None
         self._hash: Optional[int] = None
 
     @classmethod
@@ -231,10 +233,12 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form of m and its pivot columns."""
     if m._rref is None:
         data, pivots = kernels.rref(m.p, m.rows, m.cols, m.data)
+        pivots = tuple(pivots)
         out = Mat(m.p, m.rows, m.cols, data)
-        out._rref = (out, tuple(pivots))
-        m._rref = (out, tuple(pivots))
-    return m._rref
+        out._rref = (None, pivots)
+        m._rref = (out, pivots)
+    out, pivots = m._rref
+    return (m if out is None else out), pivots
 
 
 def rank(m: Mat) -> int:

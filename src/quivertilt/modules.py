@@ -620,7 +620,8 @@ class Ext1:
     """The space Ext^1(m, n) presented by cocycles on a syzygy.
 
     cocycles is a basis of representatives, elements of Hom(Omega, n)
-    modulo restrictions of Hom(P, n).
+    modulo coboundaries, the restrictions of Hom(P, n); coboundaries
+    holds those as a subspace of the flat n.dim-by-Omega.dim matrices.
     """
 
     m: Module
@@ -628,6 +629,7 @@ class Ext1:
     cover: ModuleMap
     incl: ModuleMap
     cocycles: tuple[ModuleMap, ...]
+    coboundaries: Subspace
 
     @property
     def dim(self) -> int:
@@ -635,6 +637,10 @@ class Ext1:
 
     def element(self, coeffs: Iterable[int]) -> ModuleMap:
         return ModuleMap.combination(self.incl.source, self.n, coeffs, self.cocycles)
+
+    def is_coboundary(self, cocycle: ModuleMap) -> bool:
+        """Whether a cocycle Omega -> n represents the zero class."""
+        return self.coboundaries.contains(cocycle.mat.data)
 
 
 def ext1_basis(m: Module, n: Module) -> Ext1:
@@ -646,14 +652,17 @@ def ext1_basis(m: Module, n: Module) -> Ext1:
     reps = complement_in(full, restricted)
     cocycles = tuple(ModuleMap(omega, n, Mat(p, n.dim, omega.dim, v))
                      for v in reps)
-    return Ext1(m, n, cover, incl, cocycles)
+    return Ext1(m, n, cover, incl, cocycles, restricted)
 
 
 def extension_realize(ext: Ext1, cocycle: ModuleMap) -> ShortExactSeq:
-    """The extension 0 -> n -> E -> m -> 0 classified by a cocycle."""
+    """The extension 0 -> n -> E -> m -> 0 classified by a cocycle
+    Omega -> n on the syzygy of ext.  n is the cocycle's target, so a
+    cocycle of ext pushed along a map ext.n -> n realizes the pushed
+    extension."""
     alg = ext.m.algebra
     omega = ext.incl.source
-    whole, incls, projs = direct_sum(alg, [ext.n, ext.cover.source])
+    whole, incls, projs = direct_sum(alg, [cocycle.target, ext.cover.source])
     vecs = []
     for t in range(omega.dim):
         v = [-x % alg.field.p for x in cocycle.mat.col(t)] + list(ext.incl.mat.col(t))

@@ -13,6 +13,7 @@ freezing.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
@@ -36,7 +37,12 @@ from quivertilt.complexes import (
     is_exact_complex,
     is_quasi_iso,
 )
-from quivertilt.derived import DerivedMorphism, derived_hom0, derived_hom_dim
+from quivertilt.derived import (
+    DerivedMorphism,
+    derived_hom0,
+    derived_hom_dim,
+    projective_resolution,
+)
 from quivertilt.enumeration import (
     SEARCH_CAP,
     BoundExceeded,
@@ -45,7 +51,7 @@ from quivertilt.enumeration import (
 )
 from quivertilt.heart import (
     NotHereditary,
-    connecting_morphism,
+    SplitMorphism,
     factor_through_epi,
     factor_through_mono,
     h0_lower,
@@ -73,15 +79,18 @@ from quivertilt.heart import (
     truncate_le0,
     truncate_le0_map,
 )
-from quivertilt.linalg import Field, Mat, all_vectors, image_basis
+from quivertilt.linalg import Field, Mat, all_vectors, image_basis, solve
 from quivertilt.modules import (
     Module,
     ModuleMap,
     ShortExactSeq,
     cokernel,
     direct_sum,
+    ext1_basis,
+    extension_realize,
     hom_basis,
     kernel,
+    lift_through,
     projective_module,
     ses_from_submodule,
     simple_module,
@@ -96,6 +105,9 @@ from quivertilt.torsion import (
 )
 
 BUNDLED = files("quivertilt").joinpath("scenarios/a2_full.json")
+_A2 = Quiver((1, 2), ((1, 2, "a"),))
+_A3 = Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b")))
+_A3_REVERSED = Quiver((1, 2, 3), ((2, 1, "a"), (3, 2, "b")))
 
 
 @pytest.fixture
@@ -354,6 +366,58 @@ def test_heart_decompose(a2, a2_setup):
         heart_decompose(ts, one_term(s1, 1))
 
 
+def connecting_morphism(ses: ShortExactSeq) -> DerivedMorphism:
+    """The boundary morphism quot[0] -> sub[1] of a module short exact
+    sequence, realized on the projective resolution of the quotient."""
+    res, cmp = projective_resolution(one_term(ses.quot))
+    lam = lift_through(ses.epi, cmp.component(0))
+    assert lam is not None, "map does not lift through the cover"
+    if res.lo == 0:
+        return DerivedMorphism.zero(one_term(ses.quot), one_term(ses.sub, 1))
+    iota = res.diff(-1)
+    mu = solve(ses.mono.mat, lam.mat @ iota.mat)
+    assert mu is not None, "syzygy image escapes the submodule"
+    rep = ChainMap(res, one_term(ses.sub, 1),
+                   {-1: ModuleMap(res.component(-1), ses.sub, mu)})
+    return DerivedMorphism(one_term(ses.quot), one_term(ses.sub, 1), rep)
+
+
+def _chain_map_les(ts, ses):
+    """The five maps of the six-term heart sequence of a module short
+    exact sequence as derived morphisms: torsion parts in degree zero,
+    free parts shifted once, joined by the boundary morphism.  The
+    chain-map reference for the split morphisms heart_les_ok builds."""
+    pair = ts.pair
+    dec = {name: pair.decompose(m) for name, m in
+           (("a", ses.sub), ("b", ses.middle), ("c", ses.quot))}
+    t_incl = {k: d.mono for k, d in dec.items()}
+    f_proj = {k: d.epi for k, d in dec.items()}
+
+    def t_morphism(src, tgt, f):
+        g = heart._restrict(f, t_incl[src], t_incl[tgt])
+        return DerivedMorphism.from_chain_map(
+            ChainMap(one_term(g.source), one_term(g.target), {0: g}))
+
+    def f_morphism(src, tgt, f):
+        g = heart._descend(f, f_proj[src], f_proj[tgt])
+        return DerivedMorphism.from_chain_map(
+            ChainMap(one_term(g.source, 1), one_term(g.target, 1), {-1: g}))
+
+    m1 = t_morphism("a", "b", ses.mono)
+    m2 = t_morphism("b", "c", ses.epi)
+    m4 = f_morphism("a", "b", ses.mono)
+    m5 = f_morphism("b", "c", ses.epi)
+    bound = connecting_morphism(ses)
+    into_c = DerivedMorphism.from_chain_map(
+        ChainMap(one_term(dec["c"].sub), one_term(ses.quot),
+                 {0: t_incl["c"]}))
+    onto_fa = DerivedMorphism.from_chain_map(
+        ChainMap(one_term(ses.sub, 1), one_term(dec["a"].quot, 1),
+                 {-1: f_proj["a"]}))
+    m3 = onto_fa.compose(bound.compose(into_c))
+    return [m1, m2, m3, m4, m5]
+
+
 def test_connecting_morphism_vanishing(a2):
     # Split sequences have zero connecting morphism; the radical
     # sequence of P1 does not.
@@ -374,6 +438,122 @@ def test_heart_les_all_pairs(a2):
     ses = radical_ses(a2, p1)
     for pair in enumerate_torsion_pairs(uni):
         assert heart_les_ok(induced_t_structure(pair), ses)
+
+
+_LES_POOLS = {
+    "A2/F_2 bound 3": (2, _A2, 3),
+    "A2/F_3 bound 2": (3, _A2, 2),
+    "A3/F_2 bound 2": (2, _A3, 2),
+    "A3/F_2 reversed bound 2": (2, _A3_REVERSED, 2),
+}
+
+
+def _split_zero(m):
+    return SplitMorphism.diagonal(ModuleMap.zero(m.a.source, m.a.target),
+                                  ModuleMap.zero(m.b.source, m.b.target))
+
+
+@pytest.mark.parametrize("name", list(_LES_POOLS))
+def test_split_les_agrees_with_the_cone_walk(name, monkeypatch):
+    # Every six-term sequence of a member and a proper nonzero submodule,
+    # under every torsion pair, as it is, with each of its five maps set
+    # to zero, and cut to each map and each pair of adjacent maps: the
+    # walk over the split morphisms heart_les_ok builds and the walk over
+    # cones of the chain-map build give one verdict.
+    p, quiver, bound = _LES_POOLS[name]
+    uni = universe(path_algebra(Field(p), quiver), bound)
+    seqs = [ses_from_submodule(m, sub) for m in uni.members
+            for sub in enumerate_submodules(m) if 0 < sub.dim < m.dim]
+    walk = heart._heart_exact_sequence
+    built = []
+
+    def recording(ts, maps):
+        built.append(maps)
+        return walk(ts, maps)
+
+    monkeypatch.setattr(heart, "_heart_exact_sequence", recording)
+    verdicts = collections.Counter()
+    for pair in enumerate_torsion_pairs(uni):
+        ts = induced_t_structure(pair)
+        for ses in seqs:
+            built.clear()
+            got = heart_les_ok(ts, ses)
+            [split] = built
+            cones = _chain_map_les(ts, ses)
+            assert got == walk(ts, cones)
+            verdicts[got] += 1
+            for k in range(5):
+                # The map alone (an iso test) and with the next one (a
+                # short exact sequence test).
+                for j in (k + 1, k + 2)[:5 - k]:
+                    assert walk(ts, split[k:j]) == walk(ts, cones[k:j]), \
+                        (k, j)
+                got = walk(ts, split[:k] + [_split_zero(split[k])]
+                           + split[k + 1:])
+                zero = DerivedMorphism.zero(cones[k].source, cones[k].target)
+                assert got == walk(ts, cones[:k] + [zero] + cones[k + 1:]), k
+                verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _extends(mono, a):
+    """Whether a: n -> n' is h . mono for some h: E -> n'."""
+    p = a.source.algebra.field.p
+    size = len(a.mat.data)
+    cols = [(h.mat @ mono.mat).data for h in hom_basis(mono.target, a.target)]
+    return solve(Mat.from_cols(p, cols, size),
+                 Mat(p, size, 1, a.mat.data)) is not None
+
+
+@pytest.mark.parametrize("p, quiver", [(2, _A2), (3, _A2), (2, _A3)],
+                         ids=["A2/F_2", "A2/F_3", "A3/F_2"])
+def test_split_composite_vanishes_where_the_extension_splits(p, quiver):
+    # For a cocycle eps of Ext^1(m, n) realized as 0 -> n -> E -> m -> 0,
+    # the Yoneda product eps.b with b: m' -> m vanishes exactly when b
+    # lifts to E, and a.eps with a: n -> n' exactly when a extends over
+    # E.  So do the split composites (0, 0, eps) after (0, b, 0) and
+    # (a, 0, 0) after (0, 0, eps).
+    alg = path_algebra(Field(p), quiver)
+    mods = universe(alg, 2).nonzero_members()
+    zero = Module.zero(alg)
+    nothing = ModuleMap.zero(zero, zero)
+    seen = set()
+    for m in mods:
+        for n in mods:
+            ext = ext1_basis(m, n)
+            for eps in ext.cocycles:
+                ses = extension_realize(ext, eps)
+                phi = SplitMorphism(ModuleMap.zero(zero, n),
+                                    ModuleMap.zero(m, zero), eps)
+                assert not phi.is_zero()
+                for other in mods:
+                    for b in hom_basis(other, m):
+                        got = phi.compose(
+                            SplitMorphism.diagonal(nothing, b)).is_zero()
+                        assert got == (lift_through(ses.epi, b) is not None)
+                        seen.add(("pull back", got))
+                    for a in hom_basis(n, other):
+                        got = SplitMorphism.diagonal(
+                            a, nothing).compose(phi).is_zero()
+                        assert got == _extends(ses.mono, a)
+                        seen.add(("push", got))
+    assert seen == {(k, v) for k in ("pull back", "push")
+                    for v in (True, False)}
+
+
+@pytest.mark.parametrize("p, quiver", [(3, _A2), (2, _A3)],
+                         ids=["A2/F_3", "A3/F_2"])
+def test_split_hom_dims_are_derived_hom_dims(p, quiver):
+    # dim Hom_D(F[1] + T, F'[1] + T') by the split formula of the
+    # exactness test, against derived_hom_dim of the two-term complexes.
+    alg = path_algebra(Field(p), quiver)
+    mods = [Module.zero(alg)] + list(universe(alg, 2).indecs)
+    objs = [(f, t) for f in mods for t in mods]
+    cplx = {x: Complex(alg, -1, list(x), [ModuleMap.zero(*x)]) for x in objs}
+    for x in objs:
+        for y in objs:
+            assert heart._split_hom_dim(x, y) == \
+                derived_hom_dim(cplx[x], cplx[y]), (x, y)
 
 
 def enumerate_heart_objects(ts, uni, dim_bound):
@@ -465,8 +645,6 @@ def _scanned_class_reps(ts, uni, dim_bound):
     return reps
 
 
-_A2 = Quiver((1, 2), ((1, 2, "a"),))
-_A3 = Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b")))
 _ORACLE_UNIVERSES = {
     "A2/F_2 bound 2": lambda: universe(path_algebra(Field(2), _A2), 2),
     "A2/F_2 bound 3": lambda: universe(path_algebra(Field(2), _A2), 3),
@@ -578,6 +756,21 @@ def test_heart_class_reps_rejects_non_hereditary_without_asserts():
     assert b"simple at e_1 " in _raised_without_asserts("_non_hereditary_reps")
 
 
+def _non_hereditary_les():
+    alg = _a3_with_zero_relation()
+    ts = induced_t_structure(enumerate_torsion_pairs(universe(alg, 1))[0])
+    return heart_les_ok(ts, radical_ses(alg, projective_module(alg, 0)))
+
+
+def test_heart_les_ok_rejects_non_hereditary():
+    with pytest.raises(NotHereditary, match="simple at e_1 "):
+        _non_hereditary_les()
+
+
+def test_heart_les_ok_rejects_non_hereditary_without_asserts():
+    assert b"simple at e_1 " in _raised_without_asserts("_non_hereditary_les")
+
+
 def test_t_structure_report_rejects_non_hereditary():
     with pytest.raises(NotHereditary, match="simple at e_1 "):
         _non_hereditary_report()
@@ -668,7 +861,7 @@ def _short_sequences(f, g, zeros):
 
 
 @pytest.mark.parametrize("name", list(_AGREEMENT_UNIVERSES))
-def test_exactness_agrees_with_the_factoring(name, monkeypatch):
+def test_exactness_agrees_with_the_factoring(name):
     # The four inner nodes of every six-term sequence, and every
     # composable pair x -> y -> z of basis morphisms with x and z
     # indecomposable and y a class representative, get the verdict of
@@ -685,24 +878,17 @@ def test_exactness_agrees_with_the_factoring(name, monkeypatch):
             for sub in enumerate_submodules(m) if 0 < sub.dim < m.dim]
     walk = heart._heart_exact_sequence
     sixterm = []
-
-    def recording(ts, maps):
-        sixterm.append((ts, maps))
-        return walk(ts, maps)
-
     composable = []
     pairs = enumerate_torsion_pairs(uni)
     for pair in pairs:
         ts = induced_t_structure(pair)
-        with monkeypatch.context() as patched:
-            patched.setattr(heart, "_heart_exact_sequence", recording)
-            assert all(heart_les_ok(ts, ses) for ses in seqs)
+        assert all(heart_les_ok(ts, ses) for ses in seqs)
+        sixterm += [(ts, _chain_map_les(ts, ses)) for ses in seqs]
         ends = _heart_stalks(ts, uni)
         for y in heart_class_reps(ts, uni, bound):
             composable += [(ts, f, g) for x in ends for z in ends
                            for f in derived_hom0(x, y).basis()
                            for g in derived_hom0(y, z).basis()]
-    assert len(sixterm) == len(seqs) * len(pairs)
     for ts, maps in sixterm:
         assert len(maps) == 5
         for f, g in zip(maps, maps[1:]):
@@ -800,6 +986,48 @@ def test_scenario_builds_one_cone_per_map_and_solves_no_identity_lift(
     assert [q for q in quasi_isos if is_identity(q)] == []
     assert walks and all(cones <= maps for maps, cones in walks)
     assert sum(cones for _, cones in walks) > 0
+
+
+def test_les_check_builds_no_cone_resolution_lift_or_truncation(
+        monkeypatch, capsys):
+    # les-check on the bundled scenario at bound 3 decides every six-term
+    # sequence in split form: while it runs, nothing resolves, lifts,
+    # builds a cone or truncates.
+    calls = collections.Counter()
+    inside = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    watched = [derived.projective_resolution, derived.lift_postcompose,
+               complexes.cone, heart.truncate_le0]
+    for module in [m for k, m in sys.modules.items()
+                   if k.startswith("quivertilt.")]:
+        for real in watched:
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__,
+                                    counted(real.__name__, real))
+    real_les = cli._COMMANDS["les-check"]
+
+    def les_check(env, cmd):
+        inside.append(cmd)
+        try:
+            return real_les(env, cmd)
+        finally:
+            inside.pop()
+
+    monkeypatch.setitem(cli._COMMANDS, "les-check", les_check)
+    assert cli.main([str(BUNDLED), "--bound", "3", "--no-timing",
+                     "--json-only"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    les = [c for c in report["commands"] if c["op"] == "les-check"]
+    assert les and all(c["ok"] for c in les)
+    assert sum(c["checked"] for c in les) == 63
+    assert calls == {}
 
 
 @pytest.mark.parametrize("name", list(_AGREEMENT_UNIVERSES))

@@ -175,7 +175,8 @@ UNCALLED_PUBLIC = {
     ("heart.py", "factor_through_epi"):
         "acceptance tests state the paper's factorizations with it",
     ("heart.py", "heart_exact_at"):
-        "exactness at one node, the definition the sequence walk runs",
+        "exactness at one node of chain-map morphisms, the reference "
+        "the tests hold the walks to",
     ("heart.py", "is_heart_mono"): "the heart's monomorphisms, for callers",
     ("heart.py", "is_heart_epi"): "the heart's epimorphisms, for callers",
     ("tiltbridge.py", "heart_unit"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -55,6 +56,28 @@ def test_rref_is_idempotent_and_deterministic():
             again, pivots2 = rref(r)
             assert again == r
             assert pivots2 == pivots
+
+
+def test_reduction_is_freed_by_reference_counting():
+    # With the cyclic collector off, a dropped matrix and its cached
+    # reduction are freed as soon as their last reference goes: the
+    # reduction keeps its pivots without a reference to itself.
+    def live_mats():
+        return sum(isinstance(o, Mat) for o in gc.get_objects())
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = live_mats()
+        m = Mat(2, 2, 3, [1, 1, 0, 1, 0, 1])
+        r, pivots = rref(m)
+        assert rref(r) == (r, pivots) and rref(r)[0] is r
+        assert live_mats() == before + 2
+        del m, r
+        assert live_mats() == before
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_rank_nullity():
