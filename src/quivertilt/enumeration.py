@@ -103,11 +103,22 @@ def _module_key(m: Module):
     return (m.dim, tuple(a.data for a in m.action))
 
 
+def _zero_relations(alg: Algebra) -> list[tuple[int, int]]:
+    """The composable radical pairs (i, j) with i * j = 0.  Every other
+    product holds by construction on modules built from arrow blocks,
+    and a path algebra has none."""
+    return [(i, j) for i in alg.radical for j in alg.radical
+            if alg.endpoints[j][1] == alg.endpoints[i][0]
+            and not alg.mult[i][j]]
+
+
 def enumerate_modules(alg: Algebra, dim_bound: int) -> list[Module]:
     """All indecomposable modules of total dimension <= dim_bound, one
-    per isomorphism class, sorted by (dimension, action encoding)."""
+    per isomorphism class, sorted by (dimension, action encoding).  Only
+    the arrow blocks that satisfy the algebra's relations are kept."""
     p = alg.field.p
     arrows = presentation_arrows(alg)
+    relations = _zero_relations(alg)
     nidem = len(alg.idem)
     raw: list[Module] = []
     for dims in itertools.product(range(dim_bound + 1), repeat=nidem):
@@ -126,8 +137,10 @@ def enumerate_modules(alg: Algebra, dim_bound: int) -> list[Module]:
             for (r, c) in shapes
         ]
         for pick in itertools.product(*choices):
-            mats = dict(zip(arrows, pick))
-            raw.append(module_from_vertex_data(alg, dims, mats))
+            m = module_from_vertex_data(alg, dims, dict(zip(arrows, pick)))
+            if all((m.action[i] @ m.action[j]).is_zero()
+                   for i, j in relations):
+                raw.append(m)
     groups: dict[object, list[Module]] = {}
     for m in raw:
         key = (m.dim, m.vertex_dims(),
@@ -178,6 +191,10 @@ class ModuleUniverse:
                     extend(i, sig, left - dims[i])
 
         extend(0, (), dim_bound)
+        if _zero_relations(alg):
+            # A member that breaks a relation is refused.
+            for m in members:
+                m.check()
         order = sorted(range(len(members)), key=lambda t: (members[t].dim, signatures[t]))
         return cls(alg, dim_bound, indecs,
                    tuple(members[t] for t in order),

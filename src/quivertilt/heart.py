@@ -20,8 +20,9 @@ free and T torsion (Happel-Reiten-Smalo, Mem. AMS 575, 1996): the
 extension 0 -> F[1] -> X -> T -> 0 is classified by
 Hom_D(T, F[2]) = Ext^2(T, F) = 0.  So the isomorphism classes of heart
 objects are the pairs (free member, torsion member) of a universe, and
-`heart_class_reps` lists them in closed form once global dimension at
-most one is certified; `tilted_pair_report` decides on them.
+`heart_class_pairs` lists them in closed form once global dimension at
+most one is certified; `heart_class_reps` gives the same classes as
+complexes.  `tilted_pair_report` decides on the pairs themselves.
 
 The same splitting holds for every bounded complex: it is isomorphic in
 D^b to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
@@ -35,26 +36,27 @@ NotHereditary on an algebra of global dimension above one, with no
 fallback scan.
 
 Exactness of 0 -> X_0 -> ... -> X_n -> 0 is decided in one walk, behind
-`heart_ses_ok` and `heart_les_ok`.  A zero object splits the sequence
-into runs of nonzero objects, and the sequence is exact exactly when
-each run is exact on its own; a run of one object never is.  A run
-needs the kernel object of its first map to vanish, the cokernel object
-of its last map to vanish, and, at each inner node f, g, that g f = 0
-and that the image of f fills the kernel of g.  Each map's cone is
-built once and serves the node before it and the node after it.
+`heart_les_ok` and `heart_decomposition_ok`.  A zero object splits the
+sequence into runs of nonzero objects, and the sequence is exact
+exactly when each run is exact on its own; a run of one object never
+is.  A run needs the kernel object of its first map to vanish, the
+cokernel object of its last map to vanish, and, at each inner node
+f, g, that g f = 0 and that the image of f fills the kernel of g.  Each
+map's cone is built once and serves the node before it and the node
+after it.
 
-The walk takes the maps in either of two forms.  `heart_ses_ok` takes
-derived morphisms, as `tilted_pair_report` and `tiltbridge` build them:
-their cones are cones of chain maps, truncated, and an inner node asks
-whether the kernel of g dies in the cokernel of f.  `heart_les_ok`
-builds its five maps as `SplitMorphism`s, (a, b, eps) between heart
-objects F[1] + T, straight from the module sequence; their kernels,
-images and cokernels are module pairs read off one extension, and an
-inner node compares dim Hom_D(ker g, im f) with dim Hom_D(ker g, ker g)
-by the split formula: g f = 0 makes im f -> ker g a mono, and in a
-Hom-finite abelian category a mono u: I -> K is an iso exactly when
-Hom(K, u) is onto.  That path builds no complex, resolution, cone or
-truncation.
+The library's callers build their maps as `SplitMorphism`s, (a, b, eps)
+between heart objects F[1] + T: `heart_les_ok` straight from the module
+sequence, `heart_decomposition_ok` as the canonical sequence (id, 0)
+then (0, id).  Their kernels, images and cokernels are module pairs
+read off one extension, and an inner node compares dim Hom_D(ker g,
+im f) with dim Hom_D(ker g, ker g) by the split formula: g f = 0 makes
+im f -> ker g a mono, and in a Hom-finite abelian category a mono
+u: I -> K is an iso exactly when Hom(K, u) is onto.  That path builds
+no complex, resolution, cone or truncation.  The walk also takes
+derived morphisms, whose cones are cones of chain maps, truncated, and
+whose inner node asks whether the kernel of g dies in the cokernel of
+f: the tests hold the split form to that reference.
 """
 
 from __future__ import annotations
@@ -605,38 +607,6 @@ def _heart_exact_sequence(ts: InducedTStructure, maps: list) -> bool:
                for a, b in pairwise(cuts) if b > a + 1)
 
 
-def heart_ses_ok(ts: InducedTStructure, f: DerivedMorphism,
-                 g: DerivedMorphism) -> bool:
-    return _heart_exact_sequence(ts, [f, g])
-
-
-@dataclass(frozen=True)
-class HeartDecomposition:
-    """The canonical sequence 0 -> H^-1(x)[1] -> x -> H^0(x)[0] -> 0 of
-    a heart object, with plain cohomology."""
-
-    tor: Complex
-    t_incl: DerivedMorphism
-    quo: Complex
-    q_proj: DerivedMorphism
-
-
-def heart_decompose(ts: InducedTStructure, x: Complex) -> HeartDecomposition:
-    if x.components and (x.lo < -1 or x.hi > 0):
-        raise ValueError("expected a two-term complex in degrees [-1, 0]")
-    if not ts.in_heart(x):
-        raise ValueError("complex does not lie in the heart")
-    d = x.diff(-1)
-    kmod, kincl = kernel(d)
-    tor = one_term(kmod, 1)
-    t_map = ChainMap(tor, x, {-1: kincl})
-    hmod, hproj = cokernel(d)
-    quo = one_term(hmod)
-    q_map = ChainMap(x, quo, {0: hproj})
-    return HeartDecomposition(tor, DerivedMorphism.from_chain_map(t_map),
-                              quo, DerivedMorphism.from_chain_map(q_map))
-
-
 def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
     """The six-term heart sequence of a module short exact sequence
     0 -> A -> B -> C -> 0: torsion parts in degree zero, free parts
@@ -680,29 +650,35 @@ def heart_is_isomorphic(x: Complex, y: Complex) -> bool:
     return _cohomology_key(x, reps) == _cohomology_key(y, reps)
 
 
-def heart_class_reps(ts: InducedTStructure, uni: ModuleUniverse,
-                     dim_bound: int = 3) -> list[Complex]:
-    """Representatives of the isomorphism classes of heart objects with
-    total dimension within the bound: the split stalk sums F[1] + T, as
-    complexes f -> t with zero differential, for f free and t torsion
-    among the universe members with dim f + dim t within the bound.
+def heart_class_pairs(ts: InducedTStructure, uni: ModuleUniverse,
+                      dim_bound: int = 3) -> list[tuple[Module, Module]]:
+    """The isomorphism classes of heart objects with total dimension
+    within the bound, as pairs (F, T) standing for the split stalk sum
+    F[1] + T, for F free and T torsion among the universe members with
+    dim F + dim T within the bound.
 
     Over a hereditary algebra every heart object is isomorphic to the
     sum of its cohomology stalks, so these are all the classes, each
-    once.  They come ordered by (members index of f, members index of
-    t), which is the first-occurrence order of the exhaustive scan that
+    once.  They come ordered by (members index of F, members index of
+    T), which is the first-occurrence order of the exhaustive scan that
     `enumerate_heart_objects` followed by a `heart_is_isomorphic`
     dedupe performs: members are sorted by (dim, signature), and a
-    complex a -> b with kernel f has dim a >= dim f, with equality only
+    complex a -> b with kernel F has dim a >= dim F, with equality only
     when the differential is zero.  Raises NotHereditary otherwise.
     """
-    alg = uni.algebra
-    _check_hereditary(alg)
+    _check_hereditary(uni.algebra)
     pair = ts.pair
     free = [f for f in uni.members if pair.in_free(f)]
     tors = [t for t in uni.members if pair.in_torsion(t)]
-    return [Complex(alg, -1, [f, t], [ModuleMap.zero(f, t)])
-            for f in free for t in tors if f.dim + t.dim <= dim_bound]
+    return [(f, t) for f in free for t in tors if f.dim + t.dim <= dim_bound]
+
+
+def heart_class_reps(ts: InducedTStructure, uni: ModuleUniverse,
+                     dim_bound: int = 3) -> list[Complex]:
+    """The classes of `heart_class_pairs` as complexes F -> T with zero
+    differential, in the same order."""
+    return [Complex(uni.algebra, -1, [f, t], [ModuleMap.zero(f, t)])
+            for f, t in heart_class_pairs(ts, uni, dim_bound)]
 
 
 def kv_classes(ts: InducedTStructure, uni: ModuleUniverse,
@@ -717,27 +693,35 @@ def kv_classes(ts: InducedTStructure, uni: ModuleUniverse,
     return t_idx, f_idx
 
 
+def heart_decomposition_ok(ts: InducedTStructure, f: Module,
+                           t: Module) -> bool:
+    """Whether the canonical sequence 0 -> F[1] -> F[1] + T -> T -> 0 of
+    the heart object F[1] + T is heart-exact, walked in split form as
+    (id_F, 0) followed by (0, id_T)."""
+    zero = Module.zero(f.algebra)
+    return _heart_exact_sequence(ts, [
+        SplitMorphism.diagonal(ModuleMap.identity(f), ModuleMap.zero(zero, t)),
+        SplitMorphism.diagonal(ModuleMap.zero(f, zero), ModuleMap.identity(t))])
+
+
 def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
                        dim_bound: int = 3) -> PairReport:
     """The pair (shifted free class, torsion stalks) as a torsion pair
-    on the heart: the canonical decomposition of a representative of
-    every heart isomorphism class within the bound (`heart_class_reps`)
-    is a heart-exact sequence.  Exactness is invariant under
-    isomorphism, so one object per class decides it; a failure names
-    the class by its position #k among the representatives, which is
-    not its position in an exhaustive scan of heart objects.  Raises
-    NotHereditary on an algebra of global dimension above one.
+    on the heart: the canonical decomposition of every heart isomorphism
+    class within the bound (`heart_class_pairs`) is a heart-exact
+    sequence.  Exactness is invariant under isomorphism, so one object
+    per class decides it; a failure names the class by its position #k
+    among the class pairs, which is not its position in an exhaustive
+    scan of heart objects.  Raises NotHereditary on an algebra of global
+    dimension above one.
 
     The orthogonality Hom_D(F[1], T) = 0 and the full faithfulness of
     the shifts hold for any modules, as dim Hom_D(A[1], B) = 0 and
     dim Hom_D(A[s], B[s]) = dim Hom(A, B), so they are not tested here;
     the tests hold `derived_hom_dim` to both identities."""
-    failures: list[str] = []
-    for k, x in enumerate(heart_class_reps(ts, uni, dim_bound)):
-        dec = heart_decompose(ts, x)
-        if not heart_ses_ok(ts, dec.t_incl, dec.q_proj):
-            failures.append(f"decomposition of heart object #{k} "
-                            "is not exact")
+    failures = [f"decomposition of heart object #{k} is not exact"
+                for k, (f, t) in enumerate(heart_class_pairs(ts, uni, dim_bound))
+                if not heart_decomposition_ok(ts, f, t)]
     return PairReport(not failures, tuple(failures))
 
 

@@ -8,7 +8,9 @@ were computed by listing intervals by hand before freezing.
 from __future__ import annotations
 
 import pytest
+from conftest import a3_with_zero_relation
 
+from quivertilt import enumeration
 from quivertilt.enumeration import (
     enumerate_modules,
     enumerate_submodules,
@@ -95,6 +97,28 @@ def test_universe_lies_over_the_algebra_it_is_asked_for():
         assert all(m.algebra is alg for m in uni.members)
         assert universe(alg, 2) is uni
     assert universe(a, 2) is not universe(b, 2)
+
+
+def test_universe_respects_relations():
+    # Linear A3 with ba = 0 has the five intervals of length at most two
+    # as indecomposables; the arrow blocks of the interval [1, 3] break
+    # the relation and are not kept.
+    uni = universe(a3_with_zero_relation(), 3)
+    assert sorted(m.vertex_dims() for m in uni.indecs) == [
+        (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+    assert len(uni.members) == 28
+    for m in uni.members:
+        m.check()
+
+
+def test_universe_refuses_a_member_that_breaks_a_relation(monkeypatch):
+    alg = a3_with_zero_relation()
+    one = Mat(2, 1, 1, [1])
+    bad = module_from_vertex_data(alg, (1, 1, 1), {3: one, 4: one})
+    monkeypatch.setattr(enumeration, "enumerate_modules",
+                        lambda alg, bound: [bad])
+    with pytest.raises(ValueError, match=r"not multiplicative on \(b, a\)"):
+        universe(alg, 3)
 
 
 def test_submodules_of_p1(a2):

@@ -26,8 +26,14 @@ from pathlib import Path
 import pytest
 
 import quivertilt
+from conftest import (
+    a3_with_zero_relation,
+    chain_map_tilted_pair_report,
+    heart_decompose,
+    heart_ses_ok,
+)
 from quivertilt import cli, complexes, derived, heart, kernels, linalg
-from quivertilt.algebras import Algebra, corner_algebra, path_algebra
+from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt.complexes import (
     ChainMap,
     Complex,
@@ -58,12 +64,10 @@ from quivertilt.heart import (
     h0_lower_map,
     heart_class_reps,
     heart_cokernel,
-    heart_decompose,
     heart_exact_at,
     heart_is_isomorphic,
     heart_kernel,
     heart_les_ok,
-    heart_ses_ok,
     induced_t_structure,
     is_heart_epi,
     is_heart_mono,
@@ -667,22 +671,8 @@ def test_closed_form_reps_equal_the_scan(name):
                 == _scanned_class_reps(ts, uni, bound), (pair, bound)
 
 
-def _a3_with_zero_relation():
-    """Linear A3, 1 --a--> 2 --b--> 3 over F_2, with the path b*a set to
-    zero.  The syzygy of the simple at e_1 is the radical of its
-    projective cover, the simple at e_2, which is not projective: global
-    dimension two."""
-    labels = ("e_1", "e_2", "e_3", "a", "b")
-    mult = [[() for _ in labels] for _ in labels]
-    for i in range(3):
-        mult[i][i] = ((i, 1),)
-    mult[1][3] = mult[3][0] = ((3, 1),)  # e_2 a = a = a e_1
-    mult[2][4] = mult[4][1] = ((4, 1),)  # e_3 b = b = b e_2
-    return Algebra(Field(2), labels, mult, (1, 1, 1, 0, 0), (0, 1, 2), (3, 4))
-
-
 def _non_hereditary_reps():
-    alg = _a3_with_zero_relation()
+    alg = a3_with_zero_relation()
     alg.check()
     uni = universe(alg, 1)
     ts = induced_t_structure(enumerate_torsion_pairs(uni)[0])
@@ -690,7 +680,7 @@ def _non_hereditary_reps():
 
 
 def _non_hereditary_isomorphism():
-    stalk = one_term(simple_module(_a3_with_zero_relation(), 0))
+    stalk = one_term(simple_module(a3_with_zero_relation(), 0))
     return heart_is_isomorphic(stalk, stalk)
 
 
@@ -705,7 +695,7 @@ def test_heart_is_isomorphic_rejects_non_hereditary_without_asserts():
 
 
 def _non_hereditary_hom_dim():
-    stalk = one_term(simple_module(_a3_with_zero_relation(), 0))
+    stalk = one_term(simple_module(a3_with_zero_relation(), 0))
     return derived_hom_dim(stalk, stalk)
 
 
@@ -725,7 +715,7 @@ def test_heart_class_reps_rejects_non_hereditary():
 
 
 def _non_hereditary_report():
-    alg = _a3_with_zero_relation()
+    alg = a3_with_zero_relation()
     uni = universe(alg, 1)
     ts = induced_t_structure(enumerate_torsion_pairs(uni)[0])
     return t_structure_report(ts, [one_term(m) for m in uni.indecs])
@@ -737,8 +727,10 @@ def _raised_without_asserts(helper: str) -> bytes:
     -O strips, would raise nothing."""
     src = str(Path(quivertilt.__file__).resolve().parent.parent)
     env = dict(os.environ)
+    # This file imports its references from conftest, beside it.
     env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        [src, str(Path(__file__).resolve().parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
     script = ("import runpy, sys\n"
               "ns = runpy.run_path(sys.argv[1])\n"
               "try:\n"
@@ -757,7 +749,7 @@ def test_heart_class_reps_rejects_non_hereditary_without_asserts():
 
 
 def _non_hereditary_les():
-    alg = _a3_with_zero_relation()
+    alg = a3_with_zero_relation()
     ts = induced_t_structure(enumerate_torsion_pairs(universe(alg, 1))[0])
     return heart_les_ok(ts, radical_ses(alg, projective_module(alg, 0)))
 
@@ -944,7 +936,9 @@ def test_scenario_builds_one_cone_per_map_and_solves_no_identity_lift(
     # Every command of the bundled scenario at bound 3: every homotopy
     # solve with chain-map unknowns is a lift_postcompose, the only lift,
     # none of them through an identity (the lift returns the map itself),
-    # and each exactness walk builds at most one cone per map.
+    # and no exactness walk builds a cone: the scenario walks split
+    # morphisms only.  The chain-map reference of tilted_pair_report
+    # still walks derived morphisms, and builds at most one cone per map.
     lift_code = derived.lift_postcompose.__code__
     quasi_isos = []  # the quasi-isomorphism of every lift that solves
     walks = []  # [maps, cones built] per finished walk
@@ -982,17 +976,21 @@ def test_scenario_builds_one_cone_per_map_and_solves_no_identity_lift(
                      "--json-only"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and len(report["commands"]) > 1
-    assert quasi_isos
-    assert [q for q in quasi_isos if is_identity(q)] == []
+    assert walks and sum(cones for _, cones in walks) == 0
+    walks.clear()
+    uni = universe(path_algebra(Field(2), _A2), 3)
+    for pair in enumerate_torsion_pairs(uni):
+        assert chain_map_tilted_pair_report(induced_t_structure(pair), uni).ok
     assert walks and all(cones <= maps for maps, cones in walks)
     assert sum(cones for _, cones in walks) > 0
+    assert quasi_isos
+    assert [q for q in quasi_isos if is_identity(q)] == []
 
 
-def test_les_check_builds_no_cone_resolution_lift_or_truncation(
-        monkeypatch, capsys):
-    # les-check on the bundled scenario at bound 3 decides every six-term
-    # sequence in split form: while it runs, nothing resolves, lifts,
-    # builds a cone or truncates.
+def _calls_during(monkeypatch, capsys, op, watched):
+    """Run the bundled scenario at bound 3, counting the calls made to
+    each watched function, through every binding of it in quivertilt,
+    while command op runs.  Returns the counts and op's reports."""
     calls = collections.Counter()
     inside = []
 
@@ -1003,30 +1001,66 @@ def test_les_check_builds_no_cone_resolution_lift_or_truncation(
             return real(*args, **kwargs)
         return wrapper
 
-    watched = [derived.projective_resolution, derived.lift_postcompose,
-               complexes.cone, heart.truncate_le0]
     for module in [m for k, m in sys.modules.items()
                    if k.startswith("quivertilt.")]:
         for real in watched:
             if getattr(module, real.__name__, None) is real:
                 monkeypatch.setattr(module, real.__name__,
                                     counted(real.__name__, real))
-    real_les = cli._COMMANDS["les-check"]
+    real_op = cli._COMMANDS[op]
 
-    def les_check(env, cmd):
+    def run_op(env, cmd):
         inside.append(cmd)
         try:
-            return real_les(env, cmd)
+            return real_op(env, cmd)
         finally:
             inside.pop()
 
-    monkeypatch.setitem(cli._COMMANDS, "les-check", les_check)
+    monkeypatch.setitem(cli._COMMANDS, op, run_op)
     assert cli.main([str(BUNDLED), "--bound", "3", "--no-timing",
                      "--json-only"]) == 0
     report = json.loads(capsys.readouterr().out)
-    les = [c for c in report["commands"] if c["op"] == "les-check"]
-    assert les and all(c["ok"] for c in les)
+    ran = [c for c in report["commands"] if c["op"] == op]
+    assert ran and all(c["ok"] for c in ran)
+    return calls, ran
+
+
+_RESOLVE_LIFT_CONE_TRUNCATE = [
+    derived.projective_resolution, derived.lift_postcompose, complexes.cone,
+    heart.truncate_le0, heart.truncate_ge1]
+
+
+def test_les_check_builds_no_cone_resolution_lift_or_truncation(
+        monkeypatch, capsys):
+    # les-check on the bundled scenario at bound 3 decides every six-term
+    # sequence in split form: while it runs, nothing resolves, lifts,
+    # builds a cone or truncates.
+    calls, les = _calls_during(monkeypatch, capsys, "les-check",
+                               _RESOLVE_LIFT_CONE_TRUNCATE)
     assert sum(c["checked"] for c in les) == 63
+    assert calls == {}
+
+
+def test_tilted_pair_builds_no_cone_resolution_lift_or_truncation(
+        monkeypatch, capsys):
+    # tilted-pair walks the canonical sequence of every heart class in
+    # split form.
+    calls, _ = _calls_during(monkeypatch, capsys, "tilted-pair",
+                             _RESOLVE_LIFT_CONE_TRUNCATE)
+    assert calls == {}
+
+
+def test_reconstruct_builds_no_cone_lift_or_heart_cohomology(
+        monkeypatch, capsys):
+    # reconstruct reads memberships, preimages and the context round
+    # trip off module pairs.  Its sections still resolve and truncate,
+    # so only cones, lifts and heart cohomology are counted; the
+    # decomposition into cohomology stalks lives in the tests alone.
+    assert not any(hasattr(m, "heart_decompose") for k, m in
+                   sys.modules.items() if k.startswith("quivertilt"))
+    calls, _ = _calls_during(
+        monkeypatch, capsys, "reconstruct",
+        [derived.lift_postcompose, complexes.cone, heart.t_cohomology])
     assert calls == {}
 
 

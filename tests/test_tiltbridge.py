@@ -19,6 +19,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
+from conftest import chain_map_tilted_pair_report, heart_decompose, heart_ses_ok
 
 from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
 from quivertilt import heart
@@ -27,7 +28,9 @@ from quivertilt.complexes import (
     Complex,
     apply_functor,
     apply_functor_map,
+    cohomology,
     enumerate_complexes,
+    is_exact_complex,
     is_quasi_iso,
 )
 from quivertilt.derived import (
@@ -52,9 +55,10 @@ from quivertilt.heart import (
     heart_is_isomorphic,
     heart_kernel,
     heart_les_ok,
-    heart_ses_ok,
     is_heart_zero,
     one_term,
+    t_cohomology,
+    tilted_pair_report,
 )
 from quivertilt.modules import (
     Module,
@@ -67,8 +71,11 @@ from quivertilt.modules import (
 )
 from quivertilt.quivers import Quiver
 from quivertilt.tiltbridge import (
+    _has_preimage,
+    _recovered_member,
     _stalk_failures,
     dl_commutation_report,
+    heart_class_pairs,
     heart_class_reps,
     heart_counit,
     heart_co_unit,
@@ -79,13 +86,14 @@ from quivertilt.tiltbridge import (
     j_heart,
     j_heart_map,
     l_heart,
-    l_heart_preimage,
+    l_heart_map,
     reconstruct_serre,
     s_heart_membership,
     verify_heart_giraud,
     verify_heart_quotient,
 )
 from quivertilt.torsion import (
+    PairReport,
     enumerate_torsion_pairs,
     pair_from_torsion_indecs,
     torsion_indec_indices,
@@ -142,8 +150,7 @@ _ONE_SIDED = {
     "i_heart_map": (i_heart_map, lambda g: (_corner_identity(g),)),
     "heart_counit": (heart_counit, lambda g: (_corner_stalk(g),)),
     "s_heart_membership": (s_heart_membership,
-                           lambda g: (one_term(g.uni_d.indecs[1]),)),
-    "l_heart_preimage": (l_heart_preimage, lambda g: (_corner_stalk(g),)),
+                           lambda g: (g.uni_d.indecs[1], g.uni_d.indecs[1])),
     "verify_heart_quotient": (verify_heart_quotient,
                               lambda g: (g.uni_d, g.uni_c)),
     "dl_commutation_report": (dl_commutation_report,
@@ -199,7 +206,8 @@ def test_unit_triangle(g2):
     cok, _ = heart_cokernel(g2.hctx.ts_d, eta)
     assert heart_is_isomorphic(ker, one_term(s1))
     assert is_heart_zero(cok)
-    assert s_heart_membership(g2.hctx, ker)
+    assert s_heart_membership(g2.hctx, cohomology(ker, -1),
+                              cohomology(ker, 0))
 
 
 def test_co_counit_triangle(g2):
@@ -251,10 +259,12 @@ def test_section_maps_are_functorial(p):
 
 def test_kernel_membership(a2, g2):
     s2, s1, p1 = g2.uni_d.indecs
-    assert s_heart_membership(g2.hctx, one_term(s1))
-    assert s_heart_membership(g2.hctx, one_term(Module.zero(a2)))
-    assert not s_heart_membership(g2.hctx, one_term(s2, 1))
-    assert not s_heart_membership(g2.hctx, one_term(p1, 1))
+    zero = Module.zero(a2)
+    assert s_heart_membership(g2.hctx, zero, s1)
+    assert s_heart_membership(g2.hctx, zero, zero)
+    assert not s_heart_membership(g2.hctx, s2, zero)
+    assert not s_heart_membership(g2.hctx, p1, zero)
+    assert not s_heart_membership(g2.hctx, p1, s1)
 
 
 def test_class_rep_counts(g2):
@@ -493,7 +503,8 @@ def _compatible_heart_contexts(name):
         uni_c = universe(corner.sub, 2)
         for pair in enumerate_torsion_pairs(uni_d):
             if push_pair(ctx, pair, uni_d, uni_c).ok:
-                yield heart_giraud_context(ctx, pair, uni_d, uni_c), uni_c
+                yield (heart_giraud_context(ctx, pair, uni_d, uni_c),
+                       uni_d, uni_c)
 
 
 def _same(got, want):
@@ -509,7 +520,7 @@ def test_right_section_is_the_dual_of_the_left_matching_the_reference(name):
     # construction: objects structurally, maps up to homotopy with the
     # same endpoints.
     objects = maps = 0
-    for hctx, uni_c in _compatible_heart_contexts(name):
+    for hctx, _, uni_c in _compatible_heart_contexts(name):
         assert hctx.dual.base.dual is hctx.base
         downs = heart_class_reps(hctx.ts_c, uni_c, 2)
         for n in downs:
@@ -523,6 +534,129 @@ def test_right_section_is_the_dual_of_the_left_matching_the_reference(name):
                                  _ref_i_heart_map(hctx, f))
                     maps += 1
     assert objects and maps
+
+
+# -- the chain-map reference for the split deciders --------------------------
+
+def _collapses(hctx, x):
+    """Kernel membership of a heart complex: the corner functor, applied
+    levelwise, leaves an acyclic complex."""
+    return is_heart_zero(apply_functor(hctx.base.l, x))
+
+
+def l_heart_preimage(hctx, n):
+    """A heart object upstairs whose corner image is isomorphic to n: the
+    heart cohomology of the levelwise section."""
+    return h0_lower(hctx.ts_d, apply_functor(hctx.base.i, n)).h
+
+
+def _heart_seqs(ts, reps):
+    """The canonical heart-exact sequence of each nonzero representative,
+    as derived morphisms."""
+    decs = [heart_decompose(ts, x) for x in reps if not is_exact_complex(x)]
+    return [(dec.t_incl, dec.q_proj) for dec in decs]
+
+
+def _chain_map_heart_quotient(hctx, uni_d, uni_c, dim_bound):
+    """verify_heart_quotient on complexes and derived morphisms."""
+    failures = []
+    ups = heart_class_reps(hctx.ts_d, uni_d, dim_bound)
+    downs = heart_class_reps(hctx.ts_c, uni_c, dim_bound)
+    for k, (mono, epi) in enumerate(_heart_seqs(hctx.ts_d, ups)):
+        if not heart_ses_ok(hctx.ts_c, l_heart_map(hctx, mono),
+                            l_heart_map(hctx, epi)):
+            failures.append(f"descended functor broke exactness of "
+                            f"sequence #{k}")
+        members = [_collapses(hctx, x)
+                   for x in (mono.source, mono.target, epi.target)]
+        if members[1] != (members[0] and members[2]):
+            failures.append(f"kernel class fails two-out-of-three at "
+                            f"sequence #{k}")
+    for k, n in enumerate(downs):
+        if not heart_is_isomorphic(l_heart(hctx, l_heart_preimage(hctx, n)),
+                                   n):
+            failures.append(f"no constructed preimage for corner "
+                            f"object #{k}")
+    return PairReport(not failures, tuple(failures))
+
+
+def _chain_map_recovered_member(hctx, m):
+    """Every heart cohomology of the stalk m collapses in the corner."""
+    stalk = one_term(m)
+    return all(_collapses(hctx, t_cohomology(hctx.ts_d, stalk, i))
+               for i in (0, 1))
+
+
+def _chain_map_round_trip(hctx, m):
+    """The corner functor takes the heart cohomologies of the stalk m to
+    those of the stalk l(m)."""
+    dec = hctx.pair_c.decompose(hctx.base.l.apply(m))
+    stalk = one_term(m)
+    low, high = (apply_functor(hctx.base.l, t_cohomology(hctx.ts_d, stalk, i))
+                 for i in (0, 1))
+    return (heart_is_isomorphic(low, one_term(dec.sub))
+            and heart_is_isomorphic(high, one_term(dec.quot, 1)))
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_ALGEBRAS))
+def test_split_deciders_agree_with_the_chain_map_reference(name):
+    # On every compatible pair of every proper corner, at heart bound 2:
+    # tilted_pair_report on both hearts, verify_heart_quotient and
+    # reconstruct_serre equal their chain-map paths, and so do, one by
+    # one, the recovered membership of every member, kernel membership
+    # of every heart class (its parts against the collapse of the
+    # complex) and the constructed preimage of every corner class.
+    tilted = []
+    member_verdicts = set()
+    kernel_verdicts = set()
+    contexts = 0
+    for hctx, uni_d, uni_c in _compatible_heart_contexts(name):
+        contexts += 1
+        for ts, uni in ((hctx.ts_d, uni_d), (hctx.ts_c, uni_c)):
+            if ts not in tilted:
+                tilted.append(ts)
+                assert tilted_pair_report(ts, uni, 2) \
+                    == chain_map_tilted_pair_report(ts, uni, 2)
+        assert verify_heart_quotient(hctx, uni_d, uni_c, 2) \
+            == _chain_map_heart_quotient(hctx, uni_d, uni_c, 2)
+        for x in heart_class_reps(hctx.ts_d, uni_d, 2):
+            got = s_heart_membership(hctx, x.component(-1), x.component(0))
+            assert got == _collapses(hctx, x)
+            kernel_verdicts.add(got)
+        for f, t in heart_class_pairs(hctx.ts_c, uni_c, 2):
+            n = Complex(uni_c.algebra, -1, [f, t], [ModuleMap.zero(f, t)])
+            pre = l_heart_preimage(hctx, n)
+            assert _has_preimage(hctx, f, t)
+            assert heart_is_isomorphic(l_heart(hctx, pre), n)
+        report = reconstruct_serre(hctx, uni_d, uni_c, 2)
+        membership = tuple(_chain_map_recovered_member(hctx, m)
+                           for m in uni_d.members)
+        assert report.membership == membership
+        assert tuple(_recovered_member(hctx, m)
+                     for m in uni_d.members) == membership
+        member_verdicts |= set(membership)
+        assert report.context_recovered == all(
+            _chain_map_round_trip(hctx, m) for m in uni_d.nonzero_members())
+        assert report.ok
+    assert contexts and member_verdicts == kernel_verdicts == {True, False}
+
+
+def test_kernel_membership_by_parts_is_the_collapse_of_the_complex(g2, g3):
+    # A heart object dies in the corner heart exactly when the corner
+    # functor kills both of its cohomologies, split or not.
+    verdicts = set()
+    for g in (g2, g3):
+        alg = g.uni_d.algebra
+        pool = enumerate_complexes(universe(alg, 2), -1, 0, 2, total_bound=3)
+        for x in pool:
+            if not g.hctx.ts_d.in_heart(x):
+                continue
+            got = s_heart_membership(g.hctx, cohomology(x, -1),
+                                     cohomology(x, 0))
+            assert got == _collapses(g.hctx, x)
+            verdicts.add((got, x.diff(-1).is_zero()))
+    assert verdicts == {(v, split) for v in (True, False)
+                        for split in (True, False)}
 
 
 def test_duals_are_linked_both_ways(a2):
