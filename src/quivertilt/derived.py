@@ -1,9 +1,10 @@
 """Resolutions and morphisms in the bounded derived category.
 
-Hom dimensions come from Happel's split formula.  Over a hereditary
-algebra every bounded complex is isomorphic in D^b to the sum of its
-shifted cohomologies (Happel, LMS LN 119, 1988), so `derived_hom_dim`
-reads dim Hom_D(x, y) off the cohomology modules of x and y, their hom
+Hom dimensions come from Happel's split formula, `stalk_hom_dim`, over
+lists of (degree, module) stalks.  Over a hereditary algebra every
+bounded complex is isomorphic in D^b to the sum of its shifted
+cohomologies (Happel, LMS LN 119, 1988), so `derived_hom_dim` reads
+dim Hom_D(x, y) off the cohomology modules of x and y, their hom
 dimensions and the Euler form.  It does so only behind a certificate of
 global dimension at most one, kept on the algebra, and raises
 NotHereditary on any other algebra, with no fallback.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebras import Algebra, opposite_algebra
 from .complexes import (
@@ -490,26 +491,26 @@ def _stalks(c: Complex) -> list[tuple[int, Module]]:
     return [(i, h) for i in c.degrees() if (h := cohomology(c, i)).dim]
 
 
-def derived_hom_dim(x: Complex, y: Complex) -> int:
-    """dim Hom_D(x, y), by Happel's split formula.
+def stalk_hom_dim(xs: Sequence[tuple[int, Module]],
+                  ys: Sequence[tuple[int, Module]]) -> int:
+    """dim Hom_D(X, Y) for X the sum of the stalks M[-i] over (i, M) in
+    xs and Y likewise over ys, each degree listed at most once: Happel's
+    split formula.  Ext^2 vanishes over a hereditary algebra, so
 
-    Over a hereditary algebra every bounded complex is isomorphic in D^b
-    to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
-    and Ext^2 vanishes, so
-
-        dim Hom_D(x, y) = sum_i dim Hom(H^i x, H^i y)
-                          + sum_i dim Ext^1(H^i x, H^(i-1) y).
+        dim Hom_D(X, Y) = sum_i dim Hom(X_i, Y_i)
+                          + sum_i dim Ext^1(X_i, Y_(i-1)).
 
     The Ext term comes from the Euler form of `_check_hereditary`:
-    dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N>.  Raises
-    NotHereditary unless the algebra has global dimension at most one;
-    there is no fallback.  `derived_hom0(x, y).dim` is the same number
-    computed from chain maps modulo homotopy.
+    dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N>.  With both lists
+    nonempty it raises NotHereditary unless the algebra has global
+    dimension at most one; there is no fallback.
     """
-    euler = _check_hereditary(x.algebra)
-    hy = dict(_stalks(y))
+    if not xs or not ys:
+        return 0
+    euler = _check_hereditary(xs[0][1].algebra)
+    hy = dict(ys)
     total = 0
-    for i, m in _stalks(x):
+    for i, m in xs:
         n = hy.get(i)
         if n is not None:
             total += hom_dim(m, n)
@@ -517,6 +518,18 @@ def derived_hom_dim(x: Complex, y: Complex) -> int:
         if n is not None:
             total += _ext1_dim(m, n, euler)
     return total
+
+
+def derived_hom_dim(x: Complex, y: Complex) -> int:
+    """dim Hom_D(x, y): `stalk_hom_dim` on the cohomology stalks of x and
+    y.  Over a hereditary algebra every bounded complex is isomorphic in
+    D^b to the sum of its shifted cohomologies (Happel, LMS LN 119,
+    1988), so that is exact.  Raises NotHereditary unless the algebra has
+    global dimension at most one, acyclic complexes included.
+    `derived_hom0(x, y).dim` is the same number computed from chain maps
+    modulo homotopy."""
+    _check_hereditary(x.algebra)
+    return stalk_hom_dim(_stalks(x), _stalks(y))
 
 
 def _ext1_dim(m: Module, n: Module,

@@ -10,7 +10,9 @@ by two-term complexes in degrees [-1, 0] whose outer cohomologies land
 in the free and torsion classes.
 
 The truncations of a complex depend on the pair only through that
-preimage, the aisle subspace of degree zero.  They are built once per
+preimage, the aisle subspace of degree zero, and the aisle subspace
+depends on it only through the torsion part of H^0.  The subspace is
+built once per (complex, torsion part) and the truncations once per
 (complex, aisle subspace), so every pair that cuts a complex at the
 same subspace gets back the same truncation objects, and with them the
 same cohomology, rank caches and cache keys.
@@ -28,9 +30,12 @@ The same splitting holds for every bounded complex: it is isomorphic in
 D^b to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
 so its isomorphism class, and Hom_D(a, b), depend only on the
 isomorphism classes of the H^i.  `heart_is_isomorphic` compares those
-classes, and `t_structure_report` evaluates the orthogonality of aisle
-against shifted coaisle once per pair of them with the split formula of
-`derived.derived_hom_dim`.  All of them sit behind the certificate of
+classes, and `t_structure_report` keeps a table of them: a module equal
+to one met before is looked up, so `is_isomorphic` scans only modules
+never met.  It evaluates the orthogonality of aisle against shifted
+coaisle once per pair of classes with the split formula
+`derived.stalk_hom_dim`, on the stalks of the class representatives.
+All of them sit behind the certificate of
 `derived._check_hereditary`, taken once per algebra: they raise
 NotHereditary on an algebra of global dimension above one, with no
 fallback scan.
@@ -79,11 +84,11 @@ from .derived import (
     DerivedMorphism,
     NotHereditary,
     _check_hereditary,
-    _ext1_dim,
+    _stalks,
     derived_hom0,
-    derived_hom_dim,
     lift_postcompose,
     projective_resolution,
+    stalk_hom_dim,
 )
 from .enumeration import ModuleUniverse, is_isomorphic
 from .linalg import (
@@ -101,7 +106,6 @@ from .modules import (
     direct_sum,
     ext1_basis,
     extension_realize,
-    hom_dim,
     kernel,
     lift_through,
     quotient_by_subspace,
@@ -142,12 +146,18 @@ def induced_t_structure(pair: TorsionPair) -> InducedTStructure:
     return InducedTStructure(pair)
 
 
-@lru_cache(maxsize=None)
 def _aisle_subspace(ts: InducedTStructure, c: Complex) -> Subspace:
     """The preimage of the torsion part of H^0 inside the cycles of
     degree zero: all that the truncations of c read off the pair."""
+    return _preimage_in_cycles(c, ts.pair.torsion_subspace(cohomology(c, 0)))
+
+
+@lru_cache(maxsize=None)
+def _preimage_in_cycles(c: Complex, th: Subspace) -> Subspace:
+    """The preimage of a subspace of H^0 inside the cycles of degree
+    zero, built once per (complex, subspace), so pairs with the same
+    torsion part of H^0 share it."""
     data = cohomology_data(c, 0)
-    th = ts.pair.torsion_subspace(data.h)
     tproj, _ = quotient_maps(th)
     pre = kernel_basis(tproj @ data.h_proj.mat)
     vecs = [data.cycles_incl.mat.apply(v) for v in pre.basis.row_list()]
@@ -491,9 +501,7 @@ class SplitMorphism:
 
 def _split_hom_dim(x: tuple[Module, Module], y: tuple[Module, Module]) -> int:
     """dim Hom_D(F_x[1] + T_x, F_y[1] + T_y) by the split formula."""
-    euler = _check_hereditary(x[1].algebra)
-    return (hom_dim(x[0], y[0]) + hom_dim(x[1], y[1])
-            + _ext1_dim(x[1], y[0], euler))
+    return stalk_hom_dim([(-1, x[0]), (0, x[1])], [(-1, y[0]), (0, y[1])])
 
 
 class _SplitCone:
@@ -646,8 +654,8 @@ def heart_is_isomorphic(x: Complex, y: Complex) -> bool:
     exactly when those are isomorphic degree by degree.  Raises
     NotHereditary on an algebra of global dimension above one."""
     _check_hereditary(x.algebra)
-    reps: list[Module] = []
-    return _cohomology_key(x, reps) == _cohomology_key(y, reps)
+    seen: dict[Module, Module] = {}
+    return _cohomology_key(x, seen) == _cohomology_key(y, seen)
 
 
 def heart_class_pairs(ts: InducedTStructure, uni: ModuleUniverse,
@@ -725,39 +733,22 @@ def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
     return PairReport(not failures, tuple(failures))
 
 
-def _cohomology_key(c: Complex, reps: list[Module]
-                    ) -> tuple[tuple[int, int], ...]:
-    """The degrees where c has nonzero cohomology, each paired with the
-    position of that cohomology's isomorphism class among reps; a module
-    of a class not yet in reps is appended to it.  Empty for an acyclic
-    complex."""
+def _cohomology_key(c: Complex, seen: dict[Module, Module],
+                    ) -> tuple[tuple[int, Module], ...]:
+    """The nonzero cohomology stalks of c, each module replaced by the
+    representative of its isomorphism class: complexes get equal keys
+    exactly when their cohomologies are isomorphic degree by degree.
+    seen maps every module met before to its representative, so only a
+    module never met is scanned by `is_isomorphic`, against the modules
+    that represent themselves, and it represents itself if none
+    matches.  Empty for an acyclic complex."""
     key = []
-    for i in c.degrees():
-        h = cohomology(c, i)
-        if h.dim == 0:
-            continue
-        cls = next((k for k, r in enumerate(reps) if is_isomorphic(r, h)),
-                   len(reps))
-        if cls == len(reps):
-            reps.append(h)
-        key.append((i, cls))
+    for i, h in _stalks(c):
+        if h not in seen:
+            seen[h] = next((r for m, r in seen.items()
+                            if m is r and is_isomorphic(r, h)), h)
+        key.append((i, seen[h]))
     return tuple(key)
-
-
-def _first_by_key(items: list[Complex], keys: dict[Complex, tuple],
-                  ) -> tuple[list[int], list[Complex]]:
-    """The first item of each key, in order of first occurrence, and the
-    position of each item's key among them."""
-    ids: dict[tuple, int] = {}
-    firsts: list[Complex] = []
-    at = []
-    for c in items:
-        k = keys[c]
-        if k not in ids:
-            ids[k] = len(firsts)
-            firsts.append(c)
-        at.append(ids[k])
-    return at, firsts
 
 
 def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
@@ -774,11 +765,14 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
     Over a hereditary algebra every complex is isomorphic in D^b to the
     sum of its shifted cohomologies (Happel, LMS LN 119, 1988), so
     Hom_D(a, b) depends only on the isomorphism classes of the H^i of a
-    and b.  Orthogonality is therefore evaluated once per pair of
-    cohomology classes of nonzero truncations, on the first truncation
-    of each class; a failing class pair is still reported at every
-    index pair where it occurs, in row-major order.  Global dimension at
-    most one is certified first, and NotHereditary is raised otherwise.
+    and b.  The report keeps one class table: each cohomology module is
+    looked up, and only a module never met is scanned for isomorphism
+    against the representatives found so far.  Orthogonality is then
+    evaluated by `stalk_hom_dim` once per pair of cohomology classes of
+    nonzero truncations, on the stalks of the class representatives; a
+    failing class pair is still reported at every index pair where it
+    occurs, in row-major order.  Global dimension at most one is
+    certified first, and NotHereditary is raised otherwise.
     """
     if complexes:
         _check_hereditary(complexes[0].algebra)
@@ -805,23 +799,29 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
                     or not epi.compose(mono).is_zero()):
                 failures.append(f"truncation of #{k} not exact at {i}")
                 break
-    # One cohomology class key per distinct truncation, against the
-    # module classes seen in this report.
-    reps: list[Module] = []
+    # One class key per truncation, on the module classes met in this
+    # report; its stalks are those of the class representatives.
+    seen: dict[Module, Module] = {}
     keys: dict[Complex, tuple] = {}
     for c in lows + highs:
         if c not in keys:
-            keys[c] = _cohomology_key(c, reps)
-    low_ids, low_firsts = _first_by_key(lows, keys)
-    high_ids, high_firsts = _first_by_key(highs, keys)
-    nonzero_highs = [(j, b) for j, b in enumerate(high_firsts) if keys[b]]
+            keys[c] = _cohomology_key(c, seen)
+
+    def classes(items: list[Complex]) -> tuple[list[int], list[tuple]]:
+        """The position of each item's key among the distinct keys, and
+        the distinct keys in order of first occurrence."""
+        ids: dict[tuple, int] = {}
+        return [ids.setdefault(keys[c], len(ids)) for c in items], list(ids)
+
+    low_ids, low_keys = classes(lows)
+    high_ids, high_keys = classes(highs)
+    nonzero_highs = [(j, b) for j, b in enumerate(high_keys) if b]
     hits: dict[int, set[int]] = {}
-    for i, a in enumerate(low_firsts):
-        if not keys[a]:
-            continue
-        row = {j for j, b in nonzero_highs if derived_hom_dim(a, b)}
-        if row:
-            hits[i] = row
+    for i, a in enumerate(low_keys):
+        if a:
+            row = {j for j, b in nonzero_highs if stalk_hom_dim(a, b)}
+            if row:
+                hits[i] = row
     for ka, i in enumerate(low_ids):
         row = hits.get(i)
         if row:

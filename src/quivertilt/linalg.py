@@ -82,16 +82,23 @@ class Mat:
         self._rref: Optional[tuple[Optional[Mat], tuple[int, ...]]] = None
         self._hash: Optional[int] = None
 
+    # A zero and an identity matrix are born reduced: each is its own
+    # reduced echelon form, with no pivot and every pivot respectively.
+
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "Mat":
-        return cls(p, rows, cols, (0,) * (rows * cols))
+        m = cls(p, rows, cols, (0,) * (rows * cols))
+        m._rref = (None, ())
+        return m
 
     @classmethod
     def identity(cls, p: int, n: int) -> "Mat":
         data = [0] * (n * n)
         for i in range(n):
             data[i * n + i] = 1
-        return cls(p, n, n, data)
+        m = cls(p, n, n, data)
+        m._rref = (None, tuple(range(n)))
+        return m
 
     @classmethod
     def from_rows(cls, p: int, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "Mat":

@@ -296,26 +296,6 @@ def module_from_vertex_data(alg: Algebra, dims: Iterable[int],
     return Module(alg, total, action)
 
 
-def arrow_blocks(m: Module) -> tuple[tuple[int, ...], dict[int, Mat]]:
-    """Inverse of the front-end conversion, in idempotent-adapted
-    coordinates; only valid for modules built by module_from_vertex_data.
-    Public as the way back to the per-arrow data a scenario writes."""
-    alg = m.algebra
-    dims = m.vertex_dims()
-    off = [0]
-    for d in dims:
-        off.append(off[-1] + d)
-    blocks = {}
-    for b in presentation_arrows(alg):
-        s, t = alg.endpoints[b]
-        rows = []
-        for i in range(off[t], off[t + 1]):
-            rows.append(tuple(m.action[b].entry(i, j)
-                              for j in range(off[s], off[s + 1])))
-        blocks[b] = Mat.from_rows(alg.field.p, rows, cols=dims[s])
-    return dims, blocks
-
-
 # -- hom spaces --
 
 @lru_cache(maxsize=None)
@@ -554,12 +534,6 @@ def dual_module(m: Module) -> Module:
 def dual_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap(dual_module(f.target), dual_module(f.source),
                      f.mat.transpose())
-
-
-def injective_module(alg: Algebra, pos: int) -> Module:
-    """The injective envelope of the simple at an idempotent, realized
-    as the dual of the opposite projective."""
-    return dual_module(projective_module(opposite_algebra(alg), pos))
 
 
 def radical_subspace(m: Module) -> Subspace:

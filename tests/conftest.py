@@ -5,12 +5,19 @@ from dataclasses import dataclass
 import pytest
 
 from quivertilt import heart
-from quivertilt.algebras import Algebra, path_algebra
+from quivertilt.algebras import Algebra, opposite_algebra, path_algebra
 from quivertilt.complexes import ChainMap, Complex
 from quivertilt.derived import DerivedMorphism
 from quivertilt.heart import heart_class_reps, one_term
 from quivertilt.linalg import Field, Mat
-from quivertilt.modules import cokernel, kernel
+from quivertilt.modules import (
+    Module,
+    cokernel,
+    dual_module,
+    kernel,
+    presentation_arrows,
+    projective_module,
+)
 from quivertilt.quivers import Quiver
 from quivertilt.torsion import PairReport
 
@@ -40,6 +47,32 @@ def kron(a: Mat, b: Mat) -> Mat:
                [a.entry(i, j) * b.entry(k, l) % p
                 for i in range(a.rows) for k in range(b.rows)
                 for j in range(a.cols) for l in range(b.cols)])
+
+
+def injective_module(alg: Algebra, pos: int) -> Module:
+    """The injective envelope of the simple at an idempotent, realized
+    as the dual of the opposite projective."""
+    return dual_module(projective_module(opposite_algebra(alg), pos))
+
+
+def arrow_blocks(m: Module) -> tuple[tuple[int, ...], dict[int, Mat]]:
+    """Inverse of `modules.module_from_vertex_data`, in idempotent-adapted
+    coordinates: the vertex dimensions and one block per presentation
+    arrow.  Only valid for modules built by that front end."""
+    alg = m.algebra
+    dims = m.vertex_dims()
+    off = [0]
+    for d in dims:
+        off.append(off[-1] + d)
+    blocks = {}
+    for b in presentation_arrows(alg):
+        s, t = alg.endpoints[b]
+        rows = []
+        for i in range(off[t], off[t + 1]):
+            rows.append(tuple(m.action[b].entry(i, j)
+                              for j in range(off[s], off[s + 1])))
+        blocks[b] = Mat.from_rows(alg.field.p, rows, cols=dims[s])
+    return dims, blocks
 
 
 def a3_with_zero_relation() -> Algebra:

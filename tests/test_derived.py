@@ -89,7 +89,10 @@ def _coresolution(c):
 def test_coresolution_of_simple(a2):
     # The injective coresolution is read through duality: dualizing the
     # resolution of D(S2) over the opposite algebra gives injectives
-    # under S2, and its comparison starts at S2 itself.
+    # under S2, and its comparison starts at S2 itself.  The resolution
+    # cache is cleared first: a resolution cached for an equal D(x) by
+    # an earlier test would dualize back to that test's x, not this one.
+    projective_resolution.cache_clear()
     s2 = simple_module(a2, 1)
     x = one_term(s2)
     cores, into = _coresolution(x)
@@ -103,7 +106,9 @@ def test_coresolution_of_simple(a2):
 
 def test_coresolution_of_injective_is_identity(a2):
     # P1 is also injective here: D(P1) is its own resolution, so the
-    # dual comparison is the identity of the complex itself.
+    # dual comparison is the identity of the complex itself.  As above,
+    # no resolution of an equal D(c) may be left in the cache.
+    projective_resolution.cache_clear()
     c = one_term(projective_module(a2, 0))
     cores, into = _coresolution(c)
     assert cores is c and into == ChainMap.identity(c)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from conftest import kron
+from conftest import injective_module, kron
 
 from quivertilt import enumeration, torsion
 from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
@@ -42,7 +42,6 @@ from quivertilt.modules import (
     ModuleMap,
     direct_sum,
     dual_module,
-    injective_module,
     projective_module,
     simple_module,
 )

@@ -48,6 +48,7 @@ from quivertilt.derived import (
     derived_hom0,
     derived_hom_dim,
     projective_resolution,
+    stalk_hom_dim,
 )
 from quivertilt.enumeration import (
     SEARCH_CAP,
@@ -1103,11 +1104,11 @@ def test_t_structure_report_all_pairs(a2, monkeypatch):
     assert len(sample) == 39
     calls = []
 
-    def counted(a, b):
-        calls.append((a, b))
-        return derived_hom_dim(a, b)
+    def counted(xs, ys):
+        calls.append((xs, ys))
+        return stalk_hom_dim(xs, ys)
 
-    monkeypatch.setattr(heart, "derived_hom_dim", counted)
+    monkeypatch.setattr(heart, "stalk_hom_dim", counted)
     counts = []
     for pair in enumerate_torsion_pairs(uni2):
         ts = induced_t_structure(pair)
@@ -1115,6 +1116,10 @@ def test_t_structure_report_all_pairs(a2, monkeypatch):
         report = t_structure_report(ts, sample)
         counts.append(len(calls))
         assert report.ok, report.failures
+        # The stalks are those of the class representatives: one module
+        # object per class, never an equal copy.
+        stalk_modules = [m for xs, ys in calls for _, m in (*xs, *ys)]
+        assert len({id(m) for m in stalk_modules}) == len(set(stalk_modules))
         # Repeated complexes repeat every truncation; the verdict stays.
         repeated = t_structure_report(ts, sample + sample[::-1])
         assert repeated.ok == report.ok
@@ -1128,8 +1133,8 @@ def test_t_structure_report_lists_every_failing_index_pair(a2, monkeypatch):
     # that claims homs on a chosen subset of (low, high) pairs drives
     # the failure path; the messages must be those of a plain double
     # loop over all index pairs, duplicates included.  Like a real hom,
-    # the stub depends only on cohomology, and acyclic truncations map
-    # nowhere.
+    # the stub depends only on cohomology, read off the stalks, and
+    # acyclic truncations map nowhere.
     sample = enumerate_complexes(universe(a2, 1), -1, 1, 1, total_bound=3)
     sample = sample + sample[::-1]
     pair = pair_from_torsion_indecs(universe(a2, 2), (1,))
@@ -1149,11 +1154,13 @@ def test_t_structure_report_lists_every_failing_index_pair(a2, monkeypatch):
 
     calls = []
 
-    def stub(a, b):
-        calls.append((a, b))
-        return 1 if chosen(a, b) else 0
+    def stub(xs, ys):
+        calls.append((tuple(xs), tuple(ys)))
+        hx = sum(m.dim for _, m in xs)
+        hy = sum(m.dim for _, m in ys)
+        return 1 if hx and hy and (hx + hy) % 2 == 0 else 0
 
-    monkeypatch.setattr(heart, "derived_hom_dim", stub)
+    monkeypatch.setattr(heart, "stalk_hom_dim", stub)
     report = t_structure_report(ts, sample)
     expected = tuple(f"aisle #{ka} maps onto shifted coaisle #{kb}"
                      for ka, a in enumerate(lows)
@@ -1221,7 +1228,7 @@ def test_truncation_solves_read_unit_rows(a2, monkeypatch):
     uni1 = universe(a2, 1)
     uni2 = universe(a2, 2)
     sample = enumerate_complexes(uni1, -1, 1, 1, total_bound=3)
-    for cached in (heart._aisle_subspace, heart._cut_below,
+    for cached in (heart._preimage_in_cycles, heart._cut_below,
                    heart._cut_above, complexes.cohomology_data):
         cached.cache_clear()
     solve_code = linalg.solve.__code__
@@ -1281,7 +1288,7 @@ def test_report_cuts_each_complex_once_per_aisle_subspace(a2, monkeypatch):
     # quotient per distinct (complex, aisle subspace), not one per
     # (pair, complex).
     structures, sample = _a2_pairs_and_sample(a2)
-    for cached in (heart._aisle_subspace, heart._cut_below,
+    for cached in (heart._preimage_in_cycles, heart._cut_below,
                    heart._cut_above):
         cached.cache_clear()
     calls = {"sub": 0, "quo": 0}
@@ -1304,6 +1311,62 @@ def test_report_cuts_each_complex_once_per_aisle_subspace(a2, monkeypatch):
             for ts in structures for c in sample}
     assert len(cuts) < len(structures) * len(sample)
     assert calls == {"sub": len(cuts), "quo": len(cuts)}
+
+
+def test_report_scans_each_new_module_once_per_rep(a2, monkeypatch):
+    # The report's class table looks up a cohomology module equal to one
+    # met before, so is_isomorphic sees each (representative, module)
+    # pair at most once per report, and only modules never met before.
+    structures, sample = _a2_pairs_and_sample(a2)
+    assert len(sample) == 39
+    calls = []
+    real = heart.is_isomorphic
+
+    def counted(r, h):
+        calls.append((r, h))
+        return real(r, h)
+
+    monkeypatch.setattr(heart, "is_isomorphic", counted)
+    total = 0
+    for ts in structures:
+        calls.clear()
+        assert t_structure_report(ts, sample).ok
+        assert len(calls) == len(set(calls))
+        total += len(calls)
+    assert total
+
+
+def _per_pair_aisle_subspace(ts, c):
+    """The aisle subspace computed afresh for one (t-structure, complex),
+    the computation the report ran before it was shared per torsion part
+    of H^0: the reference for `heart._aisle_subspace`."""
+    data = complexes.cohomology_data(c, 0)
+    th = ts.pair.torsion_subspace(data.h)
+    tproj, _ = linalg.quotient_maps(th)
+    pre = linalg.kernel_basis(tproj @ data.h_proj.mat)
+    vecs = [data.cycles_incl.mat.apply(v) for v in pre.basis.row_list()]
+    return linalg.Subspace(c.algebra.field.p, c.component(0).dim, vecs)
+
+
+@pytest.mark.parametrize("p, quiver, pair_bound", [
+    (2, _A2, 2), (3, _A2, 2), (2, _A3, 3)], ids=["A2/F_2", "A2/F_3", "A3/F_2"])
+def test_aisle_subspace_is_kept_once_per_torsion_part(p, quiver, pair_bound):
+    # For every pair and complex the shared aisle subspace is the one the
+    # per-pair computation gives, and the cache behind it holds one
+    # entry per distinct (complex, torsion part of H^0).
+    alg = path_algebra(Field(p), quiver)
+    pool = enumerate_complexes(universe(alg, 2), -1, 1, 2, total_bound=3)
+    pairs = enumerate_torsion_pairs(universe(alg, pair_bound))
+    heart._preimage_in_cycles.cache_clear()
+    parts = set()
+    for pair in pairs:
+        ts = induced_t_structure(pair)
+        for c in pool:
+            assert heart._aisle_subspace(ts, c) \
+                == _per_pair_aisle_subspace(ts, c), c
+            parts.add((c, pair.torsion_subspace(cohomology(c, 0))))
+    assert len(parts) < len(pool) * len(pairs)
+    assert heart._preimage_in_cycles.cache_info().currsize == len(parts)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1347,10 +1410,10 @@ def test_cohomology_class_decides_derived_homs(p):
     pool = enumerate_complexes(universe(alg, 2), -2, 1, 2, total_bound=3)
     targets = [one_term(m, s) for m in universe(alg, 2).indecs
                for s in (-1, 0, 1)]
-    reps = []
+    seen = {}
     classes = {}
     for c in pool:
-        classes.setdefault(heart._cohomology_key(c, reps), []).append(c)
+        classes.setdefault(heart._cohomology_key(c, seen), []).append(c)
     shared = [cs for cs in classes.values() if len(cs) > 1]
     assert shared
     nonzero = 0

@@ -183,10 +183,6 @@ UNCALLED_PUBLIC = {
         "the one unit of the heart-level adjunction, for both sides",
     ("tiltbridge.py", "dl_commutation_report"):
         "acceptance test 08 certifies commutation with truncation by it",
-    ("modules.py", "injective_module"):
-        "the injective at a vertex, the dual of the opposite projective",
-    ("modules.py", "arrow_blocks"):
-        "the vertex-graded view of a module, inverse of the front end",
     ("giraud.py", "co_hat_decompose"):
         "the colocalization counterpart of hat_decompose",
     ("torsion.py", "self_test"):

@@ -58,6 +58,23 @@ def test_rref_is_idempotent_and_deterministic():
             assert pivots2 == pivots
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_born_reduced_matrices_match_the_kernel(p):
+    # Mat.zeros and Mat.identity come with their reduction preset; it
+    # must be the one kernels.rref computes on the same data, empty
+    # shapes included.
+    for n in range(7):
+        born = Mat.identity(p, n)
+        data, pivots = kernels.rref(p, n, n, born.data)
+        assert rref(born) == (Mat(p, n, n, data), tuple(pivots))
+        assert rref(born)[0] is born and rank(born) == n
+        for cols in range(7):
+            born = Mat.zeros(p, n, cols)
+            data, pivots = kernels.rref(p, n, cols, born.data)
+            assert rref(born) == (Mat(p, n, cols, data), tuple(pivots))
+            assert rref(born)[0] is born and rank(born) == 0
+
+
 def test_reduction_is_freed_by_reference_counting():
     # With the cyclic collector off, a dropped matrix and its cached
     # reduction are freed as soon as their last reference goes: the

@@ -7,7 +7,7 @@ from the path bases and frozen here.
 from __future__ import annotations
 
 import pytest
-from conftest import kron
+from conftest import arrow_blocks, injective_module, kron
 
 from quivertilt.algebras import (
     Bimodule,
@@ -28,7 +28,6 @@ from quivertilt.linalg import (
 from quivertilt.modules import (
     Module,
     ModuleMap,
-    arrow_blocks,
     cokernel,
     direct_sum,
     dual_module,
@@ -39,7 +38,6 @@ from quivertilt.modules import (
     hom_dim,
     hom_space,
     image,
-    injective_module,
     is_projective,
     kernel,
     lift_through,
