@@ -24,10 +24,10 @@ Each complex has one projective resolution, and `lift_postcompose` is
 the only lift.  The rule "a lift through an identity is the map itself,
 at no solve" lives there alone, so composing through a complex of
 projectives, which is its own resolution, costs no solve either.  There
-are no injective coresolutions: k-duality (`dual_complex`,
-`dual_chain_map`) turns a projective resolution over the opposite
-algebra into one, and `tiltbridge` reads the heart's right section, the
-one right-derived construction, through it.
+are no injective coresolutions: `tiltbridge` reads the heart's right
+section, the one right-derived construction, on objects through the
+k-dual `dual_complex`, which takes a complex to the opposite algebra,
+and certifies it on the dual side, where it is left-derived.
 """
 
 from __future__ import annotations
@@ -129,14 +129,6 @@ def dual_complex(c: Complex) -> Complex:
         d._dual = c
         c._dual = d
     return c._dual
-
-
-def dual_chain_map(f: ChainMap) -> ChainMap:
-    src = dual_complex(f.target)
-    tgt = dual_complex(f.source)
-    comps = {i: dual_map(f.component(-i))
-             for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1)}
-    return ChainMap(src, tgt, comps)
 
 
 # -- graded map coordinates --

@@ -2,9 +2,9 @@
 
 An exact corner functor that matches a compatible torsion pair upstairs
 with its pushed pair downstairs descends to an exact functor between
-the tilted hearts.  Its adjoint sections are left-derived, through
-projective resolutions only: the right section is the conjugate of the
-left one by Phi(x) = D(x)[1], which carries the heart of (T, F) onto the
+the tilted hearts.  Its left section is left-derived, through
+projective resolutions only, and the right section on objects is its
+conjugate by Phi(x) = D(x)[1], which carries the heart of (T, F) onto the
 opposite of the heart of (DF, DT) over the opposite algebra, and the
 localization at a corner onto the colocalization at the same corner of
 the opposite algebra (`HeartGiraudContext.dual`).  Everything the
@@ -22,19 +22,21 @@ of a corner object (F, T) is (f(iF), t(iT)), and canonical sequences
 are walked in split form.  The sections and the adjunction certificate
 still work on complexes and chain maps.
 
-A colocalization is read as a localization of the opposite category:
-its homs and compositions are reversed, its unit plays the counit's
-part, and the shifted free stalks play the torsion stalks' part.  So one
-context class, one descended functor and one adjunction certificate
-serve both sides; the side is data chosen when the context is built.
+The adjunction certificate has one reading, the colocalization's: the
+left section with its action on maps and the unit.  A localization is
+certified as the colocalization of its dual context.  Phi is an
+anti-equivalence that keeps total dimension, so it matches the heart
+classes within a bound one to one and carries each check of the
+localization onto the matching check of the dual; the right section
+has no action on maps and no counit of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
+from .algebras import opposite_algebra
 from .complexes import (
     ChainMap,
     Complex,
@@ -44,17 +46,20 @@ from .complexes import (
     is_quasi_iso,
 )
 from .derived import (
-    DerivedHom,
     DerivedMorphism,
     derived_hom0,
     derived_hom_dim,
-    dual_chain_map,
     dual_complex,
     lift_postcompose,
     projective_resolution,
     transport_exact,
 )
-from .enumeration import ModuleUniverse, enumerate_submodules, is_isomorphic
+from .enumeration import (
+    ModuleUniverse,
+    enumerate_submodules,
+    is_isomorphic,
+    universe,
+)
 from .giraud import (
     AnyGiraudContext,
     CoGiraudContext,
@@ -81,21 +86,6 @@ from .torsion import PairReport, TorsionPair, is_torsion_pair, trace_subspace
 
 # -- contexts ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeartSide:
-    """A side read as a localization: the section on hearts with its
-    action on morphisms, the adjunction map that must be invertible,
-    and the homs and composition (f after g) of the category that is
-    localized -- the opposite one for a colocalization."""
-
-    section: Callable[[HeartGiraudContext, Complex], Complex]
-    section_map: Callable[[HeartGiraudContext, DerivedMorphism],
-                          DerivedMorphism]
-    adjunction: Callable[[HeartGiraudContext, Complex], DerivedMorphism]
-    hom: Callable[[Complex, Complex], DerivedHom]
-    after: Callable[[DerivedMorphism, DerivedMorphism], DerivedMorphism]
-
-
 @dataclass
 class HeartGiraudContext:
     """A corner localization or colocalization descended to tilted
@@ -106,18 +96,18 @@ class HeartGiraudContext:
     pair_c: TorsionPair
     ts_d: InducedTStructure
     ts_c: InducedTStructure
-    side: HeartSide
 
     @cached_property
     def dual(self) -> HeartGiraudContext:
         """For a localization: the colocalization at the same corner of
         the opposite algebra, for the dual pairs (DF, DT).  Its base's
         `dual` is this context's base, so it shares the section functor."""
+        _require_side(self, GiraudContext, "dual")
         co = opposite_colocalization(self.base)
         pair_d, pair_c = self.pair_d.dual(), self.pair_c.dual()
         return HeartGiraudContext(co, pair_d, pair_c,
                                   induced_t_structure(pair_d),
-                                  induced_t_structure(pair_c), _side_of(co))
+                                  induced_t_structure(pair_c))
 
 
 def heart_giraud_context(ctx: AnyGiraudContext, pair_d: TorsionPair,
@@ -129,8 +119,7 @@ def heart_giraud_context(ctx: AnyGiraudContext, pair_d: TorsionPair,
         raise ValueError(pushed.witness or "pushed classes are not a pair")
     return HeartGiraudContext(ctx, pair_d, pushed.pair,
                               induced_t_structure(pair_d),
-                              induced_t_structure(pushed.pair),
-                              _side_of(ctx))
+                              induced_t_structure(pushed.pair))
 
 
 _SIDE_NAMES = {GiraudContext: "localization",
@@ -158,23 +147,6 @@ def l_heart_map(hctx: HeartGiraudContext,
     return transport_exact(hctx.base.restriction, m)
 
 
-def heart_unit(hctx: HeartGiraudContext, x: Complex) -> DerivedMorphism:
-    """x -> i_heart(l_heart(x)), transposed through the adjunction from
-    the identity of l_heart(x).  Read in the opposite category, for a
-    colocalization this is the counit j_heart(r(x)) -> x.  Public as the
-    one unit of the heart-level adjunction that serves both sides."""
-    side = hctx.side
-    lx = l_heart(hctx, x)
-    hom_up = side.hom(x, side.section(hctx, lx))
-    hom_down = side.hom(lx, lx)
-    eps = side.adjunction(hctx, lx)
-    ident = DerivedMorphism.from_chain_map(ChainMap.identity(lx))
-    unit = hom_up.preimage(
-        hom_down, lambda b: side.after(eps, l_heart_map(hctx, b)), ident)
-    assert unit is not None, "identity is not in the adjunction image"
-    return unit
-
-
 # -- the right section on hearts --------------------------------------------
 #
 # Phi shifts without the sign on the differentials: projective resolutions
@@ -186,43 +158,11 @@ def _phi(x: Complex) -> Complex:
     return Complex(d.algebra, d.lo - 1, d.components, d.diffs)
 
 
-def _phi_chain(f: ChainMap) -> ChainMap:
-    g = dual_chain_map(f)
-    return ChainMap(_phi(f.target), _phi(f.source),
-                    {g.lo + k - 1: c for k, c in enumerate(g.comps)})
-
-
-def _phi_map(f: DerivedMorphism) -> DerivedMorphism:
-    """Phi(f): Phi(y) -> Phi(x) for f: x -> y, lifted from Phi of the
-    resolution of x through Phi of its comparison map."""
-    fy = _phi(f.target)
-    _, cmp_x = projective_resolution(f.source)
-    _, cmp_y = projective_resolution(fy)
-    v = _phi_chain(f.rep).compose(cmp_y)
-    return DerivedMorphism(fy, _phi(f.source),
-                           lift_postcompose(_phi_chain(cmp_x), v))
-
-
 def i_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
     """The right adjoint of the descended corner functor: Phi of the
     left section of the dual context at Phi(n)."""
     _require_side(hctx, GiraudContext, "i_heart")
     return _phi(j_heart(hctx.dual, _phi(n)))
-
-
-def i_heart_map(hctx: HeartGiraudContext,
-                f: DerivedMorphism) -> DerivedMorphism:
-    """Functorial image of a heart morphism under the right section."""
-    _require_side(hctx, GiraudContext, "i_heart_map")
-    return _phi_map(j_heart_map(hctx.dual, _phi_map(f)))
-
-
-def heart_counit(hctx: HeartGiraudContext, n: Complex) -> DerivedMorphism:
-    """The evaluation l_heart(i_heart(n)) -> n; invertible over a
-    localization context.  Phi of the dual context's coinsertion at
-    Phi(n), since D commutes with restriction on the nose."""
-    _require_side(hctx, GiraudContext, "heart_counit")
-    return _phi_map(heart_co_unit(hctx.dual, _phi(n)))
 
 
 # -- the left section on hearts ---------------------------------------------
@@ -269,20 +209,6 @@ def heart_co_unit(hctx: HeartGiraudContext,
     return DerivedMorphism(n, r_h, r_proj.compose(z))
 
 
-def _op_hom(x: Complex, y: Complex) -> DerivedHom:
-    return derived_hom0(y, x)
-
-
-def _side_of(ctx: AnyGiraudContext) -> HeartSide:
-    """The side of ctx read as a localization.  The table is built per
-    call, so it holds the module's current bindings of its functions."""
-    return {
-        GiraudContext: HeartSide(i_heart, i_heart_map, heart_counit,
-                                 derived_hom0, lambda f, g: f.compose(g)),
-        CoGiraudContext: HeartSide(j_heart, j_heart_map, heart_co_unit,
-                                   _op_hom, lambda f, g: g.compose(f)),
-    }[type(ctx)]
-
 # The stalks of the class that is not cut down, for the messages: the
 # torsion class of a localization, the free class of a colocalization.
 _STALKS = (("torsion stalk", "torsion stalks"),
@@ -327,29 +253,51 @@ def verify_heart_giraud(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
     spaces match through the explicit transpose, the counit (the unit of
     a colocalization) is a natural isomorphism, the section is fully
     faithful, and the composite section of a stalk of the class that is
-    not cut down stays such a stalk."""
-    side, name = hctx.side, hctx.base.adjunction
-    hom, after = side.hom, side.after
+    not cut down stays such a stalk.
+
+    A localization is certified as the colocalization of its dual
+    context over the opposite universes, so the `#k` and `(a,b)` of its
+    failures index the dual's class lists; the stalk check reads the
+    context itself."""
+    name = hctx.base.adjunction
+    if isinstance(hctx.base, GiraudContext):
+        failures = _certify(
+            hctx.dual, universe(opposite_algebra(uni_d.algebra),
+                                uni_d.dim_bound),
+            universe(opposite_algebra(uni_c.algebra), uni_c.dim_bound),
+            dim_bound, name)
+    else:
+        failures = _certify(hctx, uni_d, uni_c, dim_bound, name)
+    failures += _stalk_failures(hctx, uni_d)
+    return PairReport(not failures, tuple(failures))
+
+
+def _certify(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
+             uni_c: ModuleUniverse, dim_bound: int, name: str) -> list[str]:
+    """The adjunction checks of a colocalization context, read in the
+    opposite categories, where it is a localization: homs are reversed,
+    and the unit n -> r(j_heart(n)) plays the counit's part."""
     p = uni_d.algebra.field.p
     failures: list[str] = []
     ups = heart_class_reps(hctx.ts_d, uni_d, dim_bound)
     downs = heart_class_reps(hctx.ts_c, uni_c, dim_bound)
 
-    adj = [side.adjunction(hctx, n) for n in downs]
-    for k, eps in enumerate(adj):
-        if not eps.is_iso():
+    units = [heart_co_unit(hctx, n) for n in downs]
+    for k, eta in enumerate(units):
+        if not eta.is_iso():
             failures.append(f"{name} at corner object #{k} is not invertible")
-    sections = [side.section(hctx, n) for n in downs]
+    sections = [j_heart(hctx, n) for n in downs]
 
     for a, x in enumerate(ups):
         lx = l_heart(hctx, x)
         for b, (n, sec) in enumerate(zip(downs, sections)):
-            hom_up = hom(x, sec)
-            hom_down = hom(lx, n)
+            hom_up = derived_hom0(sec, x)
+            hom_down = derived_hom0(n, lx)
             if hom_up.dim != hom_down.dim:
                 failures.append(f"adjunction dimensions differ at ({a},{b})")
                 continue
-            cols = [hom_down.class_coords(after(adj[b], l_heart_map(hctx, f)))
+            cols = [hom_down.class_coords(
+                        l_heart_map(hctx, f).compose(units[b]))
                     for f in hom_up.basis()]
             if not _bijective(p, cols, hom_up.dim):
                 failures.append(f"adjunction transpose at ({a},{b}) "
@@ -357,20 +305,18 @@ def verify_heart_giraud(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
 
     for a, (n, sec) in enumerate(zip(downs, sections)):
         for b, (n2, sec2) in enumerate(zip(downs, sections)):
-            hom_n = hom(n, n2)
-            images = [side.section_map(hctx, f) for f in hom_n.basis()]
-            up = hom(sec, sec2)
+            hom_n = derived_hom0(n2, n)
+            images = [j_heart_map(hctx, f) for f in hom_n.basis()]
+            up = derived_hom0(sec2, sec)
             if up.dim != hom_n.dim or not _bijective(
                     p, [up.class_coords(g) for g in images], hom_n.dim):
                 failures.append(f"section is not fully faithful at ({a},{b})")
             for f, g in zip(hom_n.basis(), images):
-                lhs = after(adj[b], l_heart_map(hctx, g))
-                if not lhs.equals(after(f, adj[a])):
+                lhs = l_heart_map(hctx, g).compose(units[b])
+                if not lhs.equals(units[a].compose(f)):
                     failures.append(f"{name} is not natural at ({a},{b})")
                     break
-
-    failures += _stalk_failures(hctx, uni_d)
-    return PairReport(not failures, tuple(failures))
+    return failures
 
 
 def _stalk_failures(hctx: HeartGiraudContext,
@@ -380,11 +326,12 @@ def _stalk_failures(hctx: HeartGiraudContext,
     # That class has index k, and its members sit in the heart as
     # stalks in degree -k.
     k = 1 - hctx.base.constrained
+    section = i_heart if isinstance(hctx.base, GiraudContext) else j_heart
     failures: list[str] = []
     for m in uni_d.nonzero_members():
         if not hctx.pair_d.in_class(k, m):
             continue
-        back = hctx.side.section(hctx, l_heart(hctx, one_term(m, k)))
+        back = section(hctx, l_heart(hctx, one_term(m, k)))
         if cohomology(back, k - 1).dim != 0 \
                 or not hctx.pair_d.in_class(k, cohomology(back, -k)):
             stalk, stalks = _STALKS[k]

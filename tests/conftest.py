@@ -7,12 +7,13 @@ import pytest
 from quivertilt import heart
 from quivertilt.algebras import Algebra, opposite_algebra, path_algebra
 from quivertilt.complexes import ChainMap, Complex
-from quivertilt.derived import DerivedMorphism
+from quivertilt.derived import DerivedMorphism, dual_complex
 from quivertilt.heart import heart_class_reps, one_term
 from quivertilt.linalg import Field, Mat
 from quivertilt.modules import (
     Module,
     cokernel,
+    dual_map,
     dual_module,
     kernel,
     presentation_arrows,
@@ -47,6 +48,16 @@ def kron(a: Mat, b: Mat) -> Mat:
                [a.entry(i, j) * b.entry(k, l) % p
                 for i in range(a.rows) for k in range(b.rows)
                 for j in range(a.cols) for l in range(b.cols)])
+
+
+def dual_chain_map(f: ChainMap) -> ChainMap:
+    """The k-dual D(f): D(y) -> D(x) of a chain map f: x -> y, between
+    the linked duals of its ends over the opposite algebra."""
+    src = dual_complex(f.target)
+    tgt = dual_complex(f.source)
+    comps = {i: dual_map(f.component(-i))
+             for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1)}
+    return ChainMap(src, tgt, comps)
 
 
 def injective_module(alg: Algebra, pos: int) -> Module:

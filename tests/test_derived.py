@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 import pytest
+from conftest import dual_chain_map
 
 from quivertilt.complexes import (
     ChainMap,
@@ -21,7 +22,6 @@ from quivertilt.derived import (
     _square_terms,
     derived_hom0,
     derived_hom_dim,
-    dual_chain_map,
     dual_complex,
     is_null_homotopic,
     lift_postcompose,

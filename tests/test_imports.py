@@ -179,8 +179,6 @@ UNCALLED_PUBLIC = {
         "the tests hold the walks to",
     ("heart.py", "is_heart_mono"): "the heart's monomorphisms, for callers",
     ("heart.py", "is_heart_epi"): "the heart's epimorphisms, for callers",
-    ("tiltbridge.py", "heart_unit"):
-        "the one unit of the heart-level adjunction, for both sides",
     ("tiltbridge.py", "dl_commutation_report"):
         "acceptance test 08 certifies commutation with truncation by it",
     ("giraud.py", "co_hat_decompose"):

@@ -15,14 +15,22 @@ generate, so the context roundtrip is not forced for it.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from contextlib import contextmanager
 from functools import lru_cache
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
-from conftest import chain_map_tilted_pair_report, heart_decompose, heart_ses_ok
+from conftest import (
+    chain_map_tilted_pair_report,
+    dual_chain_map,
+    heart_decompose,
+    heart_ses_ok,
+)
 
 from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
-from quivertilt import heart
+from quivertilt import derived, heart, tiltbridge
+from quivertilt.cli import build_environment, load_scenario
 from quivertilt.complexes import (
     ChainMap,
     Complex,
@@ -40,14 +48,18 @@ from quivertilt.derived import (
     _MapGrid,
     _solve_homotopy,
     derived_hom0,
-    dual_chain_map,
     dual_complex,
     lift_postcompose,
     projective_resolution,
 )
 from quivertilt.enumeration import enumerate_submodules, universe
-from quivertilt.giraud import co_giraud_context, giraud_context, push_pair
-from quivertilt.linalg import Field
+from quivertilt.giraud import (
+    GiraudContext,
+    co_giraud_context,
+    giraud_context,
+    push_pair,
+)
+from quivertilt.linalg import Field, Mat, rank
 from quivertilt.heart import (
     h0_lower,
     h0_lower_map,
@@ -77,12 +89,9 @@ from quivertilt.tiltbridge import (
     dl_commutation_report,
     heart_class_pairs,
     heart_class_reps,
-    heart_counit,
     heart_co_unit,
     heart_giraud_context,
-    heart_unit,
     i_heart,
-    i_heart_map,
     j_heart,
     j_heart_map,
     l_heart,
@@ -146,9 +155,8 @@ def _corner_identity(g):
 # Each function that only one side has, with arguments it accepts on
 # that side.
 _ONE_SIDED = {
+    "dual": (lambda hctx: hctx.dual, lambda g: ()),
     "i_heart": (i_heart, lambda g: (_corner_stalk(g),)),
-    "i_heart_map": (i_heart_map, lambda g: (_corner_identity(g),)),
-    "heart_counit": (heart_counit, lambda g: (_corner_stalk(g),)),
     "s_heart_membership": (s_heart_membership,
                            lambda g: (g.uni_d.indecs[1], g.uni_d.indecs[1])),
     "verify_heart_quotient": (verify_heart_quotient,
@@ -199,6 +207,26 @@ def test_section_values(g2):
                                one_term(p1, 1))
 
 
+def heart_unit(hctx, x):
+    """x -> i_heart(l_heart(x)), transposed through the adjunction from
+    the identity of l_heart(x), with the injective reference counit.
+    Read in the opposite category, for a colocalization this is the
+    counit j_heart(r(x)) -> x, transposed through the unit."""
+    lx = l_heart(hctx, x)
+    ident = DerivedMorphism.from_chain_map(ChainMap.identity(lx))
+    if isinstance(hctx.base, GiraudContext):
+        hom_up = derived_hom0(x, i_heart(hctx, lx))
+        eps = _ref_heart_counit(hctx, lx)
+        transpose = lambda b: eps.compose(l_heart_map(hctx, b))
+    else:
+        hom_up = derived_hom0(j_heart(hctx, lx), x)
+        eta = heart_co_unit(hctx, lx)
+        transpose = lambda b: l_heart_map(hctx, b).compose(eta)
+    unit = hom_up.preimage(derived_hom0(lx, lx), transpose, ident)
+    assert unit is not None, "identity is not in the adjunction image"
+    return unit
+
+
 def test_unit_triangle(g2):
     s2, s1, _ = g2.uni_d.indecs
     eta = heart_unit(g2.hctx, one_term(s2, 1))
@@ -226,7 +254,7 @@ def test_co_counit_triangle(g2):
 
 def test_counit_is_isomorphism(g2):
     for n in heart_class_reps(g2.hctx.ts_c, g2.uni_c):
-        assert heart_counit(g2.hctx, n).is_iso()
+        assert _ref_heart_counit(g2.hctx, n).is_iso()
 
 
 @pytest.mark.parametrize("p", [2, 3], ids=["A2/F_2", "A2/F_3"])
@@ -236,7 +264,7 @@ def test_section_maps_are_functorial(p):
     # for every composable pair of basis morphisms.
     alg = path_algebra(Field(p), Quiver((1, 2), ((1, 2, "a"),)))
     g = _Setup(alg, (1,), (1,), 2, 2)
-    for hctx, section, section_map in ((g.hctx, i_heart, i_heart_map),
+    for hctx, section, section_map in ((g.hctx, i_heart, _ref_i_heart_map),
                                        (g.co_hctx, j_heart, j_heart_map)):
         downs = heart_class_reps(hctx.ts_c, g.uni_c)
         for n in downs:
@@ -284,8 +312,85 @@ def test_co_adjunction_report(g2):
     assert report.failures == ()
 
 
+def test_certificate_flags_a_unit_that_is_zero(g2, monkeypatch):
+    # With the unit of the colocalization reading replaced by zero, the
+    # localization (certified through its dual) reports its counit, and
+    # the colocalization its unit, as not invertible at each nonzero
+    # corner object: #1 and #2 of three classes, #0 being the zero object.
+    real = tiltbridge.heart_co_unit
+    monkeypatch.setattr(tiltbridge, "heart_co_unit",
+                        lambda hctx, n: real(hctx, n).scale(0))
+    assert len(heart_class_reps(g2.hctx.ts_c, g2.uni_c)) == 3
+    for hctx, name in ((g2.hctx, "counit"), (g2.co_hctx, "unit")):
+        report = verify_heart_giraud(hctx, g2.uni_d, g2.uni_c)
+        assert not report.ok
+        flagged = [f for f in report.failures if f.endswith("invertible")]
+        assert flagged == [f"{name} at corner object #{k} is not invertible"
+                           for k in (1, 2)]
+
+
+def test_certificate_flags_a_section_that_is_zero(g2, monkeypatch):
+    # A left section that sends every corner object to zero breaks the
+    # adjunction dimensions on both sides.
+    real = tiltbridge.j_heart
+    monkeypatch.setattr(tiltbridge, "j_heart",
+                        lambda hctx, n: Complex.zero(real(hctx, n).algebra))
+    for hctx in (g2.hctx, g2.co_hctx):
+        report = verify_heart_giraud(hctx, g2.uni_d, g2.uni_c)
+        assert not report.ok
+        assert any(f.startswith("adjunction dimensions differ at")
+                   for f in report.failures)
+
+
+BUNDLED = Path(str(files("quivertilt").joinpath("scenarios/a2_full.json")))
+
+
+def test_localization_certificate_costs_its_dual(monkeypatch):
+    # On the bundled scenario's localization context at bound 3, with
+    # the derived and truncation caches cleared before each run, the
+    # certificate makes as many lifts and homotopy solves as the
+    # colocalization certificate of its dual context.
+    env = build_environment(load_scenario(BUNDLED), 3)
+    hctx = heart_giraud_context(env.ctx, env.pairs["std"], env.uni_d,
+                                env.uni_c)
+    dual = hctx.dual
+    dual_uni_d = universe(opposite_algebra(env.uni_d.algebra), 3)
+    dual_uni_c = universe(opposite_algebra(env.uni_c.algebra), 3)
+    calls = {"lift": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    lift = counted("lift", derived.lift_postcompose)
+    for module in (derived, heart, tiltbridge):
+        monkeypatch.setattr(module, "lift_postcompose", lift)
+    monkeypatch.setattr(derived, "_solve_homotopy",
+                        counted("solve", derived._solve_homotopy))
+
+    def certify(h, uni_d, uni_c):
+        for cached in (derived.projective_resolution, derived.derived_hom0,
+                       heart._preimage_in_cycles, heart._cut_below,
+                       heart._cut_above):
+            cached.cache_clear()
+        calls.update(lift=0, solve=0)
+        assert verify_heart_giraud(h, uni_d, uni_c, env.heart_bound).ok
+        return dict(calls)
+
+    assert certify(hctx, env.uni_d, env.uni_c) \
+        == certify(dual, dual_uni_d, dual_uni_c)
+
+
+@contextmanager
 def _with_section(hctx, section):
-    return replace(hctx, side=replace(hctx.side, section=section))
+    """hctx, with its side's section (i_heart of a localization, j_heart
+    of a colocalization) replaced by section while the block runs."""
+    name = "i_heart" if isinstance(hctx.base, GiraudContext) else "j_heart"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tiltbridge, name, section)
+        yield hctx
 
 
 def test_stalk_check_flags_the_class_not_cut_down(g2):
@@ -294,14 +399,14 @@ def test_stalk_check_flags_the_class_not_cut_down(g2):
     # the torsion stalks of the localization, the shifted free stalks of
     # the colocalization.
     s2, s1, _ = g2.uni_d.indecs
-    loc = _with_section(g2.hctx, lambda hctx, n: one_term(s2, 1))
-    assert _stalk_failures(loc, g2.uni_d) == [
-        f"section of a collapsed torsion stalk left the torsion stalks at "
-        f"{sig}" for sig in ((1,), (1, 1))]
-    co = _with_section(g2.co_hctx, lambda hctx, n: one_term(s1))
-    assert _stalk_failures(co, g2.uni_d) == [
-        f"section of a collapsed shifted stalk left the shifted free "
-        f"stalks at {sig}" for sig in ((0,), (0, 0), (2,))]
+    with _with_section(g2.hctx, lambda hctx, n: one_term(s2, 1)) as loc:
+        assert _stalk_failures(loc, g2.uni_d) == [
+            f"section of a collapsed torsion stalk left the torsion stalks "
+            f"at {sig}" for sig in ((1,), (1, 1))]
+    with _with_section(g2.co_hctx, lambda hctx, n: one_term(s1)) as co:
+        assert _stalk_failures(co, g2.uni_d) == [
+            f"section of a collapsed shifted stalk left the shifted free "
+            f"stalks at {sig}" for sig in ((0,), (0, 0), (2,))]
     assert _stalk_failures(g2.hctx, g2.uni_d) == []
     assert _stalk_failures(g2.co_hctx, g2.uni_d) == []
 
@@ -310,10 +415,10 @@ def test_reconstruction_rejects_an_incompatible_section(g2):
     # The same patched section makes the reconstruction refuse its
     # hypothesis, naming the first failing torsion stalk.
     s2 = g2.uni_d.indecs[0]
-    loc = _with_section(g2.hctx, lambda hctx, n: one_term(s2, 1))
-    with pytest.raises(ValueError, match=(
-            r"^compatibility hypothesis fails: section of a collapsed "
-            r"torsion stalk left the torsion stalks at \(1,\)$")):
+    with _with_section(g2.hctx, lambda hctx, n: one_term(s2, 1)) as loc, \
+            pytest.raises(ValueError, match=(
+                r"^compatibility hypothesis fails: section of a collapsed "
+                r"torsion stalk left the torsion stalks at \(1,\)$")):
         reconstruct_serre(loc, g2.uni_d, g2.uni_c)
 
 
@@ -515,25 +620,77 @@ def _same(got, want):
 @pytest.mark.parametrize("name", list(_ORACLE_ALGEBRAS))
 def test_right_section_is_the_dual_of_the_left_matching_the_reference(name):
     # On every compatible pair of every proper corner, the right section,
-    # its action on a basis of every hom space and the counit, read
-    # through the dual colocalization, equal the injective-coresolution
-    # construction: objects structurally, maps up to homotopy with the
-    # same endpoints.
-    objects = maps = 0
+    # read through the dual colocalization, equals the injective-
+    # coresolution construction structurally.
+    objects = 0
     for hctx, _, uni_c in _compatible_heart_contexts(name):
         assert hctx.dual.base.dual is hctx.base
-        downs = heart_class_reps(hctx.ts_c, uni_c, 2)
-        for n in downs:
+        for n in heart_class_reps(hctx.ts_c, uni_c, 2):
             assert i_heart(hctx, n) == _ref_i_heart(hctx, n)
-            assert _same(heart_counit(hctx, n), _ref_heart_counit(hctx, n))
             objects += 1
-        for n in downs:
-            for n2 in downs:
-                for f in derived_hom0(n, n2).basis():
-                    assert _same(i_heart_map(hctx, f),
-                                 _ref_i_heart_map(hctx, f))
-                    maps += 1
-    assert objects and maps
+    assert objects
+
+
+def _is_bijective(p, columns, dim):
+    return len(columns) == dim and (
+        dim == 0 or rank(Mat.from_rows(p, columns, cols=dim)) == dim)
+
+
+def _ref_localization_certificate(hctx, uni_d, uni_c, dim_bound):
+    """verify_heart_giraud on a localization read directly, with the
+    injective references for the right section, its action on maps and
+    the counit: homs and compositions are those of the hearts
+    themselves, not of their opposites."""
+    p = uni_d.algebra.field.p
+    failures = []
+    ups = heart_class_reps(hctx.ts_d, uni_d, dim_bound)
+    downs = heart_class_reps(hctx.ts_c, uni_c, dim_bound)
+    counits = [_ref_heart_counit(hctx, n) for n in downs]
+    failures += [f"counit at corner object #{k} is not invertible"
+                 for k, eps in enumerate(counits) if not eps.is_iso()]
+    sections = [_ref_i_heart(hctx, n) for n in downs]
+    for a, x in enumerate(ups):
+        lx = l_heart(hctx, x)
+        for b, (n, sec) in enumerate(zip(downs, sections)):
+            hom_up, hom_down = derived_hom0(x, sec), derived_hom0(lx, n)
+            if hom_up.dim != hom_down.dim:
+                failures.append(f"adjunction dimensions differ at ({a},{b})")
+                continue
+            cols = [hom_down.class_coords(
+                        counits[b].compose(l_heart_map(hctx, f)))
+                    for f in hom_up.basis()]
+            if not _is_bijective(p, cols, hom_up.dim):
+                failures.append(f"adjunction transpose at ({a},{b}) "
+                                "is not bijective")
+    for a, (n, sec) in enumerate(zip(downs, sections)):
+        for b, (n2, sec2) in enumerate(zip(downs, sections)):
+            hom_n = derived_hom0(n, n2)
+            images = [_ref_i_heart_map(hctx, f) for f in hom_n.basis()]
+            up = derived_hom0(sec, sec2)
+            if up.dim != hom_n.dim or not _is_bijective(
+                    p, [up.class_coords(g) for g in images], hom_n.dim):
+                failures.append(f"section is not fully faithful at ({a},{b})")
+            for f, g in zip(hom_n.basis(), images):
+                lhs = counits[b].compose(l_heart_map(hctx, g))
+                if not lhs.equals(f.compose(counits[a])):
+                    failures.append(f"counit is not natural at ({a},{b})")
+                    break
+    failures += _stalk_failures(hctx, uni_d)
+    return PairReport(not failures, tuple(failures))
+
+
+@pytest.mark.parametrize("name", ["A2/F_2", "A2/F_3", "A3/F_2"])
+def test_certificate_through_the_dual_matches_the_direct_reading(name):
+    # On every compatible localization context, at heart bound 2, the
+    # certificate read on the dual colocalization gives the verdict and
+    # the number of failures of the localization read directly.
+    contexts = 0
+    for hctx, uni_d, uni_c in _compatible_heart_contexts(name):
+        got = verify_heart_giraud(hctx, uni_d, uni_c, 2)
+        want = _ref_localization_certificate(hctx, uni_d, uni_c, 2)
+        assert (got.ok, len(got.failures)) == (want.ok, len(want.failures))
+        contexts += 1
+    assert contexts
 
 
 # -- the chain-map reference for the split deciders --------------------------
