@@ -44,6 +44,9 @@ from .giraud import (
     verify_bijection,
 )
 from .heart import (
+    _aisle_subspace,
+    _cut_above,
+    _cut_below,
     heart_cokernel,
     heart_kernel,
     heart_les_ok,
@@ -53,8 +56,6 @@ from .heart import (
     one_term,
     t_cohomology,
     tilted_pair_report,
-    truncate_ge1,
-    truncate_le0,
 )
 from .linalg import Field, Mat
 from .modules import (
@@ -82,6 +83,15 @@ class ScenarioError(Exception):
     enumeration bound that cannot be honored."""
 
 
+def _integer(value: Any, message: str) -> int:
+    """value, if it is a JSON integer.  JSON true and false load as
+    Python bools, which are ints, and a float or a string could be cast
+    to one, so anything but a plain int raises ScenarioError(message)."""
+    if type(value) is not int:
+        raise ScenarioError(message)
+    return value
+
+
 # -- scenario loading ----------------------------------------------------------
 
 def load_scenario(path: Path) -> dict:
@@ -97,9 +107,10 @@ def load_scenario(path: Path) -> dict:
                             f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    if data.get("version") != SCENARIO_VERSION:
-        raise ScenarioError(f"unsupported scenario version "
-                            f"{data.get('version')!r}")
+    version = data.get("version")
+    message = f"unsupported scenario version {version!r}"
+    if _integer(version, message) != SCENARIO_VERSION:
+        raise ScenarioError(message)
     for key in ("field", "quiver", "corner", "commands"):
         if key not in data:
             raise ScenarioError(f"missing scenario key {key!r}")
@@ -133,10 +144,10 @@ def _module_from_descriptor(alg: Algebra, table: dict[str, Module],
     if not isinstance(desc, dict) or "dims" not in desc:
         raise ScenarioError(f"bad module descriptor {desc!r}")
     dims = desc["dims"]
-    if (not isinstance(dims, list)
-            or len(dims) != len(alg.idem)
-            or any(not isinstance(d, int) or d < 0 for d in dims)):
-        raise ScenarioError("module dims must list one size per vertex")
+    message = "module dims must list one size per vertex"
+    if (not isinstance(dims, list) or len(dims) != len(alg.idem)
+            or any(_integer(d, message) < 0 for d in dims)):
+        raise ScenarioError(message)
     p = alg.field.p
     arrows = presentation_arrows(alg)
     given = desc.get("arrows", [])
@@ -149,8 +160,9 @@ def _module_from_descriptor(alg: Algebra, table: dict[str, Module],
         if not rows:
             continue
         s, _ = alg.endpoints[b]
+        entry = "bad arrow block: entries must be integers"
         try:
-            mat = Mat.from_rows(p, [tuple(int(x) % p for x in row)
+            mat = Mat.from_rows(p, [tuple(_integer(x, entry) % p for x in row)
                                     for row in rows], cols=dims[s])
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad arrow block: {exc}") from exc
@@ -182,8 +194,9 @@ def _pair_from_spec(alg: Algebra, table: dict[str, Module],
 def build_environment(data: dict, bound_override: Optional[int]) -> Environment:
     """Resolve a parsed scenario into algebras, contexts, and pairs."""
     p = data["field"]
-    if not isinstance(p, int) or p < 2:
-        raise ScenarioError(f"field must be a prime, got {p!r}")
+    message = f"field must be a prime, got {p!r}"
+    if _integer(p, message) < 2:
+        raise ScenarioError(message)
     try:
         fld = Field(p)
     except ValueError as exc:
@@ -217,10 +230,10 @@ def build_environment(data: dict, bound_override: Optional[int]) -> Environment:
     dim_bound = bound_override if bound_override is not None \
         else bounds.get("dim", 2)
     heart_bound = bounds.get("depth", 3)
-    if not isinstance(dim_bound, int) or dim_bound < 1:
-        raise ScenarioError("bounds.dim must be a positive integer")
-    if not isinstance(heart_bound, int) or heart_bound < 1:
-        raise ScenarioError("bounds.depth must be a positive integer")
+    for key, bound in (("dim", dim_bound), ("depth", heart_bound)):
+        message = f"bounds.{key} must be a positive integer"
+        if _integer(bound, message) < 1:
+            raise ScenarioError(message)
 
     try:
         env = Environment(alg, corner, giraud_context(corner),
@@ -257,9 +270,7 @@ def _stalk(env: Environment, cmd: dict, key: str) -> Complex:
     spec = cmd.get(key)
     if not isinstance(spec, dict) or "module" not in spec:
         raise ScenarioError(f"command {cmd['op']!r} needs {key!r} with a module")
-    shift = spec.get("shift", 0)
-    if not isinstance(shift, int):
-        raise ScenarioError("shift must be an integer")
+    shift = _integer(spec.get("shift", 0), "shift must be an integer")
     m = _module_from_descriptor(env.algebra, env.modules, spec["module"])
     return one_term(m, shift)
 
@@ -326,8 +337,9 @@ def cmd_truncate(env: Environment, cmd: dict) -> dict:
     name, pair = _named_pair(env, cmd)
     ts = induced_t_structure(pair)
     c = _stalk(env, cmd, "complex")
-    low, _ = truncate_le0(ts, c)
-    high, _ = truncate_ge1(ts, c)
+    x_sub = _aisle_subspace(ts, c)
+    low, _ = _cut_below(c, x_sub)
+    high, _ = _cut_above(c, x_sub)
     return {"pair": name, "ok": ts.in_le(low, 0) and ts.in_ge(high, 1),
             "failures": [],
             "lower": _complex_dims(low), "upper": _complex_dims(high)}
@@ -342,9 +354,7 @@ def cmd_t_cohomology(env: Environment, cmd: dict) -> dict:
         raise ScenarioError("degrees must be a list of integers")
     out = []
     for i in degrees:
-        if not isinstance(i, int):
-            raise ScenarioError("degrees must be integers")
-        h = t_cohomology(ts, c, i)
+        h = t_cohomology(ts, c, _integer(i, "degrees must be integers"))
         out.append({"degree": i, "zero": is_heart_zero(h),
                     "object": _complex_dims(h)})
     return {"pair": name, "ok": True, "failures": [], "cohomology": out}
@@ -365,9 +375,9 @@ def cmd_heart_kernel(env: Environment, cmd: dict) -> dict:
     y = _stalk(env, cmd, "y")
     hom = derived_hom0(x, y)
     index = cmd.get("index", 0)
-    if not isinstance(index, int) or not 0 <= index < hom.dim:
-        raise ScenarioError(f"no morphism #{index}: hom space has "
-                            f"dimension {hom.dim}")
+    message = f"no morphism #{index}: hom space has dimension {hom.dim}"
+    if not 0 <= _integer(index, message) < hom.dim:
+        raise ScenarioError(message)
     f = hom.basis()[index]
     ker, _ = heart_kernel(ts, f)
     cok, _ = heart_cokernel(ts, f)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebras import Algebra, opposite_algebra
 from .complexes import (
@@ -44,7 +44,7 @@ from .complexes import (
     cohomology,
     is_quasi_iso,
 )
-from .linalg import Mat, Subspace, combine, complement_in, kernel_basis, solve
+from .linalg import Mat, Subspace, complement_in, kernel_basis, solve
 from .modules import (
     Module,
     ModuleMap,
@@ -340,11 +340,6 @@ class DerivedMorphism:
         res, comparison = projective_resolution(u.source)
         return cls(u.source, u.target, u.compose(comparison))
 
-    @classmethod
-    def zero(cls, source: Complex, target: Complex) -> "DerivedMorphism":
-        res, _ = projective_resolution(source)
-        return cls(source, target, ChainMap.zero(res, target))
-
     def compose(self, other: "DerivedMorphism") -> "DerivedMorphism":
         """self after other."""
         if other.target != self.source:
@@ -353,15 +348,6 @@ class DerivedMorphism:
         lifted = lift_postcompose(comparison, other.rep)
         return DerivedMorphism(other.source, self.target,
                                self.rep.compose(lifted))
-
-    def add(self, other: "DerivedMorphism") -> "DerivedMorphism":
-        return DerivedMorphism(self.source, self.target, self.rep + other.rep)
-
-    def scale(self, c: int) -> "DerivedMorphism":
-        return DerivedMorphism(self.source, self.target, self.rep.scale(c))
-
-    def is_zero(self) -> bool:
-        return is_null_homotopic(self.rep)
 
     def equals(self, other: "DerivedMorphism") -> bool:
         if self.source != other.source or self.target != other.target:
@@ -396,11 +382,6 @@ class DerivedHom:
     def basis(self) -> list[DerivedMorphism]:
         return [DerivedMorphism(self.source, self.target, r) for r in self.reps]
 
-    def element(self, coeffs: Iterable[int]) -> DerivedMorphism:
-        vec = combine(self.grid.p, self.grid.dim, coeffs, self.rep_coords)
-        return DerivedMorphism(self.source, self.target, ChainMap(
-            self.resolution, self.target, self.grid.comps_from(vec)))
-
     def class_coords(self, m: DerivedMorphism) -> tuple[int, ...]:
         """Coefficients of m's class in the chosen representative basis."""
         vec = self.grid.coords_of(_comps_dict(m.rep))
@@ -416,17 +397,6 @@ class DerivedHom:
         sol = solve(a, b)
         assert sol is not None, "morphism does not lie in the hom space"
         return tuple(sol.col(0)[: len(self.reps)])
-
-    def preimage(self, into: "DerivedHom", fn,
-                 target: DerivedMorphism) -> Optional[DerivedMorphism]:
-        """An element g of this hom space with fn(g) = target in into,
-        or None; fn must be linear."""
-        p = self.grid.p
-        cols = [into.class_coords(fn(b)) for b in self.basis()]
-        rhs = into.class_coords(target)
-        a = Mat.from_cols(p, cols, into.dim)
-        sol = solve(a, Mat(p, into.dim, 1, rhs))
-        return None if sol is None else self.element(sol.col(0))
 
 
 def _comps_dict(f: ChainMap) -> dict[int, ModuleMap]:

@@ -21,11 +21,11 @@ that of the free class, and the surjective counit that of the injective
 unit.  Each context class states its side as data (restriction,
 section, admissibility test, the class that is cut down, message text),
 so one transport and one certificate serve both sides.  Torsion pairs
-are pulled back along the restriction (the "hat" construction, with a
-fiber-product decomposition witness, dualized on the colocalization
-side) and pushed forward by applying it to both classes; the compatible
-pairs on the two sides biject, which verify_bijection certifies
-exhaustively on bounded universes.
+are pulled back along the restriction (the "hat" construction; the
+tests hold its decompositions to the fiber-product witness, dualized on
+the colocalization side) and pushed forward by applying it to both
+classes; the compatible pairs on the two sides biject, which
+verify_bijection certifies exhaustively on bounded universes.
 """
 
 from __future__ import annotations
@@ -39,14 +39,10 @@ from .linalg import Mat, Subspace, combine, image_basis, solve
 from .modules import (
     Module,
     ModuleMap,
-    ShortExactSeq,
     dual_map,
     dual_module,
-    fiber_product,
     hom_basis,
     hom_space,
-    ses_from_submodule,
-    submodule_from_subspace,
 )
 from .torsion import (
     ClassSpec,
@@ -55,7 +51,6 @@ from .torsion import (
     free_indec_indices,
     is_torsion_pair,
     torsion_indec_indices,
-    trace_subspace,
 )
 
 
@@ -333,30 +328,6 @@ def hat_pair(ctx: AnyGiraudContext, pair_c: TorsionPair,
     k = ctx.constrained
     gens[k] = tuple(d for d in gens[k] if ctx.admissible(d))
     return TorsionPair(ClassSpec(gens[0], "torsion"), ClassSpec(gens[1], "free"))
-
-
-def hat_decompose(ctx: GiraudContext, pair_c: TorsionPair,
-                  m: Module) -> ShortExactSeq:
-    """Decomposition of m for the pulled-back pair, realized as the
-    fiber product of i(t(l m)) -> i(l m) <- m."""
-    lm = ctx.l.apply(m)
-    t_sub = trace_subspace(pair_c.torsion.generators, lm)
-    tmod, t_incl = submodule_from_subspace(lm, t_sub)
-    it_incl = ctx.i.apply_map(t_incl)
-    eta = ctx.unit(m)
-    x, p_t, p_m = fiber_product(it_incl, eta)
-    assert p_m.is_injective(), "fiber product failed to embed in m"
-    return ses_from_submodule(m, image_basis(p_m.mat))
-
-
-def co_hat_decompose(co: CoGiraudContext, pair_c: TorsionPair,
-                     m: Module) -> ShortExactSeq:
-    """Decomposition of m for the co-pulled-back pair: the dual of the
-    decomposition of Dm for the dual pair (DF, DT) on the opposite
-    corner.  Public as the colocalization counterpart of `hat_decompose`,
-    which states the paper's decomposition on the localization side."""
-    ses = hat_decompose(co.dual, pair_c.dual(), dual_module(m))
-    return ShortExactSeq(dual_map(ses.epi), dual_map(ses.mono))
 
 
 def push_pair_classes(ctx_l: CornerFunctor, pair_d: TorsionPair,

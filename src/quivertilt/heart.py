@@ -29,12 +29,12 @@ complexes.  `tilted_pair_report` decides on the pairs themselves.
 The same splitting holds for every bounded complex: it is isomorphic in
 D^b to the sum of its shifted cohomologies (Happel, LMS LN 119, 1988),
 so its isomorphism class, and Hom_D(a, b), depend only on the
-isomorphism classes of the H^i.  `heart_is_isomorphic` compares those
-classes, and `t_structure_report` keeps a table of them: a module equal
-to one met before is looked up, so `is_isomorphic` scans only modules
-never met.  It evaluates the orthogonality of aisle against shifted
-coaisle once per pair of classes with the split formula
-`derived.stalk_hom_dim`, on the stalks of the class representatives.
+isomorphism classes of the H^i.  `t_structure_report` keeps a table of
+those classes: a module equal to one met before is looked up, so
+`is_isomorphic` scans only modules never met.  It evaluates the
+orthogonality of aisle against shifted coaisle once per pair of classes
+with the split formula `derived.stalk_hom_dim`, on the stalks of the
+class representatives.
 All of them sit behind the certificate of
 `derived._check_hereditary`, taken once per algebra: they raise
 NotHereditary on an algebra of global dimension above one, with no
@@ -50,18 +50,18 @@ f, g, that g f = 0 and that the image of f fills the kernel of g.  Each
 map's cone is built once and serves the node before it and the node
 after it.
 
-The library's callers build their maps as `SplitMorphism`s, (a, b, eps)
-between heart objects F[1] + T: `heart_les_ok` straight from the module
-sequence, `heart_decomposition_ok` as the canonical sequence (id, 0)
-then (0, id).  Their kernels, images and cokernels are module pairs
-read off one extension, and an inner node compares dim Hom_D(ker g,
-im f) with dim Hom_D(ker g, ker g) by the split formula: g f = 0 makes
+The walk takes one `_SplitCone` per map, for maps built as
+`SplitMorphism`s (a, b, eps) between heart objects F[1] + T:
+`heart_les_ok` straight from the module sequence,
+`heart_decomposition_ok` as the canonical sequence (id, 0) then
+(0, id).  Their kernels, images and cokernels are module pairs read off
+one extension, and an inner node compares dim Hom_D(ker g, im f) with
+dim Hom_D(ker g, ker g) by the split formula: g f = 0 makes
 im f -> ker g a mono, and in a Hom-finite abelian category a mono
 u: I -> K is an iso exactly when Hom(K, u) is onto.  That path builds
-no complex, resolution, cone or truncation.  The walk also takes
-derived morphisms, whose cones are cones of chain maps, truncated, and
-whose inner node asks whether the kernel of g dies in the cokernel of
-f: the tests hold the split form to that reference.
+no complex, resolution, cone or truncation.  The tests hold it to the
+chain-map cone of `heart_kernel` and `heart_cokernel`, walked the same
+way.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from .derived import (
     NotHereditary,
     _check_hereditary,
     _stalks,
-    derived_hom0,
     lift_postcompose,
     projective_resolution,
     stalk_hom_dim,
@@ -295,19 +294,18 @@ def t_cohomology(ts: InducedTStructure, c: Complex, i: int) -> Complex:
 
 
 class _HeartCone:
-    """The cone of one heart morphism, with the parts of its kernel and
-    cokernel built from it on first use.
+    """The cone of one derived heart morphism, with its kernel and
+    cokernel built from it on first use, for `heart_kernel` and
+    `heart_cokernel`.
 
     The representative is lifted to the projective resolution of the
     target, so the cone is that of a map of projective complexes.  The
     shifted cone has torsion cohomology only in degrees 0 (the kernel)
     and 1 (the cokernel), so the heart cohomology of the shifted cone is
     the kernel, and the coaisle part of the cone, truncated into the
-    aisle, is the cokernel.  Asking only for an object builds neither
-    its resolution nor the lift behind its inclusion or projection;
-    asking for the inclusion or the projection reuses the object and
-    the cone.  The lifts skip identities themselves: a target that is
-    its own resolution and a truncation that cuts nothing cost no solve.
+    aisle, is the cokernel.  The lifts skip identities themselves: a
+    target that is its own resolution and a truncation that cuts nothing
+    cost no solve.
     """
 
     def __init__(self, ts: InducedTStructure, m: DerivedMorphism):
@@ -320,57 +318,15 @@ class _HeartCone:
         return cone(lift_postcompose(s_y, self.m.rep))
 
     @cached_property
-    def _kernel_parts(self) -> tuple[Complex, ChainMap, ChainMap]:
-        """The kernel k with the aisle inclusion into the shifted cone and
-        the projection of the aisle part onto k."""
-        cn, _, _ = self._cone
+    def kernel(self) -> tuple[Complex, DerivedMorphism]:
+        """The kernel with its inclusion: the heart cohomology of the
+        aisle part of the shifted cone, mapped onto the source through
+        the rotated triangle."""
+        cn, _, onto = self._cone
         low, lincl = truncate_le0(self.ts, cn.shift(-1))
         k, kproj = truncate_ge(self.ts, low)
         assert is_quasi_iso(kproj), "aisle truncation of the shifted cone " \
                                     "is not concentrated in the heart"
-        return k, lincl, kproj
-
-    @cached_property
-    def _cokernel_parts(self) -> tuple[Complex, ChainMap, ChainMap]:
-        """The cokernel c with the projection of the cone onto its coaisle
-        part and the inclusion of c into that part."""
-        cn, _, _ = self._cone
-        high, hproj = truncate_ge(self.ts, cn)
-        ck, cincl = truncate_le0(self.ts, high)
-        assert is_quasi_iso(cincl), "coaisle truncation of the cone is not " \
-                                    "concentrated in the heart"
-        return ck, hproj, cincl
-
-    @cached_property
-    def source_is_zero(self) -> bool:
-        return is_heart_zero(self.m.source)
-
-    @cached_property
-    def target_is_zero(self) -> bool:
-        return is_heart_zero(self.m.target)
-
-    @property
-    def kernel_is_zero(self) -> bool:
-        return is_heart_zero(self._kernel_parts[0])
-
-    @property
-    def cokernel_is_zero(self) -> bool:
-        return is_heart_zero(self._cokernel_parts[0])
-
-    def exact_after(self, f: "_HeartCone") -> bool:
-        """Exactness at the middle of f then self: the composite vanishes
-        and the kernel of self dies in the cokernel of f."""
-        if not self.m.compose(f.m).is_zero():
-            return False
-        _, kincl = self.kernel
-        _, cproj = f.cokernel
-        return cproj.compose(kincl).is_zero()
-
-    @cached_property
-    def kernel(self) -> tuple[Complex, DerivedMorphism]:
-        """The kernel with its inclusion, through the rotated triangle."""
-        k, lincl, kproj = self._kernel_parts
-        _, _, onto = self._cone
         delta = onto.shift(-1).scale(-1)
         _, s_k = projective_resolution(k)
         w = lift_postcompose(kproj, s_k)
@@ -380,9 +336,13 @@ class _HeartCone:
 
     @cached_property
     def cokernel(self) -> tuple[Complex, DerivedMorphism]:
-        """The cokernel with its projection."""
-        ck, hproj, cincl = self._cokernel_parts
-        _, into, _ = self._cone
+        """The cokernel with its projection: the coaisle part of the cone,
+        truncated into the aisle."""
+        cn, into, _ = self._cone
+        high, hproj = truncate_ge(self.ts, cn)
+        ck, cincl = truncate_le0(self.ts, high)
+        assert is_quasi_iso(cincl), "coaisle truncation of the cone is not " \
+                                    "concentrated in the heart"
         g = lift_postcompose(cincl, hproj.compose(into))
         return ck, DerivedMorphism(self.m.target, ck, g)
 
@@ -403,46 +363,6 @@ def heart_cokernel(ts: InducedTStructure, m: DerivedMorphism,
 
 def is_heart_zero(c: Complex) -> bool:
     return is_exact_complex(c)
-
-
-def is_heart_mono(ts: InducedTStructure, m: DerivedMorphism) -> bool:
-    return _HeartCone(ts, m).kernel_is_zero
-
-
-def is_heart_epi(ts: InducedTStructure, m: DerivedMorphism) -> bool:
-    return _HeartCone(ts, m).cokernel_is_zero
-
-
-def factor_through_mono(mono: DerivedMorphism, f: DerivedMorphism,
-                        ) -> DerivedMorphism:
-    """The morphism g with mono . g = f, solved in hom coordinates."""
-    if mono.target != f.target:
-        raise ValueError("factoring needs a common target")
-    g = derived_hom0(f.source, mono.source).preimage(
-        derived_hom0(f.source, f.target), mono.compose, f)
-    assert g is not None, "morphism does not factor through the mono"
-    assert mono.compose(g).equals(f)
-    return g
-
-
-def factor_through_epi(epi: DerivedMorphism, f: DerivedMorphism,
-                       ) -> DerivedMorphism:
-    """The morphism g with g . epi = f, solved in hom coordinates."""
-    if epi.source != f.source:
-        raise ValueError("factoring needs a common source")
-    g = derived_hom0(epi.target, f.target).preimage(
-        derived_hom0(epi.source, f.target), lambda b: b.compose(epi), f)
-    assert g is not None, "morphism does not factor through the epi"
-    assert g.compose(epi).equals(f)
-    return g
-
-
-def heart_exact_at(ts: InducedTStructure, f: DerivedMorphism,
-                   g: DerivedMorphism) -> bool:
-    """Exactness of a composable heart pair at the middle object: g f = 0
-    puts the image of f inside the kernel of g, and the kernel of g lies
-    inside the image of f exactly when it dies in the cokernel of f."""
-    return _HeartCone(ts, g).exact_after(_HeartCone(ts, f))
 
 
 @lru_cache(maxsize=None)
@@ -583,7 +503,7 @@ class _SplitCone:
         return _split_hom_dim(k, f.image_object) == _split_hom_dim(k, k)
 
 
-def _exact_run(cones: list) -> bool:
+def _exact_run(cones: list[_SplitCone]) -> bool:
     """0 -> X_0 -> ... -> X_n -> 0 with every X_i nonzero, given by the
     cones of its maps: mono at the first map, epi at the last, exact at
     every inner node.  With no map the run is one nonzero object, which
@@ -594,19 +514,17 @@ def _exact_run(cones: list) -> bool:
             and all(g.exact_after(f) for f, g in pairwise(cones)))
 
 
-def _heart_exact_sequence(ts: InducedTStructure, maps: list) -> bool:
-    """0 -> X_0 -> ... -> X_n -> 0 through composable heart maps, all
-    derived morphisms or all split morphisms.
+def _heart_exact_sequence(cones: list[_SplitCone]) -> bool:
+    """0 -> X_0 -> ... -> X_n -> 0 through composable heart maps, given
+    by their cones.
 
     Every map into or out of a zero object is zero, so exactness at a
     zero object holds, and exactness next to one asks for an epi or a
     mono.  The sequence is therefore exact exactly when each maximal
     run of nonzero objects is exact on its own, and only those runs are
-    walked.  Each map gets one cone, shared by the kernel one node asks
-    for and the cokernel or image the next node asks for.
+    walked.  Each cone serves the kernel one node asks for and the
+    cokernel or image the next node asks for.
     """
-    cone = _SplitCone if isinstance(maps[0], SplitMorphism) else _HeartCone
-    cones = [cone(ts, m) for m in maps]
     zero = [cones[0].source_is_zero] + [c.target_is_zero for c in cones]
     cuts = [-1] + [k for k, z in enumerate(zero) if z] + [len(zero)]
     # The run between zero objects a and b is X_(a+1), ..., X_(b-1),
@@ -643,19 +561,9 @@ def heart_les_ok(ts: InducedTStructure, ses: ShortExactSeq) -> bool:
                           ModuleMap.zero(c.sub, zero),
                           ModuleMap(ext.incl.source, a.quot,
                                     a.epi.mat @ mu))
-    return _heart_exact_sequence(ts, [
+    return _heart_exact_sequence([_SplitCone(ts, m) for m in (
         on_torsion(ses.mono, a, b), on_torsion(ses.epi, b, c), bound,
-        on_free(ses.mono, a, b), on_free(ses.epi, b, c)])
-
-
-def heart_is_isomorphic(x: Complex, y: Complex) -> bool:
-    """Whether two complexes are isomorphic in the derived category: over
-    a hereditary algebra each is the sum of its shifted cohomologies, so
-    exactly when those are isomorphic degree by degree.  Raises
-    NotHereditary on an algebra of global dimension above one."""
-    _check_hereditary(x.algebra)
-    seen: dict[Module, Module] = {}
-    return _cohomology_key(x, seen) == _cohomology_key(y, seen)
+        on_free(ses.mono, a, b), on_free(ses.epi, b, c))])
 
 
 def heart_class_pairs(ts: InducedTStructure, uni: ModuleUniverse,
@@ -669,8 +577,8 @@ def heart_class_pairs(ts: InducedTStructure, uni: ModuleUniverse,
     sum of its cohomology stalks, so these are all the classes, each
     once.  They come ordered by (members index of F, members index of
     T), which is the first-occurrence order of the exhaustive scan that
-    `enumerate_heart_objects` followed by a `heart_is_isomorphic`
-    dedupe performs: members are sorted by (dim, signature), and a
+    `enumerate_heart_objects` followed by an isomorphism dedupe
+    performs: members are sorted by (dim, signature), and a
     complex a -> b with kernel F has dim a >= dim F, with equality only
     when the differential is zero.  Raises NotHereditary otherwise.
     """
@@ -707,9 +615,11 @@ def heart_decomposition_ok(ts: InducedTStructure, f: Module,
     the heart object F[1] + T is heart-exact, walked in split form as
     (id_F, 0) followed by (0, id_T)."""
     zero = Module.zero(f.algebra)
-    return _heart_exact_sequence(ts, [
-        SplitMorphism.diagonal(ModuleMap.identity(f), ModuleMap.zero(zero, t)),
-        SplitMorphism.diagonal(ModuleMap.zero(f, zero), ModuleMap.identity(t))])
+    into = SplitMorphism.diagonal(ModuleMap.identity(f),
+                                  ModuleMap.zero(zero, t))
+    onto = SplitMorphism.diagonal(ModuleMap.zero(f, zero),
+                                  ModuleMap.identity(t))
+    return _heart_exact_sequence([_SplitCone(ts, into), _SplitCone(ts, onto)])
 
 
 def tilted_pair_report(ts: InducedTStructure, uni: ModuleUniverse,
@@ -758,6 +668,7 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
     truncation sequence, and orthogonality of aisle against shifted
     coaisle.
 
+    Each complex's aisle subspace is computed once and cut both ways.
     Levelwise exactness of 0 -> tr -> c -> q -> 0 is decided by
     dimension: the inclusion is injective, the projection surjective,
     their composite zero, and dim tr + dim q = dim c.
@@ -780,8 +691,9 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
     lows = []
     highs = []
     for k, c in enumerate(complexes):
-        tr, incl = truncate_le0(ts, c)
-        q, proj = truncate_ge1(ts, c)
+        x_sub = _aisle_subspace(ts, c)
+        tr, incl = _cut_below(c, x_sub)
+        q, proj = _cut_above(c, x_sub)
         lows.append(tr)
         highs.append(q)
         if not ts.in_le(tr, 0):

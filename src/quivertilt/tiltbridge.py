@@ -19,8 +19,9 @@ F[1] + T (Happel-Reiten-Smalo), and the exact corner functor acts on it
 part by part, so `verify_heart_quotient` and `reconstruct_serre` read
 their facts off module pairs: F and T die in the corner, the preimage
 of a corner object (F, T) is (f(iF), t(iT)), and canonical sequences
-are walked in split form.  The sections and the adjunction certificate
-still work on complexes and chain maps.
+are walked in split form; the tests check its commutation with
+truncation on sampled complexes.  The sections and the adjunction
+certificate still work on complexes and chain maps.
 
 The adjunction certificate has one reading, the colocalization's: the
 left section with its action on maps and the unit.  A localization is
@@ -74,13 +75,10 @@ from .heart import (
     heart_class_pairs,
     heart_class_reps,
     heart_decomposition_ok,
-    heart_is_isomorphic,
     induced_t_structure,
     one_term,
-    t_cohomology,
-    truncate_le0,
 )
-from .linalg import Mat, image_basis, rank
+from .linalg import Mat, rank
 from .modules import Module, ses_from_submodule
 from .torsion import PairReport, TorsionPair, is_torsion_pair, trace_subspace
 
@@ -94,8 +92,14 @@ class HeartGiraudContext:
     base: AnyGiraudContext
     pair_d: TorsionPair
     pair_c: TorsionPair
-    ts_d: InducedTStructure
-    ts_c: InducedTStructure
+
+    @cached_property
+    def ts_d(self) -> InducedTStructure:
+        return induced_t_structure(self.pair_d)
+
+    @cached_property
+    def ts_c(self) -> InducedTStructure:
+        return induced_t_structure(self.pair_c)
 
     @cached_property
     def dual(self) -> HeartGiraudContext:
@@ -104,10 +108,7 @@ class HeartGiraudContext:
         `dual` is this context's base, so it shares the section functor."""
         _require_side(self, GiraudContext, "dual")
         co = opposite_colocalization(self.base)
-        pair_d, pair_c = self.pair_d.dual(), self.pair_c.dual()
-        return HeartGiraudContext(co, pair_d, pair_c,
-                                  induced_t_structure(pair_d),
-                                  induced_t_structure(pair_c))
+        return HeartGiraudContext(co, self.pair_d.dual(), self.pair_c.dual())
 
 
 def heart_giraud_context(ctx: AnyGiraudContext, pair_d: TorsionPair,
@@ -117,9 +118,7 @@ def heart_giraud_context(ctx: AnyGiraudContext, pair_d: TorsionPair,
     pushed = push_pair(ctx, pair_d, uni_d, uni_c)
     if not pushed.ok:
         raise ValueError(pushed.witness or "pushed classes are not a pair")
-    return HeartGiraudContext(ctx, pair_d, pushed.pair,
-                              induced_t_structure(pair_d),
-                              induced_t_structure(pushed.pair))
+    return HeartGiraudContext(ctx, pair_d, pushed.pair)
 
 
 _SIDE_NAMES = {GiraudContext: "localization",
@@ -345,14 +344,15 @@ def _stalk_failures(hctx: HeartGiraudContext,
 def verify_heart_quotient(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
                           uni_c: ModuleUniverse, dim_bound: int = 3,
                           ) -> PairReport:
-    """The descended functor is exact and essentially surjective, and
-    its kernel satisfies two-out-of-three on the canonical heart-exact
-    sequences 0 -> F[1] -> F[1] + T -> T -> 0 of the nonzero classes.
-    The corner functor takes that sequence of (F, T) to the one of
-    (lF, lT), with no Ext part to transport."""
+    """The descended functor is exact and essentially surjective: it
+    keeps the canonical heart-exact sequences 0 -> F[1] -> F[1] + T ->
+    T -> 0 of the nonzero classes exact, with no Ext part to transport,
+    and every corner class has a constructed preimage.  Its kernel
+    holds F[1] + T exactly when it holds F and T, so two-out-of-three
+    on these sequences holds by definition; `reconstruct_serre` checks
+    that the kernel is Serre."""
     _require_side(hctx, GiraudContext, "verify_heart_quotient")
     corner = hctx.base.l
-    zero = Module.zero(uni_d.algebra)
     failures: list[str] = []
     ups = [(f, t) for f, t in heart_class_pairs(hctx.ts_d, uni_d, dim_bound)
            if f.dim or t.dim]
@@ -361,49 +361,12 @@ def verify_heart_quotient(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
                                       corner.apply(t)):
             failures.append(f"descended functor broke exactness of "
                             f"sequence #{k}")
-        members = (s_heart_membership(hctx, f, zero),
-                   s_heart_membership(hctx, f, t),
-                   s_heart_membership(hctx, zero, t))
-        if members[1] != (members[0] and members[2]):
-            failures.append(f"kernel class fails two-out-of-three at "
-                            f"sequence #{k}")
 
     for k, (f, t) in enumerate(heart_class_pairs(hctx.ts_c, uni_c,
                                                  dim_bound)):
         if not _has_preimage(hctx, f, t):
             failures.append(f"no constructed preimage for corner "
                             f"object #{k}")
-    return PairReport(not failures, tuple(failures))
-
-
-# -- verification: commutation with truncation --------------------------------
-
-def dl_commutation_report(hctx: HeartGiraudContext,
-                          complexes: list[Complex]) -> PairReport:
-    """The corner functor commutes with both truncations and with heart
-    cohomology on the given complexes: the truncation subobjects agree
-    levelwise, and the cohomologies are isomorphic."""
-    _require_side(hctx, GiraudContext, "dl_commutation_report")
-    failures: list[str] = []
-    for k, c in enumerate(complexes):
-        lc = apply_functor(hctx.base.l, c)
-        up, up_incl = truncate_le0(hctx.ts_d, c)
-        down, down_incl = truncate_le0(hctx.ts_c, lc)
-        l_up = apply_functor(hctx.base.l, up)
-        l_incl = apply_functor_map(hctx.base.l, up_incl)
-        for i in range(min(l_up.lo, down.lo), max(l_up.hi, down.hi) + 1):
-            if (l_up.component(i).dim != down.component(i).dim
-                    or image_basis(l_incl.component(i).mat)
-                    != image_basis(down_incl.component(i).mat)):
-                failures.append(f"low truncations of #{k} differ "
-                                f"in degree {i}")
-                break
-        for i in (-1, 0, 1):
-            a = apply_functor(hctx.base.l, t_cohomology(hctx.ts_d, c, i))
-            b = t_cohomology(hctx.ts_c, lc, i)
-            if not heart_is_isomorphic(a, b):
-                failures.append(f"heart cohomology of #{k} does not "
-                                f"commute in degree {i}")
     return PairReport(not failures, tuple(failures))
 
 

@@ -13,7 +13,7 @@ there.  Hom and the trace are additive and the universe is
 Krull-Schmidt, so the members that are direct sums add nothing.
 Closure under quotients, submodules and extensions holds by
 construction of the trace and the reject, so it is not part of the
-decision either; ``self_test`` sweeps all of it member by member, as an
+decision either; the tests sweep all of it member by member, as an
 oracle for the trace/reject implementation.
 
 The torsion pairs of a universe are the closed sets T = ⊥(T⊥) of the
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse, enumerate_submodules
+from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse
 from .linalg import Subspace, all_vectors, image_basis, kernel_basis, quotient_maps
 from .modules import (
     Module,
@@ -172,8 +172,8 @@ def is_torsion_pair(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
     trace are additive and the universe is Krull-Schmidt, so a direct
     sum decomposes as the sum of its summands' decompositions.  Closure
     of the classes holds by construction of the trace and the reject;
-    ``self_test`` checks that construction, and the decomposition of
-    every member.
+    the tests' member-by-member sweep checks that construction, and the
+    decomposition of every member.
     """
     failures: list[str] = []
     indecs = uni.indecs
@@ -197,77 +197,6 @@ def is_torsion_pair(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
             failures.append(f"decomposition: trace part of {(i,)} not torsion")
         if not pair.in_free(ses.quot):
             failures.append(f"decomposition: trace quotient of {(i,)} not free")
-
-    return PairReport(not failures, tuple(failures))
-
-
-def self_test(pair: TorsionPair, uni: ModuleUniverse) -> PairReport:
-    """Check the trace/reject implementation against the pair axioms.
-
-    Sweeps every member of the universe: hom-orthogonality and mutual
-    maximality member by member, the canonical decomposition of every
-    nonzero member, closure of the torsion class under quotients and
-    extensions, and closure of the free class under submodules and
-    extensions.  These hold by construction for any pair that
-    ``is_torsion_pair`` accepts on the indecomposables, so a failure
-    here is a fault of ``trace_subspace``/``reject_subspace``, of the
-    decomposition or of membership, not of the pair.  Exhaustive and
-    slow; it is a test oracle, not a decision.
-    """
-    failures: list[str] = []
-    members = uni.nonzero_members()
-    t_mem = [m for m in members if pair.in_torsion(m)]
-    f_mem = [m for m in members if pair.in_free(m)]
-
-    for a in t_mem:
-        for b in f_mem:
-            if hom_dim(a, b) != 0:
-                failures.append(
-                    f"hom-orthogonality: Hom({uni.signature(a)}, {uni.signature(b)}) != 0")
-
-    for m in members:
-        in_t = pair.in_torsion(m)
-        no_maps_to_f = all(hom_dim(m, b) == 0 for b in f_mem)
-        if in_t != no_maps_to_f:
-            failures.append(f"torsion maximality fails at {uni.signature(m)}")
-        in_f = pair.in_free(m)
-        no_maps_from_t = all(hom_dim(a, m) == 0 for a in t_mem)
-        if in_f != no_maps_from_t:
-            failures.append(f"free maximality fails at {uni.signature(m)}")
-
-    for m in members:
-        ses = pair.decompose(m)
-        if not pair.in_torsion(ses.sub):
-            failures.append(f"decomposition: trace part of {uni.signature(m)} not torsion")
-        if not pair.in_free(ses.quot):
-            failures.append(f"decomposition: trace quotient of {uni.signature(m)} not free")
-
-    for m in t_mem:
-        for s in enumerate_submodules(m):
-            quo, _ = quotient_by_subspace(m, s)
-            if not pair.in_torsion(quo):
-                failures.append(
-                    f"torsion class not closed under quotients at {uni.signature(m)}")
-                break
-    for m in f_mem:
-        for s in enumerate_submodules(m):
-            sub, _ = submodule_from_subspace(m, s)
-            if not pair.in_free(sub):
-                failures.append(
-                    f"free class not closed under submodules at {uni.signature(m)}")
-                break
-    for a in t_mem:
-        for b in t_mem:
-            if any(not pair.in_torsion(e) for e in all_extension_middles(a, b)):
-                failures.append(
-                    f"torsion class not closed under extensions "
-                    f"({uni.signature(a)} by {uni.signature(b)})")
-    for a in f_mem:
-        for b in f_mem:
-            if any(not pair.in_free(e) for e in all_extension_middles(a, b)):
-                failures.append(
-                    f"free class not closed under extensions "
-                    f"({uni.signature(a)} by {uni.signature(b)})")
 
     return PairReport(not failures, tuple(failures))
 

@@ -181,6 +181,31 @@ def _command(cmd):
     pytest.param(_command({"op": "validate-pair", "pair": ["std"]}),
                  id="pair-name-list"),
     pytest.param(_command({"op": ["validate-pair"]}), id="op-list"),
+    # JSON true and false load as Python bools, which are ints, and a
+    # float or a string could be cast to one: each is malformed where an
+    # integer is expected.
+    pytest.param(lambda data: data.update(version=True), id="version-true"),
+    pytest.param(lambda data: data.update(field=2.0), id="field-float"),
+    pytest.param(lambda data: data["bounds"].update(dim=True),
+                 id="bounds-dim-true"),
+    pytest.param(lambda data: data["bounds"].update(depth=True),
+                 id="bounds-depth-true"),
+    pytest.param(lambda data: data["modules"]["S1"].update(dims=[True, True]),
+                 id="dims-true"),
+    pytest.param(lambda data: data["modules"]["P1"].update(arrows=[[["1"]]]),
+                 id="arrow-entry-string"),
+    pytest.param(lambda data: data["modules"]["P1"].update(arrows=[[[1.7]]]),
+                 id="arrow-entry-float"),
+    pytest.param(_command({"op": "truncate", "pair": "std",
+                           "complex": {"module": "P1", "shift": True}}),
+                 id="shift-true"),
+    pytest.param(_command({"op": "heart-kernel", "pair": "std",
+                           "x": {"module": "S1"}, "index": False,
+                           "y": {"module": "S2", "shift": 1}}),
+                 id="index-false"),
+    pytest.param(_command({"op": "t-cohomology", "pair": "std",
+                           "complex": {"module": "P1"},
+                           "degrees": [True, False]}), id="degrees-true"),
 ])
 def test_malformed_shape_exits_2(capsys, tmp_path, patch):
     data = base_scenario()

@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from conftest import injective_module, kron
+from conftest import (counting, hat_decompose, injective_module, kron,
+                      self_test)
 
 from quivertilt import enumeration, torsion
 from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
 from quivertilt.enumeration import is_isomorphic, universe
 from quivertilt.giraud import (
     co_giraud_context,
-    co_hat_decompose,
     giraud_context,
-    hat_decompose,
     hat_pair,
     push_pair,
     verify_bijection,
@@ -40,7 +39,9 @@ from quivertilt.linalg import (
 from quivertilt.modules import (
     Module,
     ModuleMap,
+    ShortExactSeq,
     direct_sum,
+    dual_map,
     dual_module,
     projective_module,
     simple_module,
@@ -52,7 +53,6 @@ from quivertilt.torsion import (
     enumerate_torsion_pairs,
     free_indec_indices,
     is_torsion_pair,
-    self_test,
     torsion_indec_indices,
 )
 
@@ -395,6 +395,12 @@ def test_hat_decompose_a2(ctx2, a2):
         assert ses.sub.dim == hat.torsion_subspace(m).dim
 
 
+def co_hat_decompose(co, pair_c, m) -> ShortExactSeq:
+    """The dual of `hat_decompose` of Dm for the dual pair (DF, DT)."""
+    ses = hat_decompose(co.dual, pair_c.dual(), dual_module(m))
+    return ShortExactSeq(dual_map(ses.epi), dual_map(ses.mono))
+
+
 def test_co_hat_decompose_a2(co2, a2):
     uni_d = universe(a2, 2)
     uni_c = universe(co2.corner.sub, 2)
@@ -488,19 +494,17 @@ def test_co_bijection_a3(co3, a3):
 
 def test_certificates_run_no_closure_sweep(ctx3, co3, a3, monkeypatch):
     # Deciding a pair needs neither extension middles nor submodule
-    # lattices; those belong to torsion.self_test alone.
+    # lattices; those belong to the tests' self_test sweep alone.
+    # torsion does not bind enumerate_submodules; its patch guards a
+    # re-import.
     calls = {"all_extension_middles": 0, "enumerate_submodules": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
+    real = {"all_extension_middles": torsion.all_extension_middles,
+            "enumerate_submodules": enumeration.enumerate_submodules}
     for mod, name in ((torsion, "all_extension_middles"),
                       (torsion, "enumerate_submodules"),
                       (enumeration, "enumerate_submodules")):
-        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        monkeypatch.setattr(mod, name, counting(calls, name, real[name]),
+                            raising=False)
     # Start from an empty pair cache, so that the enumerations run here.
     enumerate_torsion_pairs.cache_clear()
     uni_d = universe(a3, 3)

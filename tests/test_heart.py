@@ -16,22 +16,20 @@ from __future__ import annotations
 import collections
 import itertools
 import json
-import os
-import subprocess
 import sys
 from dataclasses import dataclass
 from importlib.resources import files
-from pathlib import Path
 
 import pytest
 
+import conftest
 import quivertilt
 from conftest import (
-    a3_with_zero_relation,
-    chain_map_tilted_pair_report,
-    heart_decompose,
-    heart_ses_ok,
-)
+    a3_with_zero_relation, chain_map_tilted_pair_report, counting,
+    derived_is_zero, derived_zero, factor_through_epi, factor_through_mono,
+    heart_decompose, heart_exact_at, heart_is_isomorphic, heart_ses_ok,
+    heart_walk, hom_element, is_heart_epi, is_heart_mono, perfbench_module,
+    raised_without_asserts)
 from quivertilt import cli, complexes, derived, heart, kernels, linalg
 from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt.complexes import (
@@ -59,19 +57,13 @@ from quivertilt.enumeration import (
 from quivertilt.heart import (
     NotHereditary,
     SplitMorphism,
-    factor_through_epi,
-    factor_through_mono,
     h0_lower,
     h0_lower_map,
     heart_class_reps,
     heart_cokernel,
-    heart_exact_at,
-    heart_is_isomorphic,
     heart_kernel,
     heart_les_ok,
     induced_t_structure,
-    is_heart_epi,
-    is_heart_mono,
     is_heart_zero,
     kv_classes,
     one_term,
@@ -103,6 +95,7 @@ from quivertilt.modules import (
 )
 from quivertilt.quivers import Quiver
 from quivertilt.torsion import (
+    TorsionPair,
     enumerate_torsion_pairs,
     free_indec_indices,
     pair_from_torsion_indecs,
@@ -303,7 +296,7 @@ def test_heart_kernel_of_shifted_inclusion(a2, a2_setup):
     k, kappa = heart_kernel(ts, m)
     assert heart_is_isomorphic(k, one_term(s1))
     assert kappa.source == k and kappa.target == m.source
-    assert m.compose(kappa).is_zero()
+    assert derived_is_zero(m.compose(kappa))
     assert is_heart_mono(ts, kappa)
     assert not is_heart_mono(ts, m)
 
@@ -313,7 +306,7 @@ def test_heart_cokernel_of_shifted_inclusion(a2, a2_setup):
     m = shifted_radical_inclusion(a2, p1)
     ck, pi = heart_cokernel(ts, m)
     assert is_heart_zero(ck)
-    assert pi.compose(m).is_zero()
+    assert derived_is_zero(pi.compose(m))
     assert is_heart_epi(ts, m)
 
 
@@ -342,7 +335,7 @@ def test_factor_through_epi(a2, a2_setup):
     assert g.is_iso()
     zero = m.compose(DerivedMorphism.from_chain_map(
         ChainMap.zero(m.source, m.source)))
-    assert factor_through_epi(m, zero).is_zero()
+    assert derived_is_zero(factor_through_epi(m, zero))
 
 
 def test_identity_is_mono_and_epi(a2_setup):
@@ -359,7 +352,7 @@ def test_heart_decompose(a2, a2_setup):
     dec = heart_decompose(ts, x)
     assert heart_is_isomorphic(dec.tor, one_term(s2, 1))
     assert is_heart_zero(dec.quo)
-    assert dec.q_proj.compose(dec.t_incl).is_zero()
+    assert derived_is_zero(dec.q_proj.compose(dec.t_incl))
 
     split = Complex(a2, -1, [s2, s1], [ModuleMap.zero(s2, s1)])
     dec2 = heart_decompose(ts, split)
@@ -378,7 +371,7 @@ def connecting_morphism(ses: ShortExactSeq) -> DerivedMorphism:
     lam = lift_through(ses.epi, cmp.component(0))
     assert lam is not None, "map does not lift through the cover"
     if res.lo == 0:
-        return DerivedMorphism.zero(one_term(ses.quot), one_term(ses.sub, 1))
+        return derived_zero(one_term(ses.quot), one_term(ses.sub, 1))
     iota = res.diff(-1)
     mu = solve(ses.mono.mat, lam.mat @ iota.mat)
     assert mu is not None, "syzygy image escapes the submodule"
@@ -431,9 +424,9 @@ def test_connecting_morphism_vanishing(a2):
     omega, _, _ = syzygy(s1)
     whole, incls, projs = direct_sum(a2, [omega, p1])
     split = ShortExactSeq(incls[0], projs[1])
-    assert connecting_morphism(split).is_zero()
+    assert derived_is_zero(connecting_morphism(split))
     delta = connecting_morphism(radical_ses(a2, p1))
-    assert not delta.is_zero()
+    assert not derived_is_zero(delta)
     assert delta.target == one_term(omega, -1).shift(2)
 
 
@@ -472,9 +465,12 @@ def test_split_les_agrees_with_the_cone_walk(name, monkeypatch):
     walk = heart._heart_exact_sequence
     built = []
 
-    def recording(ts, maps):
-        built.append(maps)
-        return walk(ts, maps)
+    def recording(cones):
+        built.append(cones)
+        return walk(cones)
+
+    def split_walk(ts, maps):
+        return walk([heart._SplitCone(ts, m) for m in maps])
 
     monkeypatch.setattr(heart, "_heart_exact_sequence", recording)
     verdicts = collections.Counter()
@@ -483,20 +479,22 @@ def test_split_les_agrees_with_the_cone_walk(name, monkeypatch):
         for ses in seqs:
             built.clear()
             got = heart_les_ok(ts, ses)
-            [split] = built
-            cones = _chain_map_les(ts, ses)
-            assert got == walk(ts, cones)
+            [cones] = built
+            split = [c.m for c in cones]
+            chain = _chain_map_les(ts, ses)
+            assert got == heart_walk(ts, chain)
             verdicts[got] += 1
             for k in range(5):
                 # The map alone (an iso test) and with the next one (a
                 # short exact sequence test).
                 for j in (k + 1, k + 2)[:5 - k]:
-                    assert walk(ts, split[k:j]) == walk(ts, cones[k:j]), \
-                        (k, j)
-                got = walk(ts, split[:k] + [_split_zero(split[k])]
-                           + split[k + 1:])
-                zero = DerivedMorphism.zero(cones[k].source, cones[k].target)
-                assert got == walk(ts, cones[:k] + [zero] + cones[k + 1:]), k
+                    assert split_walk(ts, split[k:j]) \
+                        == heart_walk(ts, chain[k:j]), (k, j)
+                got = split_walk(ts, split[:k] + [_split_zero(split[k])]
+                                 + split[k + 1:])
+                zero = derived_zero(chain[k].source, chain[k].target)
+                assert got == heart_walk(ts, chain[:k] + [zero]
+                                         + chain[k + 1:]), k
                 verdicts[got] += 1
     assert verdicts[True] and verdicts[False]
 
@@ -623,7 +621,7 @@ def _scanned_is_isomorphic(x, y):
     if p ** h.dim > SEARCH_CAP:
         raise BoundExceeded("isomorphism scan too large")
     for coeffs in all_vectors(p, h.dim):
-        if any(coeffs) and h.element(coeffs).is_iso():
+        if any(coeffs) and hom_element(h, coeffs).is_iso():
             return True
     return False
 
@@ -632,7 +630,7 @@ def _factored_exact_at(ts, f, g):
     """Exactness at the middle by factoring f through the kernel of g and
     asking whether the factor is epi: the independent reference for
     heart_exact_at, which asks whether ker g dies in coker f."""
-    if not g.compose(f).is_zero():
+    if not derived_is_zero(g.compose(f)):
         return False
     k, kincl = heart_kernel(ts, g)
     fbar = factor_through_mono(kincl, f)
@@ -723,26 +721,7 @@ def _non_hereditary_report():
 
 
 def _raised_without_asserts(helper: str) -> bytes:
-    """Run a helper of this file under python -O and return the message
-    of the NotHereditary it raises; a guard written as an assert, which
-    -O strips, would raise nothing."""
-    src = str(Path(quivertilt.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    # This file imports its references from conftest, beside it.
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src, str(Path(__file__).resolve().parent)]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    script = ("import runpy, sys\n"
-              "ns = runpy.run_path(sys.argv[1])\n"
-              "try:\n"
-              "    ns[sys.argv[2]]()\n"
-              "except ns['NotHereditary'] as exc:\n"
-              "    print(exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__,
-                           helper],
-                          capture_output=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return raised_without_asserts(__file__, helper, "NotHereditary")
 
 
 def test_heart_class_reps_rejects_non_hereditary_without_asserts():
@@ -796,10 +775,11 @@ def test_heart_is_isomorphic_scans_no_hom_space(a2_setup, monkeypatch):
     def forbidden(*args):
         raise AssertionError("heart_is_isomorphic scanned a hom space")
 
-    monkeypatch.setattr(heart, "derived_hom0", forbidden)
-    # heart no longer imports all_vectors; the patch still guards a
-    # re-import.
-    monkeypatch.setattr(heart, "all_vectors", forbidden, raising=False)
+    # conftest, which holds heart_is_isomorphic, binds derived_hom0;
+    # heart binds neither name, and its patches guard a re-import.
+    monkeypatch.setattr(conftest, "derived_hom0", forbidden)
+    for name in ("derived_hom0", "all_vectors"):
+        monkeypatch.setattr(heart, name, forbidden, raising=False)
     reps = []
     for c in raw:
         if not any(heart_is_isomorphic(c, r) for r in reps):
@@ -845,7 +825,7 @@ def _short_sequences(f, g, zeros):
     are two heart-zero objects."""
     x, z = f.source, g.target
     zero, other = zeros
-    to = DerivedMorphism.zero
+    to = derived_zero
     return [[f, g], [f],
             [to(zero, x), f, g],
             [f, g, to(z, other)],
@@ -869,7 +849,6 @@ def test_exactness_agrees_with_the_factoring(name):
     assert all(is_heart_zero(c) for c in zeros)
     seqs = [ses_from_submodule(m, sub) for m in uni.members
             for sub in enumerate_submodules(m) if 0 < sub.dim < m.dim]
-    walk = heart._heart_exact_sequence
     sixterm = []
     composable = []
     pairs = enumerate_torsion_pairs(uni)
@@ -892,9 +871,9 @@ def test_exactness_agrees_with_the_factoring(name):
     for ts, f, g in composable:
         got = heart_exact_at(ts, f, g)
         assert got == _factored_exact_at(ts, f, g)
-        verdicts.add((got, g.compose(f).is_zero()))
+        verdicts.add((got, derived_is_zero(g.compose(f))))
         for k, maps in enumerate(_short_sequences(f, g, zeros)):
-            got = walk(ts, maps)
+            got = heart_walk(ts, maps)
             assert got == _node_walk(ts, maps), (k, maps)
             walks.add((k, got))
     # Exact, not composing to zero, and composing to zero without being
@@ -925,8 +904,8 @@ def test_exactness_needs_the_kernel_inside_the_image(a2):
 
     f = stalk_map(incls[0].compose(incl))
     g = stalk_map(cover.compose(projs[0]))
-    assert not f.is_zero() and not g.is_zero()
-    assert g.compose(f).is_zero()
+    assert not derived_is_zero(f) and not derived_is_zero(g)
+    assert derived_is_zero(g.compose(f))
     assert not heart_exact_at(ts, f, g)
     assert not _factored_exact_at(ts, f, g)
     assert heart_exact_at(ts, stalk_map(incl), stalk_map(cover))
@@ -937,12 +916,14 @@ def test_scenario_builds_one_cone_per_map_and_solves_no_identity_lift(
     # Every command of the bundled scenario at bound 3: every homotopy
     # solve with chain-map unknowns is a lift_postcompose, the only lift,
     # none of them through an identity (the lift returns the map itself),
-    # and no exactness walk builds a cone: the scenario walks split
-    # morphisms only.  The chain-map reference of tilted_pair_report
-    # still walks derived morphisms, and builds at most one cone per map.
+    # and no exactness walk builds a cone: the scenario hands the walk
+    # split cones only.  The chain-map reference of tilted_pair_report
+    # walks the cones of derived morphisms, and builds at most one cone
+    # of a chain map per map.
     lift_code = derived.lift_postcompose.__code__
     quasi_isos = []  # the quasi-isomorphism of every lift that solves
     walks = []  # [maps, cones built] per finished walk
+    kinds = set()  # the types of the cones handed to the walk
     walking = []  # the walk under way; cones outside walks are not counted
     real_solve = derived._solve_homotopy
     real_cone = heart.cone
@@ -960,10 +941,11 @@ def test_scenario_builds_one_cone_per_map_and_solves_no_identity_lift(
             walking[-1][1] += 1
         return real_cone(f)
 
-    def walk(ts, maps):
-        walking.append([len(maps), 0])
+    def walk(cones):
+        kinds.update(type(c) for c in cones)
+        walking.append([len(cones), 0])
         try:
-            return real_walk(ts, maps)
+            return real_walk(cones)
         finally:
             walks.append(walking.pop())
 
@@ -978,6 +960,7 @@ def test_scenario_builds_one_cone_per_map_and_solves_no_identity_lift(
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and len(report["commands"]) > 1
     assert walks and sum(cones for _, cones in walks) == 0
+    assert kinds == {heart._SplitCone}
     walks.clear()
     uni = universe(path_algebra(Field(2), _A2), 3)
     for pair in enumerate_torsion_pairs(uni):
@@ -1188,10 +1171,11 @@ def test_t_structure_report_flags_an_inexact_truncation(a2, monkeypatch,
              if truncate_le0(ts, c)[0].component(0).dim
              and truncate_ge1(ts, c)[0].component(0).dim)
     mono = truncate_le0(ts, sample[k])[1].component(0)
-    real = heart.truncate_ge1
+    # The report cuts each complex at its aisle subspace itself.
+    real = heart._cut_above
 
-    def patched(ts_, c):
-        q, proj = real(ts_, c)
+    def patched(c, x_sub):
+        q, proj = real(c, x_sub)
         if c is not sample[k]:
             return q, proj
         epi = proj.component(0)
@@ -1216,7 +1200,7 @@ def test_t_structure_report_flags_an_inexact_truncation(a2, monkeypatch,
         comps[0] = bad
         return q, ChainMap(c, q, comps)
 
-    monkeypatch.setattr(heart, "truncate_ge1", patched)
+    monkeypatch.setattr(heart, "_cut_above", patched)
     report = t_structure_report(ts, sample)
     assert report.failures == (f"truncation of #{k} not exact at 0",)
 
@@ -1311,6 +1295,24 @@ def test_report_cuts_each_complex_once_per_aisle_subspace(a2, monkeypatch):
             for ts in structures for c in sample}
     assert len(cuts) < len(structures) * len(sample)
     assert calls == {"sub": len(cuts), "quo": len(cuts)}
+
+
+def test_report_computes_each_aisle_subspace_once(monkeypatch):
+    # On the benchmark's seed-1 tstructure_a2 fixture, 500 complexes
+    # under each of the 5 pairs of A2/F_2, the report computes the aisle
+    # subspace, and with it the torsion part of H^0, once per (pair,
+    # complex): its two truncations share one.
+    workloads = perfbench_module("workloads")
+    fx, sizes = workloads.tstructure_setup(1, False)
+    assert (sizes["sample"], sizes["pairs"]) == (500, 5)
+    calls = collections.Counter()
+    monkeypatch.setattr(heart, "_aisle_subspace", counting(
+        calls, "aisle", heart._aisle_subspace))
+    monkeypatch.setattr(TorsionPair, "torsion_subspace", counting(
+        calls, "torsion part", TorsionPair.torsion_subspace))
+    reports = workloads.tstructure_run(fx, lambda k: None)
+    assert [r.ok for r in reports] == [True] * 5
+    assert calls == {"aisle": 2500, "torsion part": 2500}
 
 
 def test_report_scans_each_new_module_once_per_rep(a2, monkeypatch):

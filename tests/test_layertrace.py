@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import importlib
 import inspect
-import sys
-from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import perfbench_module
 
 # Names of the colocalization copies that the side-parametrised
 # functions replaced, and of a method deleted because nothing called it;
@@ -22,14 +20,6 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 STALE = {("giraud", "co_push_pair"), ("giraud", "co_hat_pair"),
          ("tiltbridge", "verify_heart_cogiraud"),
          ("algebras", "Algebra.left_mult_mat")}
-
-
-def _layertrace():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return importlib.import_module("layertrace")
-    finally:
-        sys.path.remove(str(PERFBENCH))
 
 
 def _resolves(layer: str, target: str) -> bool:
@@ -42,7 +32,7 @@ def _resolves(layer: str, target: str) -> bool:
 
 
 def test_every_traced_name_resolves():
-    lt = _layertrace()
+    lt = perfbench_module("layertrace")
     targets = {(layer, target)
                for entries in lt.COUNTERS.values()
                for layer, target, _ in entries}

@@ -10,14 +10,9 @@ the indecomposables and the Coxeter-Catalan numbers of torsion classes.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import raised_without_asserts, self_test
 
-import quivertilt
 from quivertilt import torsion
 from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt.enumeration import BoundExceeded, universe
@@ -37,7 +32,6 @@ from quivertilt.torsion import (
     is_torsion_pair,
     pair_from_torsion_indecs,
     reject_subspace,
-    self_test,
     torsion_indec_indices,
     trace_subspace,
 )
@@ -379,18 +373,6 @@ def test_pair_scan_stops_at_the_cap():
 
 def test_pair_scan_stops_at_the_cap_without_asserts():
     # Under python -O, which strips assert statements.
-    src = str(Path(quivertilt.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    script = ("import runpy, sys\n"
-              "ns = runpy.run_path(sys.argv[1])\n"
-              "try:\n"
-              "    ns['_a3_scan_over_cap']()\n"
-              "except ns['BoundExceeded'] as exc:\n"
-              "    print(exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__],
-                          capture_output=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
     assert b"over 6 indecomposables visited more than 13 closed sets" \
-        in proc.stdout
+        in raised_without_asserts(__file__, "_a3_scan_over_cap",
+                                  "BoundExceeded")
