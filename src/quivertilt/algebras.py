@@ -7,17 +7,50 @@ the product of two basis elements is a scalar multiple of a basis
 element.  Path algebras of acyclic quivers, their corner algebras eAe
 and the opposite algebras all have this shape, and the constructors
 below verify it.
+
+Algebras, modules and complexes are hash-consed (Filliâtre and
+Conchon, "Type-safe modular hash-consing", ML Workshop 2006): there is
+one live object per value, so equality is identity and every cache or
+dict keyed by these objects compares them by `is`.  `Interned` keeps
+the table; it is weak, so it keeps nothing alive and an object that
+nothing else holds leaves it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .linalg import Field, Mat, Subspace, combine
 from .quivers import Path, Quiver
 
 
-class Algebra:
+class Interned(type):
+    """Metaclass of the hash-consed classes.  A call builds a candidate
+    with the class's own `__init__`, which normalizes the arguments and
+    checks their shapes, and returns the live object of the same value
+    if there is one; otherwise the candidate becomes the object of its
+    value.  A canonical object is never initialized again, so what it
+    computes lazily (its universes, dual, opposite) stays with it.
+
+    Each class, a subclass included, has its own table, so a value of
+    one class never comes back as an object of another.  The table is a
+    `weakref.WeakValueDictionary` keyed by the instance's `_value()`.
+    The hash of an object is that of its value, taken on first use and
+    kept, so the order of a set of these objects does not depend on
+    where they sit in memory.
+    """
+
+    def __init__(cls, name, bases, namespace):
+        super().__init__(name, bases, namespace)
+        cls._interned = weakref.WeakValueDictionary()
+
+    def __call__(cls, *args, **kwargs):
+        obj = super().__call__(*args, **kwargs)
+        return cls._interned.setdefault(obj._value(), obj)
+
+
+class Algebra(metaclass=Interned):
     def __init__(self, field: Field, labels, mult, unit, idem, radical):
         """Args:
             field: coefficient field.
@@ -37,6 +70,7 @@ class Algebra:
         self.radical = tuple(radical)
         self._check_shape()
         self.endpoints = self._compute_endpoints()
+        self._hash = None
         # Set by modules.Module.zero on first use.
         self._zero_module = None
         # Set by derived._check_hereditary once global dimension at most
@@ -141,22 +175,17 @@ class Algebra:
     def basis_by_source(self, ipos: int) -> list[int]:
         return [b for b in range(self.dim) if self.endpoints[b][0] == ipos]
 
+    def _value(self) -> tuple:
+        return (self.field, self.labels, self.mult, self.unit, self.idem,
+                self.radical)
+
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Algebra)
-            and self.field == other.field
-            and self.labels == other.labels
-            and self.mult == other.mult
-            and self.unit == other.unit
-            and self.idem == other.idem
-            and self.radical == other.radical
-        )
+        return self is other
 
     def __hash__(self) -> int:
-        return hash((self.field, self.labels, self.mult, self.unit,
-                     self.idem, self.radical))
+        if self._hash is None:
+            self._hash = hash(self._value())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Algebra(p={self.field.p}, dim={self.dim}, basis={list(self.labels)})"
@@ -192,6 +221,10 @@ class PathAlgebra(Algebra):
             [i for i, p in enumerate(self.paths) if p.length > 0],
         )
 
+    def _value(self) -> tuple:
+        # The quiver as written: vertices 1 and "1" both label e_1.
+        return super()._value() + (repr(self.quiver),)
+
 
 def path_algebra(field: Field, quiver: Quiver) -> PathAlgebra:
     alg = PathAlgebra(field, quiver)
@@ -199,13 +232,28 @@ def path_algebra(field: Field, quiver: Quiver) -> PathAlgebra:
     return alg
 
 
-def opposite_algebra(alg: Algebra) -> Algebra:
-    """Same basis with reversed multiplication, built once per algebra.
-    The opposite of the opposite is the algebra itself, so a double
-    dual lands on the original object."""
-    if alg._opposite is None:
+class OppositeAlgebra(Algebra):
+    """The same basis with reversed multiplication.  Its value holds
+    the value of the algebra it reverses, so the opposites of a path
+    algebra and of a plain algebra on the same basis stay apart, and
+    each opposite is the opposite of one algebra only."""
+
+    def __init__(self, alg: Algebra):
         mult = [[alg.mult[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
-        op = Algebra(alg.field, alg.labels, mult, alg.unit, alg.idem, alg.radical)
+        super().__init__(alg.field, alg.labels, mult, alg.unit, alg.idem,
+                         alg.radical)
+        self._reverses = (type(alg).__name__, alg._value())
+
+    def _value(self) -> tuple:
+        return super()._value() + (self._reverses,)
+
+
+def opposite_algebra(alg: Algebra) -> Algebra:
+    """The opposite algebra, built once per algebra.  The opposite of
+    the opposite is the algebra itself, so a double dual lands on the
+    original object."""
+    if alg._opposite is None:
+        op = OppositeAlgebra(alg)
         op._opposite = alg
         alg._opposite = op
     return alg._opposite

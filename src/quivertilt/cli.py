@@ -214,12 +214,14 @@ def build_environment(data: dict, bound_override: Optional[int]) -> Environment:
 
     if not isinstance(data["corner"], list):
         raise ScenarioError("corner must list quiver vertices")
-    vertices = list(quiver.vertices)
     positions = []
     for label in data["corner"]:
-        if label not in vertices:
+        # By type as well as value: JSON true == 1 and 2.0 == 2.
+        hits = [k for k, v in enumerate(quiver.vertices)
+                if type(v) is type(label) and v == label]
+        if not hits:
             raise ScenarioError(f"corner vertex {label!r} not in the quiver")
-        positions.append(vertices.index(label))
+        positions.append(hits[0])
     if not positions:
         raise ScenarioError("corner needs at least one vertex")
     corner = corner_algebra(alg, tuple(sorted(set(positions))))

@@ -10,6 +10,13 @@ components.  `Complex.check` (endpoints and d . d = 0) and
 `ChainMap.check` (commuting squares) test the axioms; the cones,
 truncations and lifts built here satisfy them by construction and are
 not checked as they are built.
+
+Complexes are hash-consed like modules (`algebras.Interned`): a complex
+is the one live object of its value, the algebra, the lowest degree,
+the components and the differentials, so the resolutions, cohomology
+and truncations cached by complex are found by identity, and the
+truncations of distinct complexes that come out equal are one object.
+The intern table is weak and keeps no complex alive.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .algebras import Algebra
+from .algebras import Algebra, Interned
 from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse
 from .linalg import Mat, all_vectors, combine, solve
 from .modules import (
@@ -31,8 +38,9 @@ from .modules import (
 )
 
 
-class Complex:
-    __slots__ = ("algebra", "lo", "components", "diffs", "_hash", "_dual")
+class Complex(metaclass=Interned):
+    __slots__ = ("algebra", "lo", "components", "diffs", "_hash", "_dual",
+                 "__weakref__")
 
     def __init__(self, algebra: Algebra, lo: int, components: Iterable[Module],
                  diffs: Iterable[ModuleMap]):
@@ -64,11 +72,12 @@ class Complex:
         """Raise ValueError unless every component lies over the algebra,
         each differential joins its neighbours, and d . d = 0."""
         for k, m in enumerate(self.components):
-            if m.algebra != self.algebra:
+            if m.algebra is not self.algebra:
                 raise ValueError("component over the wrong algebra")
             if k < len(self.diffs):
                 d = self.diffs[k]
-                if d.source != self.components[k] or d.target != self.components[k + 1]:
+                if (d.source is not self.components[k]
+                        or d.target is not self.components[k + 1]):
                     raise ValueError(f"differential {k} has wrong endpoints")
         for k in range(len(self.diffs) - 1):
             if not self.diffs[k + 1].compose(self.diffs[k]).is_zero():
@@ -114,23 +123,18 @@ class Complex:
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
 
+    def _value(self) -> tuple:
+        # CPython hashes -1 like -2, so lo enters doubled: complexes that
+        # differ only in lo -1 against -2 hash apart.
+        return (self.algebra, 2 * self.lo, self.components,
+                tuple((d.source, d.target, d.mat.data) for d in self.diffs))
+
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Complex)
-            and self.algebra == other.algebra
-            and self.lo == other.lo
-            and self.components == other.components
-            and self.diffs == other.diffs
-        )
+        return self is other
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # CPython hashes -1 like -2, so lo enters doubled: complexes
-            # that differ only in lo -1 against -2 hash apart.
-            self._hash = hash((self.algebra, 2 * self.lo, self.components,
-                               self.diffs))
+            self._hash = hash(self._value())
         return self._hash
 
     def __repr__(self) -> str:
@@ -164,9 +168,9 @@ class ChainMap:
         modules and every square commutes."""
         for i in range(self.lo, self.lo + len(self.comps)):
             f = self.component(i)
-            if f.source != self.source.component(i):
+            if f.source is not self.source.component(i):
                 raise ValueError(f"component {i} has wrong source")
-            if f.target != self.target.component(i):
+            if f.target is not self.target.component(i):
                 raise ValueError(f"component {i} has wrong target")
             lhs = self.component(i + 1).compose(self.source.diff(i))
             rhs = self.target.diff(i).compose(f)
@@ -190,7 +194,7 @@ class ChainMap:
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
-        if other.target != self.source:
+        if other.target is not self.source:
             raise ValueError("chain maps are not composable")
         comps = {}
         for i in range(min(self.lo, other.lo),
@@ -199,7 +203,7 @@ class ChainMap:
         return ChainMap(other.source, self.target, comps)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        if self.source != other.source or self.target != other.target:
+        if self.source is not other.source or self.target is not other.target:
             raise ValueError("chain maps with different ends")
         comps = {i: self.component(i) + other.component(i)
                  for i in range(min(self.lo, other.lo),
@@ -227,8 +231,8 @@ class ChainMap:
             return True
         return (
             isinstance(other, ChainMap)
-            and self.source == other.source
-            and self.target == other.target
+            and self.source is other.source
+            and self.target is other.target
             and all(self.component(i) == other.component(i)
                     for i in range(min(self.lo, other.lo),
                                    max(self.lo + len(self.comps),

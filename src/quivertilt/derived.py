@@ -125,7 +125,7 @@ def dual_complex(c: Complex) -> Complex:
         comps = [dual_module(c.component(-i))
                  for i in range(-c.hi, -c.lo + 1)]
         diffs = [dual_map(c.diff(-i - 1)) for i in range(-c.hi, -c.lo)]
-        d = Complex(op, -c.hi, comps, diffs) if comps else Complex.zero(op)
+        d = Complex(op, -c.hi, comps, diffs)
         d._dual = c
         c._dual = d
     return c._dual
@@ -299,7 +299,7 @@ def _is_identity(q: ChainMap) -> bool:
     """Whether q is the identity of its source, read off the component
     matrices: each is square with reduced entries, so it is the identity
     when its diagonal holds ones and its entries sum to its size."""
-    return q.source == q.target and all(
+    return q.source is q.target and all(
         f.mat.data[::f.mat.cols + 1].count(1) == f.mat.rows == sum(f.mat.data)
         for f in q.comps)
 
@@ -308,7 +308,7 @@ def lift_postcompose(q: ChainMap, f: ChainMap) -> ChainMap:
     """g with q . g homotopic to f, for f from a bounded complex of
     projectives and q a quasi-isomorphism.  Through an identity q the
     lift is f itself, returned without a solve."""
-    if q.target != f.target:
+    if q.target is not f.target:
         raise ValueError("lift needs a common target")
     if _is_identity(q):
         return f
@@ -329,7 +329,7 @@ class DerivedMorphism:
 
     def __init__(self, source: Complex, target: Complex, rep: ChainMap):
         res, _ = projective_resolution(source)
-        if rep.source != res or rep.target != target:
+        if rep.source is not res or rep.target is not target:
             raise ValueError("representative has wrong endpoints")
         self.source = source
         self.target = target
@@ -342,7 +342,7 @@ class DerivedMorphism:
 
     def compose(self, other: "DerivedMorphism") -> "DerivedMorphism":
         """self after other."""
-        if other.target != self.source:
+        if other.target is not self.source:
             raise ValueError("derived morphisms are not composable")
         _, comparison = projective_resolution(self.source)
         lifted = lift_postcompose(comparison, other.rep)
@@ -350,7 +350,7 @@ class DerivedMorphism:
                                self.rep.compose(lifted))
 
     def equals(self, other: "DerivedMorphism") -> bool:
-        if self.source != other.source or self.target != other.target:
+        if self.source is not other.source or self.target is not other.target:
             return False
         return is_null_homotopic(self.rep + other.rep.scale(-1))
 
@@ -512,7 +512,7 @@ def transport_exact(fun, m: DerivedMorphism) -> DerivedMorphism:
     fx = apply_functor(fun, m.source)
     f_rep = apply_functor_map(fun, m.rep)
     _, cmp2 = projective_resolution(fx)
-    if res == m.source:
+    if res is m.source:
         lifted = cmp2
     else:
         f_cmp = apply_functor_map(fun, comparison)

@@ -45,7 +45,7 @@ def _combos(m: Module, maps: list[ModuleMap]):
 
 def is_isomorphic(m: Module, n: Module) -> bool:
     """Whether an invertible module map m -> n exists (exhaustive search)."""
-    if m.algebra != n.algebra:
+    if m.algebra is not n.algebra:
         return False
     if m.dim != n.dim or m.vertex_dims() != n.vertex_dims():
         return False

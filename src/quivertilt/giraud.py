@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Union
 
-from .algebras import CornerData, corner_algebra, opposite_algebra
+from .algebras import Algebra, CornerData, corner_algebra, opposite_algebra
 from .enumeration import ModuleUniverse
 from .linalg import Mat, Subspace, combine, image_basis, solve
 from .modules import (
@@ -298,11 +298,12 @@ def _colocalization(corner: CornerData,
 def _opposite_corner(corner: CornerData) -> CornerData:
     """The same corner of the opposite algebra, taken over
     opposite_algebra(corner.sub) itself, so the duals of its modules
-    land on corner.sub; ValueError if the two algebras differ."""
+    land on corner.sub; ValueError if the two algebras differ in basis
+    or multiplication."""
     op_sub = opposite_algebra(corner.sub)
     op_corner = corner_algebra(opposite_algebra(corner.parent),
                                corner.positions)
-    if op_corner.sub != op_sub:
+    if Algebra._value(op_corner.sub) != Algebra._value(op_sub):
         raise ValueError("the corner of the opposite algebra is not the "
                          "opposite of the corner algebra")
     return replace(op_corner, sub=op_sub,

@@ -11,6 +11,13 @@ common algebra, matching matrix sizes.  The module axioms and the
 intertwining of a map are checked by `Module.check`, `ModuleMap.check`
 and `ShortExactSeq.check`, which the library never calls on what it
 builds itself; callers holding data from outside the program call them.
+
+Modules are hash-consed like algebras (`algebras.Interned`): a module
+is the one live object of its value, the algebra, the dimension and the
+action matrices, so two modules are equal exactly when they are the
+same object, and the hom spaces, traces and Ext groups cached by
+module are found by identity.  The intern table is weak and keeps no
+module alive.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .algebras import Algebra, opposite_algebra
+from .algebras import Algebra, Interned, opposite_algebra
 from .linalg import (
     Mat,
     Subspace,
@@ -34,8 +41,9 @@ from .linalg import (
 )
 
 
-class Module:
-    __slots__ = ("algebra", "dim", "action", "_hash", "_dual")
+class Module(metaclass=Interned):
+    __slots__ = ("algebra", "dim", "action", "_hash", "_dual", "_vertex_dims",
+                 "__weakref__")
 
     def __init__(self, algebra: Algebra, dim: int, action: Iterable[Mat]):
         self.algebra = algebra
@@ -44,6 +52,7 @@ class Module:
         self._hash: Optional[int] = None
         # Set by dual_module on first use, on both modules.
         self._dual: Optional[Module] = None
+        self._vertex_dims: Optional[tuple[int, ...]] = None
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
         for m in self.action:
@@ -83,25 +92,27 @@ class Module:
         return algebra._zero_module
 
     def vertex_dims(self) -> tuple[int, ...]:
-        """Rank of each designated idempotent on the module."""
-        return tuple(rank(self.action[i]) for i in self.algebra.idem)
+        """Rank of each designated idempotent on the module, computed
+        once per module."""
+        if self._vertex_dims is None:
+            self._vertex_dims = tuple(rank(self.action[i])
+                                      for i in self.algebra.idem)
+        return self._vertex_dims
 
     def is_zero(self) -> bool:
         return self.dim == 0
 
+    def _value(self) -> tuple:
+        # The action by its entries: the algebra fixes p, and the shape
+        # checks fix every matrix to dim by dim.
+        return (self.algebra, self.dim, tuple(a.data for a in self.action))
+
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Module)
-            and self.algebra == other.algebra
-            and self.dim == other.dim
-            and self.action == other.action
-        )
+        return self is other
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.algebra, self.dim, self.action))
+            self._hash = hash(self._value())
         return self._hash
 
     def __repr__(self) -> str:
@@ -112,7 +123,7 @@ class ModuleMap:
     __slots__ = ("source", "target", "mat", "_hash")
 
     def __init__(self, source: Module, target: Module, mat: Mat):
-        if source.algebra != target.algebra:
+        if source.algebra is not target.algebra:
             raise ValueError("maps need a common algebra")
         if mat.rows != target.dim or mat.cols != source.dim:
             raise ValueError("matrix shape does not match the modules")
@@ -149,12 +160,12 @@ class ModuleMap:
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""
-        if other.target != self.source:
+        if other.target is not self.source:
             raise ValueError("maps are not composable")
         return ModuleMap(other.source, self.target, self.mat @ other.mat)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        if self.source != other.source or self.target != other.target:
+        if self.source is not other.source or self.target is not other.target:
             raise ValueError("maps with different ends")
         return ModuleMap(self.source, self.target, self.mat + other.mat)
 
@@ -179,8 +190,8 @@ class ModuleMap:
             return True
         return (
             isinstance(other, ModuleMap)
-            and self.source == other.source
-            and self.target == other.target
+            and self.source is other.source
+            and self.target is other.target
             and self.mat == other.mat
         )
 
@@ -302,7 +313,7 @@ def module_from_vertex_data(alg: Algebra, dims: Iterable[int],
 def _hom(m: Module, n: Module) -> tuple[Subspace, tuple[ModuleMap, ...]]:
     """Hom(m, n) as a reduced kernel, with one module map per basis row."""
     alg = m.algebra
-    if alg != n.algebra:
+    if alg is not n.algebra:
         raise ValueError("modules over different algebras")
     p = alg.field.p
     nm = n.dim * m.dim
@@ -428,7 +439,7 @@ def direct_sum(alg: Algebra, parts: list[Module]) -> tuple[Module, list[ModuleMa
 
 def fiber_product(f: ModuleMap, g: ModuleMap) -> tuple[Module, ModuleMap, ModuleMap]:
     """The pullback {(a, b) : f(a) = g(b)} with its two projections."""
-    if f.target != g.target:
+    if f.target is not g.target:
         raise ValueError("pullback needs a common target")
     alg = f.source.algebra
     whole, _, projs = direct_sum(alg, [f.source, g.source])
@@ -458,7 +469,7 @@ class ShortExactSeq:
         return self.epi.target
 
     def check(self) -> None:
-        if self.mono.target != self.epi.source:
+        if self.mono.target is not self.epi.source:
             raise ValueError("maps do not share the middle term")
         if not self.mono.is_injective():
             raise ValueError("left map is not injective")
@@ -521,11 +532,8 @@ def dual_module(m: Module) -> Module:
     per module.  The two are linked, so the dual of the dual is m itself
     and D is an involution on the nose."""
     if m._dual is None:
-        op = opposite_algebra(m.algebra)
-        if m is Module.zero(m.algebra):
-            d = Module.zero(op)
-        else:
-            d = Module(op, m.dim, [a.transpose() for a in m.action])
+        d = Module(opposite_algebra(m.algebra), m.dim,
+                   [a.transpose() for a in m.action])
         d._dual = m
         m._dual = d
     return m._dual

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -128,26 +129,59 @@ def counting(calls: dict, name: str, fn):
     return wrapper
 
 
-def raised_without_asserts(path: str, helper: str, error: str) -> bytes:
-    """Run the function helper of the test file at path under python -O
-    and return the message of the exception named error that it raises;
-    a guard written as an assert, which -O strips, would raise nothing.
-    The test files import from conftest, beside them."""
+def equality_calls(classes, run) -> dict[str, int]:
+    """The number of `__eq__` calls on each of the classes, by class
+    name, while run() runs; each class gets its own `__eq__` back."""
+    calls = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    real = {cls: vars(cls)["__eq__"] for cls in classes}
+    try:
+        for cls in classes:
+            cls.__eq__ = counting(calls, cls.__name__, real[cls])
+        run()
+    finally:
+        for cls in classes:
+            cls.__eq__ = real[cls]
+    return calls
+
+
+def _run_fresh(flags: list[str], script: str, *args: str) -> bytes:
+    """The standard output of script, run with args in a fresh
+    interpreter under flags, with quivertilt and the test files (which
+    import from conftest, beside them) on its path and a fixed string
+    hash seed."""
     src = str(Path(quivertilt.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, str(Path(__file__).resolve().parent)]
         + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONHASHSEED"] = "0"
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def raised_without_asserts(path: str, helper: str, error: str) -> bytes:
+    """Run the function helper of the test file at path under python -O
+    and return the message of the exception named error that it raises;
+    a guard written as an assert, which -O strips, would raise nothing."""
     script = ("import runpy, sys\n"
               "ns = runpy.run_path(sys.argv[1])\n"
               "try:\n"
               "    ns[sys.argv[2]]()\n"
               "except ns[sys.argv[3]] as exc:\n"
               "    print(exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script, path, helper,
-                           error], capture_output=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return _run_fresh(["-O"], script, path, helper, error)
+
+
+def returned_fresh(path: str, helper: str, *flags: str):
+    """What the function helper of the test file at path returns, a
+    JSON value, when it runs in a fresh interpreter under flags: no
+    cache or intern table is filled by another test."""
+    script = ("import json, runpy, sys\n"
+              "ns = runpy.run_path(sys.argv[1])\n"
+              "print(json.dumps(ns[sys.argv[2]]()))\n")
+    return json.loads(_run_fresh(list(flags), script, path, helper))
 
 
 # -- derived-morphism arithmetic, for the chain-map references ----------------

@@ -169,6 +169,9 @@ def _command(cmd):
     pytest.param(lambda data: data.update(modules=[1]), id="modules-list"),
     pytest.param(lambda data: data.update(pairs=[1]), id="pairs-list"),
     pytest.param(lambda data: data.update(corner=3), id="corner-int"),
+    # Corner labels match quiver vertices by type as well as value.
+    pytest.param(lambda data: data.update(corner=[True]), id="corner-true"),
+    pytest.param(lambda data: data.update(corner=[2.0]), id="corner-float"),
     pytest.param(_command({"op": "t-cohomology", "pair": "std",
                            "complex": {"module": "P1"}, "degrees": 3}),
                  id="degrees-int"),

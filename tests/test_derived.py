@@ -5,8 +5,9 @@ from __future__ import annotations
 from typing import Optional
 
 import pytest
-from conftest import (derived_is_zero, dual_chain_map, hom_element,
-                      hom_preimage)
+from conftest import (derived_is_zero, dual_chain_map, equality_calls,
+                      hom_element, hom_preimage, perfbench_module,
+                      returned_fresh)
 
 from quivertilt.complexes import (
     ChainMap,
@@ -35,6 +36,7 @@ from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt.linalg import Field, Mat, solve
 from quivertilt.quivers import Quiver
 from quivertilt.modules import (
+    Module,
     ModuleMap,
     dual_module,
     ext1_basis,
@@ -515,3 +517,26 @@ def test_preimage_matches_the_seed_factoring(p):
                             assert new.rep == old.rep
                             assert fn(new).equals(f)
     assert any(verdicts) and not all(verdicts)
+
+
+def _derived_f3_equality_calls() -> dict:
+    """Equality calls while `derived_hom_dim` runs over all pairs of the
+    benchmark's tiny seed-1 derived_f3 sample, with the gate's count of
+    wrong values."""
+    workloads = perfbench_module("workloads")
+    fx, sizes = workloads.derived_setup(1, True)
+    out = []
+    calls = equality_calls((Mat, Module), lambda: out.extend(
+        workloads.derived_run(fx, lambda k: None)))
+    _, failed, _ = workloads.derived_gate(fx, out, workloads.EXPECTED)
+    return {"pairs": sizes["pairs"], "failed": failed, "calls": calls}
+
+
+def test_derived_hom_dim_compares_modules_by_identity():
+    # All 36 pairs of six seeded two-term complexes over A2/F_3, in a
+    # fresh interpreter.  Modules are hash-consed, so every cache lookup
+    # by cohomology module is an identity check; the matrix comparisons
+    # left are the stability checks of quotient_by_subspace as the
+    # cohomology is built.
+    assert returned_fresh(__file__, "_derived_f3_equality_calls") == {
+        "pairs": 36, "failed": 0, "calls": {"Mat": 60, "Module": 0}}

@@ -86,17 +86,24 @@ def test_universe_a3(a3):
 
 
 def test_universe_lies_over_the_algebra_it_is_asked_for():
-    # Two equal but distinct algebras each get their own universe, with
-    # members over that algebra object, and each keeps it.
+    # Equal constructions of an algebra are one object, with one universe
+    # per bound whose members lie over it.  An algebra of another value
+    # gets its own universe, also one that differs only in how its
+    # quiver's vertices are written (1 against "1": equal path labels
+    # and multiplication).
     quiver = Quiver((1, 2), ((1, 2, "a"),))
     a, b = path_algebra(Field(2), quiver), path_algebra(Field(2), quiver)
-    assert a == b and a is not b
-    for alg in (a, b, a):
+    assert a is b
+    named = path_algebra(Field(2), Quiver(("1", "2"), (("1", "2", "a"),)))
+    other = path_algebra(Field(3), quiver)
+    assert named.labels == a.labels and named is not a and other is not a
+    for alg in (a, named, other, b, a):
         uni = universe(alg, 2)
         assert uni.algebra is alg
         assert all(m.algebra is alg for m in uni.members)
         assert universe(alg, 2) is uni
-    assert universe(a, 2) is not universe(b, 2)
+    assert universe(a, 2) is universe(b, 2)
+    assert len({id(universe(alg, 2)) for alg in (a, named, other)}) == 3
 
 
 def test_universe_respects_relations():
@@ -117,6 +124,9 @@ def test_universe_refuses_a_member_that_breaks_a_relation(monkeypatch):
     bad = module_from_vertex_data(alg, (1, 1, 1), {3: one, 4: one})
     monkeypatch.setattr(enumeration, "enumerate_modules",
                         lambda alg, bound: [bad])
+    # The algebra is one object for every test that builds it, so a
+    # universe an earlier test kept on it is set aside.
+    monkeypatch.setattr(alg, "_universes", {})
     with pytest.raises(ValueError, match=r"not multiplicative on \(b, a\)"):
         universe(alg, 3)
 

@@ -26,10 +26,10 @@ import conftest
 import quivertilt
 from conftest import (
     a3_with_zero_relation, chain_map_tilted_pair_report, counting,
-    derived_is_zero, derived_zero, factor_through_epi, factor_through_mono,
-    heart_decompose, heart_exact_at, heart_is_isomorphic, heart_ses_ok,
-    heart_walk, hom_element, is_heart_epi, is_heart_mono, perfbench_module,
-    raised_without_asserts)
+    derived_is_zero, derived_zero, equality_calls, factor_through_epi,
+    factor_through_mono, heart_decompose, heart_exact_at, heart_is_isomorphic,
+    heart_ses_ok, heart_walk, hom_element, is_heart_epi, is_heart_mono,
+    perfbench_module, raised_without_asserts, returned_fresh)
 from quivertilt import cli, complexes, derived, heart, kernels, linalg
 from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt.complexes import (
@@ -1313,6 +1313,31 @@ def test_report_computes_each_aisle_subspace_once(monkeypatch):
     reports = workloads.tstructure_run(fx, lambda k: None)
     assert [r.ok for r in reports] == [True] * 5
     assert calls == {"aisle": 2500, "torsion part": 2500}
+
+
+def _tstructure_equality_calls() -> dict:
+    """Equality calls while `t_structure_report` runs for the 5 pairs of
+    A2/F_2 on the benchmark's tiny seed-1 tstructure_a2 sample, with
+    the verdicts."""
+    workloads = perfbench_module("workloads")
+    fx, sizes = workloads.tstructure_setup(1, True)
+    out = []
+    calls = equality_calls((Complex, Mat, Module), lambda: out.extend(
+        workloads.tstructure_run(fx, lambda k: None)))
+    return {"sample": sizes["sample"], "ok": [r.ok for r in out],
+            "calls": calls}
+
+
+def test_report_compares_complexes_by_identity():
+    # 20 seeded complexes under each of the 5 pairs, in a fresh
+    # interpreter.  Complexes and modules are hash-consed, so equal
+    # truncations of distinct complexes are one object and the class
+    # table finds them by identity; the matrix comparisons left are the
+    # stability checks of quotient_by_subspace and the lookups of equal
+    # but distinct torsion parts of H^0.
+    assert returned_fresh(__file__, "_tstructure_equality_calls") == {
+        "sample": 20, "ok": [True] * 5,
+        "calls": {"Complex": 0, "Mat": 551, "Module": 0}}
 
 
 def test_report_scans_each_new_module_once_per_rep(a2, monkeypatch):

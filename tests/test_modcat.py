@@ -6,17 +6,25 @@ from the path bases and frozen here.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
-from conftest import arrow_blocks, injective_module, kron
+from conftest import arrow_blocks, injective_module, kron, returned_fresh
 
 from quivertilt.algebras import (
+    Algebra,
     Bimodule,
     corner_algebra,
     opposite_algebra,
     path_algebra,
 )
 from quivertilt.complexes import Complex
-from quivertilt.derived import dual_complex, projective_resolution
+from quivertilt.derived import (
+    _check_hereditary,
+    dual_complex,
+    projective_resolution,
+)
 from quivertilt.enumeration import is_isomorphic, universe
 from quivertilt.linalg import (
     Field,
@@ -88,33 +96,121 @@ def test_opposite_algebra(a2):
     assert opposite_algebra(op) == a2
 
 
-def test_equal_distinct_objects_compare_and_hash_alike(a2):
-    # Equality is structural; the identity shortcut must not make it
-    # depend on object identity.
+def test_equal_constructions_are_one_object(a2):
+    # Hash-consing: building a value again returns its live object, so
+    # equality is identity, with equal hashes; values that differ stay
+    # apart, and so do classes and quivers as written.
     twin = path_algebra(Field(2), Quiver((1, 2), ((1, 2, "a"),)))
-    assert twin is not a2
-    assert twin == a2 and hash(twin) == hash(a2)
+    assert twin is a2 and twin == a2 and hash(twin) == hash(a2)
     p1 = projective_module(a2, 0)
     copy = Module(twin, p1.dim,
                   [Mat(m.p, m.rows, m.cols, list(m.data)) for m in p1.action])
-    assert copy is not p1
-    assert copy == p1 and hash(copy) == hash(p1)
+    assert copy is p1 and copy == p1 and hash(copy) == hash(p1)
     assert copy != simple_module(twin, 0) and twin != opposite_algebra(a2)
+    bent = Module(a2, p1.dim, [m.scale(0) if k == 2 else m
+                               for k, m in enumerate(p1.action)])
+    assert bent is not p1 and bent != p1
+    c = Complex.from_module(p1, 1)
+    assert Complex(twin, 1, [copy], []) is c
+    assert c.shift(2).shift(-2) is c and c.shift(1) is not c
+    plain = Algebra(a2.field, a2.labels, a2.mult, a2.unit, a2.idem,
+                    a2.radical)
+    assert type(plain) is Algebra and plain is not a2
+    assert Algebra(a2.field, a2.labels, a2.mult, a2.unit, a2.idem,
+                   a2.radical) is plain
+    named = path_algebra(Field(2), Quiver(("1", "2"), (("1", "2", "a"),)))
+    assert named.labels == a2.labels and named.mult == a2.mult
+    assert named is not a2 and named.quiver.vertices == ("1", "2")
 
+
+def _identity_checks() -> dict[str, bool]:
+    """The hash-consing contract as named verdicts, computed without
+    assert so that python -O reads the same ones: equal constructions
+    return one object, and a canonical object keeps the state it
+    computed lazily across a second equal construction."""
+    quiver = Quiver((1, 2), ((1, 2, "a"),))
+    a2 = path_algebra(Field(2), quiver)
+    uni = universe(a2, 2)
+    op = opposite_algebra(a2)
+    euler = _check_hereditary(a2)
+    p1 = projective_module(a2, 0)
+    dims = p1.vertex_dims()
+    d1 = dual_module(p1)
+    c = Complex.from_module(p1, 1)
+    dc = dual_complex(c)
+    twin = path_algebra(Field(2), Quiver((1, 2), ((1, 2, "a"),)))
+    copy = Module(twin, p1.dim,
+                  [Mat(m.p, m.rows, m.cols, list(m.data)) for m in p1.action])
+    c2 = Complex(twin, 1, [copy], [])
+    return {
+        "algebra": twin is a2 and twin == a2,
+        "module": copy is p1 and copy == p1,
+        "complex": c2 is c and c2 == c,
+        "universe kept": twin._universes.get(2) is uni
+                         and universe(twin, 2) is uni,
+        "opposite kept": twin._opposite is op and op._opposite is a2,
+        "euler form kept": twin._euler_form is euler,
+        "zero module kept": Module(twin, 0, [Mat.zeros(2, 0, 0)] * 3)
+                            is Module.zero(a2),
+        "module dual kept": copy._dual is d1 and d1._dual is p1
+                            and dual_module(copy) is d1,
+        "vertex dims kept": copy._vertex_dims is dims,
+        "complex dual kept": c2._dual is dc and dual_complex(dc) is c,
+        "values stay apart": simple_module(twin, 0) is not copy
+                             and op is not a2 and dc is not c,
+    }
+
+
+def test_equal_constructions_keep_their_lazy_state():
+    checks = _identity_checks()
+    assert checks and all(checks.values()), checks
+
+
+def test_equal_constructions_are_one_object_without_asserts():
+    checks = returned_fresh(__file__, "_identity_checks", "-O")
+    assert checks == dict.fromkeys(_identity_checks(), True)
+
+
+def test_intern_tables_keep_nothing_alive(a2):
+    # An object that nothing else holds leaves its table, and building
+    # its value again makes a new one; a malformed value never enters.
+    # Every basis element acting as the identity passes the shape checks
+    # but is no module, so no other test holds this value.
+    def build():
+        return Module(a2, 3, [Mat.identity(2, 3)] * 3)
+
+    value = build()._value()
+    gc.collect()
+    assert value not in Module._interned
+    held = build()
+    assert Module._interned[value] is held
+    gone = weakref.ref(held)
+    del held
+    gc.collect()
+    assert gone() is None and value not in Module._interned
+    size = len(Module._interned)
+    with pytest.raises(ValueError, match="one action matrix"):
+        Module(a2, 3, [Mat.identity(2, 3)])
+    with pytest.raises(ValueError, match="wrong shape"):
+        Module(a2, 3, [Mat.identity(2, 2)] * 3)
+    assert len(Module._interned) == size
 
 
 def test_zero_module_is_shared_per_algebra(a2):
-    # Built once per algebra; complexes hand it out for every degree
-    # outside their support.
+    # One zero module per algebra: Module.zero and every equal
+    # construction return it, and complexes hand it out for every
+    # degree outside their support.
     zero = Module.zero(a2)
     assert Module.zero(a2) is zero
-    scratch = Module(a2, 0, [Mat.zeros(2, 0, 0)] * a2.dim)
-    assert zero is not scratch
-    assert zero == scratch and hash(zero) == hash(scratch)
+    assert Module(a2, 0, [Mat.zeros(2, 0, 0)] * a2.dim) is zero
     c = Complex.from_module(projective_module(a2, 0))
     assert c.component(3) is zero and c.diff(3).source is zero
     twin = path_algebra(Field(2), Quiver((1, 2), ((1, 2, "a"),)))
-    assert Module.zero(twin) is not zero and Module.zero(twin) == zero
+    assert Module.zero(twin) is zero
+    op = opposite_algebra(a2)
+    assert Module.zero(op) is not zero
+    assert dual_module(zero) is Module.zero(op)
+    assert dual_module(Module.zero(op)) is zero
 
 def test_module_front_end_roundtrip(a2):
     arrow = presentation_arrows(a2)

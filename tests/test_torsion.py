@@ -10,6 +10,7 @@ the indecomposables and the Coxeter-Catalan numbers of torsion classes.
 
 from __future__ import annotations
 
+import conftest
 import pytest
 from conftest import raised_without_asserts, self_test
 
@@ -242,21 +243,36 @@ def test_self_test_every_enumerated_pair(name, a2, a3):
 
 
 def test_self_test_reports_broken_closure(a2, monkeypatch):
-    # Torsion membership that holds only on the universe's own module
-    # objects fails on every quotient built with a new basis, which the
-    # closure sweeps must report.
+    # Torsion membership that fails on each module the quotient sweep
+    # builds, when it is built, must be reported by that sweep, once for
+    # every torsion member, and by nothing else.  A quotient may be a
+    # universe member itself (every quotient of (1, 1) is, since equal
+    # modules are one object), so the corruption marks the construction,
+    # not an object.
     uni = universe(a2, 2)
     pair = std_pair(a2)
-    own = {id(m) for m in uni.members}
     honest = TorsionPair.in_torsion
+    real = conftest.quotient_by_subspace
+    fresh = []
+
+    def quotient(m, s):
+        q, proj = real(m, s)
+        fresh.append(q)
+        return q, proj
 
     def in_torsion(self, m):
-        return honest(self, m) and (m.dim == 0 or id(m) in own)
+        return honest(self, m) and not (fresh and fresh.pop() is m)
 
+    t_mem = [m for m in uni.nonzero_members() if honest(pair, m)]
+    monkeypatch.setattr(conftest, "quotient_by_subspace", quotient)
     monkeypatch.setattr(TorsionPair, "in_torsion", in_torsion)
     report = self_test(pair, uni)
     assert not report.ok
     assert "torsion class not closed under quotients at (1, 1)" in report.failures
+    assert report.failures == tuple(
+        f"torsion class not closed under quotients at {uni.signature(m)}"
+        for m in t_mem)
+    assert fresh == []
 
 
 _COXETER_CATALAN = {
