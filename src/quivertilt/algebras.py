@@ -31,7 +31,10 @@ class Interned(type):
     checks their shapes, and returns the live object of the same value
     if there is one; otherwise the candidate becomes the object of its
     value.  A canonical object is never initialized again, so what it
-    computes lazily (its universes, dual, opposite) stays with it.
+    computes lazily (its universes, dual, opposite, a module's table of
+    submodules and quotients) stays with it.  The parts table holds only
+    smaller modules and matrices, never its own module, so it keeps
+    nothing alive and goes with the module.
 
     Each class, a subclass included, has its own table, so a value of
     one class never comes back as an object of another.  The table is a

@@ -364,39 +364,44 @@ def enumerate_complexes(uni: ModuleUniverse, lo: int, hi: int,
     """All complexes supported in [lo, hi] with components from the
     universe of dimension at most comp_bound (and bounded total size),
     one per choice of components and differentials."""
-    alg = uni.algebra
-    p = alg.field.p
     mods = [m for m in uni.members if m.dim <= comp_bound]
     out: list[Complex] = []
-
-    def extend(comps: list[Module], diffs: list[ModuleMap]) -> None:
-        degree_left = hi - lo + 1 - len(comps)
-        total = sum(m.dim for m in comps)
-        if degree_left == 0:
-            out.append(Complex(alg, lo, comps, diffs))
-            return
-        for nxt in mods:
-            if total_bound is not None and total + nxt.dim > total_bound:
-                continue
-            if not comps:
-                extend([nxt], [])
-                continue
-            prev = comps[-1]
-            maps = hom_basis(prev, nxt)
-            if len(diffs) >= 1 and not diffs[-1].is_zero():
-                usable = _kill_previous(maps, diffs[-1])
-            else:
-                usable = maps
-            if p ** len(usable) > SEARCH_CAP:
-                raise BoundExceeded("differential scan too large")
-            flats = [h.mat.data for h in usable]
-            size = nxt.dim * prev.dim
-            for coeffs in all_vectors(p, len(usable)):
-                d = Mat(p, nxt.dim, prev.dim, combine(p, size, coeffs, flats))
-                extend(comps + [nxt], diffs + [ModuleMap(prev, nxt, d)])
-
-    extend([], [])
+    _extend(out, uni.algebra, lo, hi - lo + 1, mods, total_bound, [], [])
     return out
+
+
+def _extend(out: list[Complex], alg: Algebra, lo: int, length: int,
+            mods: list[Module], total_bound: Optional[int],
+            comps: list[Module], diffs: list[ModuleMap]) -> None:
+    """Append to out, depth first, the complexes of length components
+    that begin with comps and diffs.  A module-level function: a nested
+    function that calls itself is a reference cycle, and would keep out
+    and every complex in it alive until the cyclic collector runs."""
+    if len(comps) == length:
+        out.append(Complex(alg, lo, comps, diffs))
+        return
+    p = alg.field.p
+    total = sum(m.dim for m in comps)
+    for nxt in mods:
+        if total_bound is not None and total + nxt.dim > total_bound:
+            continue
+        if not comps:
+            _extend(out, alg, lo, length, mods, total_bound, [nxt], [])
+            continue
+        prev = comps[-1]
+        maps = hom_basis(prev, nxt)
+        if len(diffs) >= 1 and not diffs[-1].is_zero():
+            usable = _kill_previous(maps, diffs[-1])
+        else:
+            usable = maps
+        if p ** len(usable) > SEARCH_CAP:
+            raise BoundExceeded("differential scan too large")
+        flats = [h.mat.data for h in usable]
+        size = nxt.dim * prev.dim
+        for coeffs in all_vectors(p, len(usable)):
+            d = Mat(p, nxt.dim, prev.dim, combine(p, size, coeffs, flats))
+            _extend(out, alg, lo, length, mods, total_bound, comps + [nxt],
+                    diffs + [ModuleMap(prev, nxt, d)])
 
 
 def _kill_previous(maps: list[ModuleMap], prev_d: ModuleMap) -> list[ModuleMap]:

@@ -4,7 +4,13 @@ A module is stored by its total action: one dim-by-dim matrix per basis
 element of the algebra.  Vertex-graded data (dimension vectors, arrow
 matrices) is a front-end conversion on top of this.  All kernels,
 images, quotients and pullbacks come with their structure maps and are
-exact by construction.
+exact by construction.  Each submodule and each quotient is built once
+per (module, subspace): the part module and its inclusion or projection
+matrix go into a table on the module itself, and a later call with an
+equal subspace rebuilds only the `ModuleMap`.  No entry refers to its
+own module, so the table keeps nothing alive beyond the module, and it
+stores only what passed the stability check, so an unstable subspace is
+rejected on every call.
 
 Constructors check only shapes: one action matrix per basis element, a
 common algebra, matching matrix sizes.  The module axioms and the
@@ -43,7 +49,7 @@ from .linalg import (
 
 class Module(metaclass=Interned):
     __slots__ = ("algebra", "dim", "action", "_hash", "_dual", "_vertex_dims",
-                 "__weakref__")
+                 "_parts", "__weakref__")
 
     def __init__(self, algebra: Algebra, dim: int, action: Iterable[Mat]):
         self.algebra = algebra
@@ -53,6 +59,8 @@ class Module(metaclass=Interned):
         # Set by dual_module on first use, on both modules.
         self._dual: Optional[Module] = None
         self._vertex_dims: Optional[tuple[int, ...]] = None
+        # Filled by submodule_from_subspace and quotient_by_subspace.
+        self._parts: Optional[dict] = None
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
         for m in self.action:
@@ -357,8 +365,27 @@ def hom_dim(m: Module, n: Module) -> int:
 
 # -- exact constructions --
 
-def submodule_from_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
-    """The submodule on an action-stable subspace, with its inclusion."""
+def _part(m: Module, build, s: Subspace) -> tuple[Module, Mat]:
+    """The part of m that build makes on s, with its structure matrix,
+    from m's table of parts: built on the first call, found by the next.
+
+    Only a successful build is stored, so an unstable subspace raises on
+    every call.  An entry never holds m itself (the full submodule and
+    the quotient by zero are m; the entry stores None for it), so the
+    table makes no reference cycle and goes with its module.
+    """
+    if m._parts is None:
+        m._parts = {}
+    key = (build, s)
+    entry = m._parts.get(key)
+    if entry is None:
+        part, mat = build(m, s)
+        entry = m._parts[key] = (None if part is m else part, mat)
+    part, mat = entry
+    return (m if part is None else part), mat
+
+
+def _build_submodule(m: Module, s: Subspace) -> tuple[Module, Mat]:
     incl = s.basis.transpose()
     action = []
     for b in range(m.algebra.dim):
@@ -367,12 +394,10 @@ def submodule_from_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
         if restr is None:
             raise ValueError("subspace is not action-stable")
         action.append(restr)
-    sub = Module(m.algebra, s.dim, action)
-    return sub, ModuleMap(sub, m, incl)
+    return Module(m.algebra, s.dim, action), incl
 
 
-def quotient_by_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
-    """The quotient module by an action-stable subspace, with projection."""
+def _build_quotient(m: Module, s: Subspace) -> tuple[Module, Mat]:
     proj, sect = quotient_maps(s)
     labels = m.algebra.labels
     action = []
@@ -384,7 +409,18 @@ def quotient_by_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
         if moved != act @ proj:
             raise ValueError(f"matrix does not intertwine {labels[b]}")
         action.append(act)
-    quo = Module(m.algebra, proj.rows, action)
+    return Module(m.algebra, proj.rows, action), proj
+
+
+def submodule_from_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
+    """The submodule on an action-stable subspace, with its inclusion."""
+    sub, incl = _part(m, _build_submodule, s)
+    return sub, ModuleMap(sub, m, incl)
+
+
+def quotient_by_subspace(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
+    """The quotient module by an action-stable subspace, with projection."""
+    quo, proj = _part(m, _build_quotient, s)
     return quo, ModuleMap(m, quo, proj)
 
 

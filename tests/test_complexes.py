@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
+from conftest import returned_fresh
 
 from quivertilt.complexes import (
     ChainMap,
@@ -15,9 +18,10 @@ from quivertilt.complexes import (
     is_exact_complex,
     is_quasi_iso,
 )
-from quivertilt.algebras import corner_algebra
+from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt.enumeration import universe
 from quivertilt.giraud import giraud_context
+from quivertilt.linalg import Field
 from quivertilt.modules import (
     Module,
     ModuleMap,
@@ -25,6 +29,7 @@ from quivertilt.modules import (
     simple_module,
     syzygy,
 )
+from quivertilt.quivers import Quiver
 
 
 @pytest.fixture()
@@ -162,3 +167,25 @@ def test_enumerate_respects_bounds(a2):
     for c in found:
         c.check()
     assert len(set(found)) == len(found)
+
+
+def _pool_left_behind() -> dict:
+    """With the cyclic collector off, the size of a pool of A2/F_2
+    complexes (degrees -2 to 1, components of dimension at most 2, total
+    dimension at most 4) and how many of its complexes are still
+    interned once the pool is dropped."""
+    alg = path_algebra(Field(2), Quiver((1, 2), ((1, 2, "a"),)))
+    uni = universe(alg, 2)
+    gc.disable()
+    pool = enumerate_complexes(uni, -2, 1, 2, total_bound=4)
+    values = [c._value() for c in pool]
+    del pool
+    return {"pool": len(values),
+            "left": sum(v in Complex._interned for v in values)}
+
+
+def test_enumeration_keeps_no_complex_alive():
+    # The enumeration holds its complexes in no reference cycle, so the
+    # last reference to the pool frees them by reference counting alone.
+    assert returned_fresh(__file__, "_pool_left_behind") == {
+        "pool": 1037, "left": 0}

@@ -30,7 +30,7 @@ from conftest import (
     factor_through_mono, heart_decompose, heart_exact_at, heart_is_isomorphic,
     heart_ses_ok, heart_walk, hom_element, is_heart_epi, is_heart_mono,
     perfbench_module, raised_without_asserts, returned_fresh)
-from quivertilt import cli, complexes, derived, heart, kernels, linalg
+from quivertilt import cli, complexes, derived, heart, kernels, linalg, modules
 from quivertilt.algebras import corner_algebra, path_algebra
 from quivertilt.complexes import (
     ChainMap,
@@ -1332,12 +1332,54 @@ def test_report_compares_complexes_by_identity():
     # 20 seeded complexes under each of the 5 pairs, in a fresh
     # interpreter.  Complexes and modules are hash-consed, so equal
     # truncations of distinct complexes are one object and the class
-    # table finds them by identity; the matrix comparisons left are the
-    # stability checks of quotient_by_subspace and the lookups of equal
-    # but distinct torsion parts of H^0.
+    # table finds them by identity.  The matrix comparisons left are the
+    # stability check of each quotient built, once per (module,
+    # subspace), the lookups in a module's table of parts by an equal
+    # but distinct subspace, and the lookups of equal but distinct
+    # torsion parts of H^0.
     assert returned_fresh(__file__, "_tstructure_equality_calls") == {
         "sample": 20, "ok": [True] * 5,
-        "calls": {"Complex": 0, "Mat": 551, "Module": 0}}
+        "calls": {"Complex": 0, "Mat": 388, "Module": 0}}
+
+
+def _tstructure_part_builds() -> dict:
+    """Calls for a submodule or a quotient, and the builds they cause by
+    (kind, module, subspace), while `t_structure_report` runs for the 5
+    pairs of A2/F_2 on the benchmark's tiny seed-1 tstructure_a2
+    sample."""
+    workloads = perfbench_module("workloads")
+    fx, sizes = workloads.tstructure_setup(1, True)
+    calls = collections.Counter()
+    builds = collections.Counter()
+
+    def counted(kind, build):
+        def wrapper(m, s):
+            builds[kind, m, s] += 1
+            return build(m, s)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for kind in ("submodule", "quotient"):
+            name = f"_build_{kind}"
+            patch.setattr(modules, name,
+                          counted(kind, getattr(modules, name)))
+        patch.setattr(modules, "_part", counting(calls, "parts",
+                                                 modules._part))
+        out = workloads.tstructure_run(fx, lambda k: None)
+    return {"sample": sizes["sample"], "ok": [r.ok for r in out],
+            "calls": calls["parts"], "inputs": len(builds),
+            "builds": sum(builds.values())}
+
+
+def test_report_builds_each_part_once_per_module_and_subspace():
+    # In a fresh interpreter, on the same tiny sample: the report and
+    # the cohomology, truncations and torsion parts under it ask for a
+    # submodule or a quotient 299 times, and the action of each is
+    # built once per distinct (kind, module, subspace).  The counters
+    # hold every module they see, so none is dropped and built again.
+    assert returned_fresh(__file__, "_tstructure_part_builds") == {
+        "sample": 20, "ok": [True] * 5,
+        "calls": 299, "inputs": 33, "builds": 33}
 
 
 def test_report_scans_each_new_module_once_per_rep(a2, monkeypatch):

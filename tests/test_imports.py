@@ -13,7 +13,9 @@ function, class or assignment that no library module references
 outside its own definition, that the benchmark in perfbench/ does not
 name, and that has no entry in UNCALLED_PUBLIC.  The fourth fails on a
 public method of a library class whose name nothing in src/, tests/ or
-perfbench/ reaches as an attribute.
+perfbench/ reaches as an attribute.  The fifth is a ratchet: it fails
+unless the functions that carry a module-level cache (`lru_cache` or
+`cache`) are exactly those in GLOBAL_CACHES.
 """
 
 from __future__ import annotations
@@ -298,3 +300,66 @@ def test_library_has_no_unreached_methods():
     # The scan has something to check.
     assert sum(len(_public_methods(ast.parse(text)))
                for text in sources.values()) > 100
+
+
+# The functions of src/quivertilt whose results a module-level cache
+# holds for the life of the process.  Such a cache is global state that
+# no caller can clear or scope, so the list may only shrink: a new one
+# is added here in the same change that adds it to the library.
+GLOBAL_CACHES = {
+    "complexes.py:cohomology_data",
+    "derived.py:derived_hom0",
+    "derived.py:projective_resolution",
+    "enumeration.py:enumerate_submodules",
+    "heart.py:_cut_above",
+    "heart.py:_cut_below",
+    "heart.py:_ext",
+    "heart.py:_preimage_in_cycles",
+    "modules.py:_factorizations",
+    "modules.py:_hom",
+    "torsion.py:all_extension_middles",
+    "torsion.py:enumerate_torsion_pairs",
+    "torsion.py:reject_subspace",
+    "torsion.py:trace_subspace",
+}
+
+
+def cached_functions(sources: dict[str, str]) -> set[str]:
+    """"module:function" for every function, at any depth, decorated by
+    `lru_cache` or `cache`, called or not, bare or as a functools
+    attribute."""
+    found = set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                spelled = (target.attr if isinstance(target, ast.Attribute)
+                           else getattr(target, "id", None))
+                if spelled in ("lru_cache", "cache"):
+                    found.add(f"{name}:{node.name}")
+    return found
+
+
+def test_scan_sees_every_spelling_of_a_global_cache():
+    sources = {
+        "a.py": "import functools\nfrom functools import cache, lru_cache\n\n"
+                "@lru_cache(maxsize=None)\ndef called():\n    pass\n\n"
+                "@lru_cache\ndef bare():\n    pass\n\n"
+                "@functools.lru_cache(maxsize=8)\ndef dotted():\n    pass\n\n"
+                "@cache\ndef plain():\n    pass\n\n"
+                "class Shape:\n"
+                "    @functools.cached_property\n    def lazy(self):\n"
+                "        pass\n\n"
+                "    @staticmethod\n    @lru_cache(maxsize=None)\n"
+                "    def nested():\n        pass\n",
+    }
+    assert cached_functions(sources) == {
+        "a.py:called", "a.py:bare", "a.py:dotted", "a.py:plain", "a.py:nested"}
+
+
+def test_library_adds_no_global_cache():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in sorted(SRC.rglob("*.py"))}
+    assert cached_functions(sources) == GLOBAL_CACHES

@@ -11,6 +11,8 @@ import weakref
 
 import pytest
 from conftest import arrow_blocks, injective_module, kron, returned_fresh
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivertilt.algebras import (
     Algebra,
@@ -194,6 +196,115 @@ def test_intern_tables_keep_nothing_alive(a2):
     with pytest.raises(ValueError, match="wrong shape"):
         Module(a2, 3, [Mat.identity(2, 2)] * 3)
     assert len(Module._interned) == size
+
+
+def test_parts_table_keeps_nothing_alive(a2):
+    # The full submodule and the quotient by zero are the module itself,
+    # and a proper part is a smaller module; none of the entries refers
+    # back to the module, so with the cyclic collector off it still
+    # leaves its intern table when the last reference goes.  Every basis
+    # element acting as the identity on F_2^4 passes the shape checks,
+    # every subspace is stable under it, and no other test holds it.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = Module(a2, 4, [Mat.identity(2, 4)] * a2.dim)
+        value = m._value()
+        full, incl = submodule_from_subspace(m, Subspace.full(2, 4))
+        top, proj = quotient_by_subspace(m, Subspace.zero(2, 4))
+        assert full is m and top is m
+        line = Subspace(2, 4, [(1, 1, 0, 0)])
+        sub, part = submodule_from_subspace(m, line)
+        assert sub.dim == 1 and len(m._parts) == 3
+        gone = weakref.ref(m)
+        del m, full, incl, top, proj, part
+        assert gone() is None and value not in Module._interned
+        # The proper part outlives its parent and is unharmed.
+        assert submodule_from_subspace(sub, Subspace.full(2, 1))[0] is sub
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_PART_ALGEBRAS = {
+    "A2/F_3": path_algebra(Field(3), Quiver((1, 2), ((1, 2, "a"),))),
+    "A3/F_2": path_algebra(Field(2), Quiver((1, 2, 3),
+                                            ((1, 2, "a"), (2, 3, "b")))),
+}
+
+
+@st.composite
+def _member_and_vectors(draw):
+    """A nonzero member of the bound-3 universe of A2/F_3 or A3/F_2,
+    with up to three vectors of it."""
+    alg = _PART_ALGEBRAS[draw(st.sampled_from(sorted(_PART_ALGEBRAS)))]
+    m = draw(st.sampled_from(universe(alg, 3).nonzero_members()))
+    entry = st.integers(0, alg.field.p - 1)
+    vecs = draw(st.lists(st.tuples(*[entry] * m.dim), max_size=3))
+    return m, vecs
+
+
+def _fresh_submodule(m: Module, s: Subspace) -> tuple[Module, Mat]:
+    """The submodule on s, acting on coordinates in the echelon basis of
+    s, with its inclusion."""
+    p = m.algebra.field.p
+    rows = s.basis.row_list()
+    action = [Mat.from_cols(p, [s.coords(a.apply(v)) for v in rows], s.dim)
+              for a in m.action]
+    return Module(m.algebra, s.dim, action), Mat.from_cols(p, rows, m.dim)
+
+
+def _fresh_quotient(m: Module, s: Subspace) -> tuple[Module, Mat]:
+    """The quotient by s, with coordinates the entries of the normal form
+    modulo s at the columns where s has no pivot, and its projection."""
+    p = m.algebra.field.p
+    free = [j for j in range(m.dim) if j not in s.pivots]
+
+    def coords(v):
+        reduced = s.reduce(v)
+        return tuple(reduced[j] for j in free)
+
+    units = Mat.identity(p, m.dim).row_list()
+    action = [Mat.from_cols(p, [coords(a.apply(units[j])) for j in free],
+                            len(free))
+              for a in m.action]
+    proj = Mat.from_cols(p, [coords(u) for u in units], len(free))
+    return Module(m.algebra, len(free), action), proj
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_member_and_vectors())
+def test_parts_table_matches_a_fresh_construction(case):
+    # The submodule generated by the vectors, and the quotient by it,
+    # come out of the module's table as a construction written here
+    # would build them; an equal but distinct subspace finds the same
+    # entry.  The plain span, when it is not stable, raises on every
+    # call and never enters the table.
+    m, vecs = case
+    p = m.algebra.field.p
+    gen = Subspace(p, m.dim, [a.apply(v) for v in vecs for a in m.action])
+    twin = Subspace(p, m.dim, gen.basis.row_list())
+    assert twin == gen and twin is not gen
+    for build, fresh in ((submodule_from_subspace, _fresh_submodule),
+                         (quotient_by_subspace, _fresh_quotient)):
+        part, f = build(m, gen)
+        size = len(m._parts)
+        again, g = build(m, twin)
+        assert len(m._parts) == size
+        assert again is part and g.mat is f.mat
+        want, mat = fresh(m, gen)
+        assert part is want and f.mat == mat
+    plain = Subspace(p, m.dim, vecs)
+    if all(plain.contains(a.apply(v))
+           for v in plain.basis.row_list() for a in m.action):
+        return
+    for build, message in ((submodule_from_subspace, "not action-stable"),
+                           (quotient_by_subspace, "does not intertwine")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                build(m, plain)
+    assert all(s != plain for _, s in m._parts)
 
 
 def test_zero_module_is_shared_per_algebra(a2):
@@ -418,16 +529,21 @@ def test_submodule_rejects_unstable(a2):
     p1 = projective_module(a2, 0)
     # The span of the top basis vector is not closed under the arrow.
     unstable = Subspace(2, 2, [(1, 0)])
-    with pytest.raises(ValueError, match="not action-stable"):
-        submodule_from_subspace(p1, unstable)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not action-stable"):
+            submodule_from_subspace(p1, unstable)
+    # A rejected subspace is not stored, so it is rejected again.
+    assert all(s != unstable for _, s in p1._parts or ())
 
 
 def test_quotient_rejects_unstable(a2):
     p1 = projective_module(a2, 0)
     # Dividing out the top leaves the arrow's image with nowhere to go.
     unstable = Subspace(2, 2, [(1, 0)])
-    with pytest.raises(ValueError, match="does not intertwine a$"):
-        quotient_by_subspace(p1, unstable)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not intertwine a$"):
+            quotient_by_subspace(p1, unstable)
+    assert all(s != unstable for _, s in p1._parts or ())
 
 
 def test_hom_basis_is_deterministic(a3):
