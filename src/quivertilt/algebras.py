@@ -19,10 +19,10 @@ nothing else holds leaves it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 from .linalg import Field, Mat, Subspace, combine
 from .quivers import Path, Quiver
+from .values import Value
 
 
 class Interned(type):
@@ -262,21 +262,30 @@ def opposite_algebra(alg: Algebra) -> Algebra:
     return alg._opposite
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(Value):
     """A (B, A)-bimodule with both actions stored as matrices.
 
     left_act[c] is the matrix of x -> b_c . x for the basis of B;
     right_act[a] is the matrix of x -> x . b_a for the basis of A, an
-    anti-homomorphism.
+    anti-homomorphism.  Compared by value, as part of a corner's value.
     """
 
-    left_alg: Algebra
-    right_alg: Algebra
-    dim: int
-    labels: tuple[str, ...]
-    left_act: tuple[Mat, ...]
-    right_act: tuple[Mat, ...]
+    __slots__ = ("left_alg", "right_alg", "dim", "labels", "left_act",
+                 "right_act")
+
+    def __init__(self, left_alg: Algebra, right_alg: Algebra, dim: int,
+                 labels: tuple[str, ...], left_act: tuple[Mat, ...],
+                 right_act: tuple[Mat, ...]):
+        self.left_alg = left_alg
+        self.right_alg = right_alg
+        self.dim = dim
+        self.labels = labels
+        self.left_act = left_act
+        self.right_act = right_act
+
+    def _fields(self) -> tuple:
+        return (self.left_alg, self.right_alg, self.dim, self.labels,
+                self.left_act, self.right_act)
 
     def check(self) -> None:
         p = self.left_alg.field.p
@@ -311,19 +320,29 @@ def _combine(mats, coords, p, dim) -> Mat:
     return Mat(p, dim, dim, combine(p, dim * dim, coords, [m.data for m in mats]))
 
 
-@dataclass(frozen=True)
-class CornerData:
+class CornerData(Value):
     """The corner algebra eAe of a chosen idempotent e together with the
     bimodule eA that drives the section functor Hom_eAe(eA, -).  The
-    bimodule Ae of the other section is eA of the opposite corner."""
+    bimodule Ae of the other section is eA of the opposite corner.
+    Compared and hashed by value."""
 
-    parent: Algebra
-    positions: tuple[int, ...]
-    e_vec: tuple[int, ...]
-    sub: Algebra
-    kept: tuple[int, ...]
-    eA: Bimodule
-    eA_e_coords: tuple[int, ...]
+    __slots__ = ("parent", "positions", "e_vec", "sub", "kept", "eA",
+                 "eA_e_coords")
+
+    def __init__(self, parent: Algebra, positions: tuple[int, ...],
+                 e_vec: tuple[int, ...], sub: Algebra, kept: tuple[int, ...],
+                 eA: Bimodule, eA_e_coords: tuple[int, ...]):
+        self.parent = parent
+        self.positions = positions
+        self.e_vec = e_vec
+        self.sub = sub
+        self.kept = kept
+        self.eA = eA
+        self.eA_e_coords = eA_e_coords
+
+    def _fields(self) -> tuple:
+        return (self.parent, self.positions, self.e_vec, self.sub, self.kept,
+                self.eA, self.eA_e_coords)
 
 
 def corner_algebra(alg: Algebra, positions) -> CornerData:

@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -119,20 +118,27 @@ def load_scenario(path: Path) -> dict:
     return data
 
 
-@dataclass
 class Environment:
     """The resolved setup a scenario's commands run against."""
 
-    algebra: Algebra
-    corner: CornerData
-    ctx: GiraudContext
-    co: CoGiraudContext
-    uni_d: ModuleUniverse
-    uni_c: ModuleUniverse
-    dim_bound: int
-    heart_bound: int
-    modules: dict[str, Module] = field(default_factory=dict)
-    pairs: dict[str, TorsionPair] = field(default_factory=dict)
+    __slots__ = ("algebra", "corner", "ctx", "co", "uni_d", "uni_c",
+                 "dim_bound", "heart_bound", "modules", "pairs")
+
+    def __init__(self, algebra: Algebra, corner: CornerData,
+                 ctx: GiraudContext, co: CoGiraudContext,
+                 uni_d: ModuleUniverse, uni_c: ModuleUniverse,
+                 dim_bound: int, heart_bound: int,
+                 modules: dict[str, Module], pairs: dict[str, TorsionPair]):
+        self.algebra = algebra
+        self.corner = corner
+        self.ctx = ctx
+        self.co = co
+        self.uni_d = uni_d
+        self.uni_c = uni_c
+        self.dim_bound = dim_bound
+        self.heart_bound = heart_bound
+        self.modules = modules
+        self.pairs = pairs
 
 
 def _module_from_descriptor(alg: Algebra, table: dict[str, Module],
@@ -242,7 +248,7 @@ def build_environment(data: dict, bound_override: Optional[int]) -> Environment:
                           co_giraud_context(corner),
                           universe(alg, dim_bound),
                           universe(corner.sub, dim_bound),
-                          dim_bound, heart_bound)
+                          dim_bound, heart_bound, {}, {})
     except BoundExceeded as exc:
         raise ScenarioError(str(exc)) from exc
 

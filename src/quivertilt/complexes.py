@@ -21,7 +21,6 @@ The intern table is weak and keeps no complex alive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -295,15 +294,18 @@ def _project(sums, i, part, tgt) -> ModuleMap:
     return ModuleMap(whole, tgt, projs[part].mat)
 
 
-@dataclass(frozen=True)
 class CohomologyData:
     """Kernel of the outgoing differential with its inclusion, and the
     cohomology as a quotient of that kernel."""
 
-    cycles: Module
-    cycles_incl: ModuleMap
-    h: Module
-    h_proj: ModuleMap
+    __slots__ = ("cycles", "cycles_incl", "h", "h_proj")
+
+    def __init__(self, cycles: Module, cycles_incl: ModuleMap, h: Module,
+                 h_proj: ModuleMap):
+        self.cycles = cycles
+        self.cycles_incl = cycles_incl
+        self.h = h
+        self.h_proj = h_proj
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,6 @@ and certifies it on the dual side, where it is left-derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -361,19 +360,25 @@ class DerivedMorphism:
         return f"DerivedMorphism({self.source!r} -> {self.target!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class DerivedHom:
     """Hom in degree zero between two complexes: chain maps from the
     resolution modulo homotopy, with a chosen basis of class
     representatives."""
 
-    source: Complex
-    target: Complex
-    resolution: Complex
-    grid: _MapGrid
-    boundary_space: Subspace
-    rep_coords: tuple[tuple[int, ...], ...]
-    reps: tuple[ChainMap, ...]
+    __slots__ = ("source", "target", "resolution", "grid", "boundary_space",
+                 "rep_coords", "reps")
+
+    def __init__(self, source: Complex, target: Complex, resolution: Complex,
+                 grid: _MapGrid, boundary_space: Subspace,
+                 rep_coords: tuple[tuple[int, ...], ...],
+                 reps: tuple[ChainMap, ...]):
+        self.source = source
+        self.target = target
+        self.resolution = resolution
+        self.grid = grid
+        self.boundary_space = boundary_space
+        self.rep_coords = rep_coords
+        self.reps = reps
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,6 @@ algebra for a nontrivial idempotent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -159,38 +158,29 @@ def enumerate_modules(alg: Algebra, dim_bound: int) -> list[Module]:
     return reps
 
 
-@dataclass(frozen=True, eq=False)
 class ModuleUniverse:
     """All modules of bounded total dimension, as sums of enumerated
     indecomposables.  Signatures are sorted tuples of indecomposable
     indices, so class comparisons are plain set comparisons.  Equality
     is identity, so caches keyed by a universe answer over its members."""
 
-    algebra: Algebra
-    dim_bound: int
-    indecs: tuple[Module, ...]
-    members: tuple[Module, ...] = field(default=())
-    signatures: tuple[tuple[int, ...], ...] = field(default=())
+    __slots__ = ("algebra", "dim_bound", "indecs", "members", "signatures")
+
+    def __init__(self, algebra: Algebra, dim_bound: int,
+                 indecs: tuple[Module, ...], members: tuple[Module, ...],
+                 signatures: tuple[tuple[int, ...], ...]):
+        self.algebra = algebra
+        self.dim_bound = dim_bound
+        self.indecs = indecs
+        self.members = members
+        self.signatures = signatures
 
     @classmethod
     def build(cls, alg: Algebra, dim_bound: int) -> "ModuleUniverse":
         indecs = tuple(enumerate_modules(alg, dim_bound))
         members = [Module.zero(alg)]
         signatures = [()]
-        dims = [m.dim for m in indecs]
-
-        def extend(start: int, used: tuple[int, ...], left: int) -> None:
-            for i in range(start, len(indecs)):
-                if dims[i] <= left:
-                    sig = used + (i,)
-                    if len(sig) == 1:
-                        members.append(indecs[i])
-                    else:
-                        members.append(direct_sum(alg, [indecs[j] for j in sig])[0])
-                    signatures.append(sig)
-                    extend(i, sig, left - dims[i])
-
-        extend(0, (), dim_bound)
+        _extend_sums(alg, indecs, members, signatures, 0, (), dim_bound)
         if _zero_relations(alg):
             # A member that breaks a relation is refused.
             for m in members:
@@ -212,6 +202,26 @@ class ModuleUniverse:
 
     def nonzero_members(self) -> list[Module]:
         return [m for m in self.members if m.dim > 0]
+
+
+def _extend_sums(alg: Algebra, indecs: tuple[Module, ...],
+                 members: list[Module], signatures: list[tuple[int, ...]],
+                 start: int, used: tuple[int, ...], left: int) -> None:
+    """Append, depth first, every sum that extends the signature used by
+    indecomposables from index start on, within left more dimensions.
+    A module-level function: a nested function that calls itself is a
+    reference cycle, and would keep every member alive until the cyclic
+    collector runs."""
+    for i in range(start, len(indecs)):
+        if indecs[i].dim <= left:
+            sig = used + (i,)
+            if len(sig) == 1:
+                members.append(indecs[i])
+            else:
+                members.append(direct_sum(alg, [indecs[j] for j in sig])[0])
+            signatures.append(sig)
+            _extend_sums(alg, indecs, members, signatures, i, sig,
+                         left - indecs[i].dim)
 
 
 def universe(alg: Algebra, dim_bound: int) -> ModuleUniverse:

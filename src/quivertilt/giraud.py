@@ -30,10 +30,15 @@ verify_bijection certifies exhaustively on bounded universes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Union
 
-from .algebras import Algebra, CornerData, corner_algebra, opposite_algebra
+from .algebras import (
+    Algebra,
+    Bimodule,
+    CornerData,
+    corner_algebra,
+    opposite_algebra,
+)
 from .enumeration import ModuleUniverse
 from .linalg import Mat, Subspace, combine, image_basis, solve
 from .modules import (
@@ -132,13 +137,16 @@ class HomSectionFunctor:
         return ModuleMap(src, tgt, Mat.from_cols(p, cols, tgt.dim))
 
 
-@dataclass
 class GiraudContext:
     """Exact localization l with right adjoint section i."""
 
-    corner: CornerData
-    l: CornerFunctor
-    i: HomSectionFunctor
+    __slots__ = ("corner", "l", "i")
+
+    def __init__(self, corner: CornerData, l: CornerFunctor,
+                 i: HomSectionFunctor):
+        self.corner = corner
+        self.l = l
+        self.i = i
 
     # The side: the free class (index 1 of a pair) is cut down to the
     # modules with injective unit.
@@ -226,17 +234,20 @@ class TensorSectionFunctor:
         return dual_map(self.i_op.apply_map(dual_map(g)))
 
 
-@dataclass
 class CoGiraudContext:
     """Exact colocalization r with left adjoint section j, the dual of
     the localization `dual` of the opposite corner: D carries its unit
     to this counit, its counit to this unit, and its unit-injective
     modules to the modules with surjective counit."""
 
-    corner: CornerData
-    j: TensorSectionFunctor
-    r: CornerFunctor
-    dual: GiraudContext
+    __slots__ = ("corner", "j", "r", "dual")
+
+    def __init__(self, corner: CornerData, j: TensorSectionFunctor,
+                 r: CornerFunctor, dual: GiraudContext):
+        self.corner = corner
+        self.j = j
+        self.r = r
+        self.dual = dual
 
     # The side: the torsion class (index 0 of a pair) is cut down to the
     # modules with surjective counit.
@@ -306,8 +317,12 @@ def _opposite_corner(corner: CornerData) -> CornerData:
     if Algebra._value(op_corner.sub) != Algebra._value(op_sub):
         raise ValueError("the corner of the opposite algebra is not the "
                          "opposite of the corner algebra")
-    return replace(op_corner, sub=op_sub,
-                   eA=replace(op_corner.eA, left_alg=op_sub))
+    ea = op_corner.eA
+    return CornerData(op_corner.parent, op_corner.positions, op_corner.e_vec,
+                      op_sub, op_corner.kept,
+                      Bimodule(op_sub, ea.right_alg, ea.dim, ea.labels,
+                               ea.left_act, ea.right_act),
+                      op_corner.eA_e_coords)
 
 
 AnyGiraudContext = Union[GiraudContext, CoGiraudContext]
@@ -339,14 +354,19 @@ def push_pair_classes(ctx_l: CornerFunctor, pair_d: TorsionPair,
     return TorsionPair(ClassSpec(t_gens, "torsion"), ClassSpec(f_gens, "free"))
 
 
-@dataclass(frozen=True)
 class PushResult:
-    ok: bool
-    closed_under_section: bool
-    witness: Optional[str]
-    pair: Optional[TorsionPair]
-    pair_valid: bool
-    preimage_matches: bool
+    __slots__ = ("ok", "closed_under_section", "witness", "pair",
+                 "pair_valid", "preimage_matches")
+
+    def __init__(self, ok: bool, closed_under_section: bool,
+                 witness: Optional[str], pair: Optional[TorsionPair],
+                 pair_valid: bool, preimage_matches: bool):
+        self.ok = ok
+        self.closed_under_section = closed_under_section
+        self.witness = witness
+        self.pair = pair
+        self.pair_valid = pair_valid
+        self.preimage_matches = preimage_matches
 
 
 def push_pair(ctx: AnyGiraudContext, pair_d: TorsionPair,
@@ -383,14 +403,27 @@ def push_pair(ctx: AnyGiraudContext, pair_d: TorsionPair,
 
 # -- exhaustive bijection certificates --
 
-@dataclass(frozen=True)
 class BijectionReport:
-    ok: bool
-    parent_pairs: int
-    corner_pairs: int
-    compatible: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    matching: tuple[tuple[int, int], ...]
-    failures: tuple[str, ...]
+    __slots__ = ("ok", "parent_pairs", "corner_pairs", "compatible",
+                 "matching", "failures")
+
+    def __init__(self, ok: bool, parent_pairs: int, corner_pairs: int,
+                 compatible: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+                 matching: tuple[tuple[int, int], ...],
+                 failures: tuple[str, ...]):
+        self.ok = ok
+        self.parent_pairs = parent_pairs
+        self.corner_pairs = corner_pairs
+        self.compatible = compatible
+        self.matching = matching
+        self.failures = failures
+
+    def __repr__(self) -> str:
+        return (f"BijectionReport(ok={self.ok!r}, "
+                f"parent_pairs={self.parent_pairs!r}, "
+                f"corner_pairs={self.corner_pairs!r}, "
+                f"compatible={self.compatible!r}, "
+                f"matching={self.matching!r}, failures={self.failures!r})")
 
 
 def _pair_key(pair: TorsionPair, uni: ModuleUniverse):

@@ -66,7 +66,6 @@ way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import pairwise
 
@@ -111,6 +110,7 @@ from .modules import (
     submodule_from_subspace,
 )
 from .torsion import PairReport, TorsionPair
+from .values import Value
 
 
 def one_term(m: Module, shift: int = 0) -> Complex:
@@ -118,11 +118,17 @@ def one_term(m: Module, shift: int = 0) -> Complex:
     return Complex.from_module(m).shift(shift)
 
 
-@dataclass(frozen=True)
-class InducedTStructure:
-    """The t-structure on complexes determined by a torsion pair."""
+class InducedTStructure(Value):
+    """The t-structure on complexes determined by a torsion pair,
+    compared by value."""
 
-    pair: TorsionPair
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: TorsionPair):
+        self.pair = pair
+
+    def _fields(self) -> tuple:
+        return (self.pair,)
 
     def in_le(self, c: Complex, n: int = 0) -> bool:
         """Membership in the aisle: H^i = 0 above n and H^n torsion."""
@@ -267,15 +273,18 @@ def truncate_ge_map(ts: InducedTStructure, f: ChainMap) -> ChainMap:
     return truncate_ge1_map(ts, f.shift(-1)).shift(1)
 
 
-@dataclass(frozen=True)
 class LowerH0:
     """H^0 for the induced t-structure, reached through the aisle:
     h = (low truncation -> its coaisle quotient)."""
 
-    h: Complex
-    low: Complex
-    incl: ChainMap  # low -> the original complex
-    proj: ChainMap  # low -> h
+    __slots__ = ("h", "low", "incl", "proj")
+
+    def __init__(self, h: Complex, low: Complex, incl: ChainMap,
+                 proj: ChainMap):
+        self.h = h
+        self.low = low
+        self.incl = incl  # low -> the original complex
+        self.proj = proj  # low -> h
 
 
 def h0_lower(ts: InducedTStructure, c: Complex) -> LowerH0:

@@ -28,7 +28,6 @@ module alive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -232,28 +231,9 @@ def presentation_arrows(alg: Algebra) -> tuple[int, ...]:
 def _factorizations(alg: Algebra) -> dict[int, tuple[int, ...]]:
     """Unique factorization of each radical basis element into arrows."""
     arrows = presentation_arrows(alg)
-    arrowset = set(arrows)
-
-    def single(i: int, j: int) -> Optional[int]:
-        pairs = alg.mult[i][j]
-        if len(pairs) == 1 and pairs[0][1] == 1:
-            return pairs[0][0]
-        return None
-
     out: dict[int, tuple[int, ...]] = {}
-
-    def ways(b: int) -> list[tuple[int, ...]]:
-        if b in arrowset:
-            return [(b,)]
-        found = []
-        for g in arrows:
-            for b2 in alg.radical:
-                if single(g, b2) == b:
-                    found.extend((g,) + w for w in ways(b2))
-        return found
-
     for b in alg.radical:
-        w = ways(b)
+        w = _ways(alg, arrows, b)
         if len(w) != 1:
             raise ValueError(
                 f"basis element {alg.labels[b]} has {len(w)} arrow "
@@ -261,6 +241,22 @@ def _factorizations(alg: Algebra) -> dict[int, tuple[int, ...]]:
             )
         out[b] = w[0]
     return out
+
+
+def _ways(alg: Algebra, arrows: tuple[int, ...],
+          b: int) -> list[tuple[int, ...]]:
+    """Every factorization of the radical basis element b into arrows.
+    A module-level function: a nested function that calls itself is a
+    reference cycle, freed only by the cyclic collector."""
+    if b in arrows:
+        return [(b,)]
+    found = []
+    for g in arrows:
+        for b2 in alg.radical:
+            pairs = alg.mult[g][b2]
+            if len(pairs) == 1 and pairs[0] == (b, 1):
+                found.extend((g,) + w for w in _ways(alg, arrows, b2))
+    return found
 
 
 def module_from_vertex_data(alg: Algebra, dims: Iterable[int],
@@ -487,10 +483,12 @@ def fiber_product(f: ModuleMap, g: ModuleMap) -> tuple[Module, ModuleMap, Module
     return x, pa, pb
 
 
-@dataclass(frozen=True)
 class ShortExactSeq:
-    mono: ModuleMap
-    epi: ModuleMap
+    __slots__ = ("mono", "epi")
+
+    def __init__(self, mono: ModuleMap, epi: ModuleMap):
+        self.mono = mono
+        self.epi = epi
 
     @property
     def sub(self) -> Module:
@@ -633,7 +631,6 @@ def is_projective(m: Module) -> bool:
 
 # -- extensions --
 
-@dataclass(frozen=True)
 class Ext1:
     """The space Ext^1(m, n) presented by cocycles on a syzygy.
 
@@ -642,12 +639,17 @@ class Ext1:
     holds those as a subspace of the flat n.dim-by-Omega.dim matrices.
     """
 
-    m: Module
-    n: Module
-    cover: ModuleMap
-    incl: ModuleMap
-    cocycles: tuple[ModuleMap, ...]
-    coboundaries: Subspace
+    __slots__ = ("m", "n", "cover", "incl", "cocycles", "coboundaries")
+
+    def __init__(self, m: Module, n: Module, cover: ModuleMap,
+                 incl: ModuleMap, cocycles: tuple[ModuleMap, ...],
+                 coboundaries: Subspace):
+        self.m = m
+        self.n = n
+        self.cover = cover
+        self.incl = incl
+        self.cocycles = cocycles
+        self.coboundaries = coboundaries
 
     @property
     def dim(self) -> int:

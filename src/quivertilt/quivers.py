@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: object
-    target: object
+class Arrow(Value):
+    __slots__ = ("name", "source", "target")
+
+    def __init__(self, name: str, source: object, target: object):
+        self.name = name
+        self.source = source
+        self.target = target
+
+    def _fields(self) -> tuple:
+        return (self.name, self.source, self.target)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Value):
     """A directed path; arrows listed in composition order (last applied
     first in the tuple), so the empty tuple is a trivial path."""
 
-    arrows: tuple[int, ...]
-    source: object
-    target: object
+    __slots__ = ("arrows", "source", "target")
+
+    def __init__(self, arrows: tuple[int, ...], source: object, target: object):
+        self.arrows = arrows
+        self.source = source
+        self.target = target
+
+    def _fields(self) -> tuple:
+        return (self.arrows, self.source, self.target)
 
     @property
     def length(self) -> int:

@@ -34,7 +34,6 @@ has no action on maps and no counit of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebras import opposite_algebra
@@ -84,14 +83,16 @@ from .torsion import PairReport, TorsionPair, is_torsion_pair, trace_subspace
 
 # -- contexts ---------------------------------------------------------------
 
-@dataclass
 class HeartGiraudContext:
     """A corner localization or colocalization descended to tilted
-    hearts."""
+    hearts.  No __slots__: the cached properties keep their values in
+    the instance __dict__."""
 
-    base: AnyGiraudContext
-    pair_d: TorsionPair
-    pair_c: TorsionPair
+    def __init__(self, base: AnyGiraudContext, pair_d: TorsionPair,
+                 pair_c: TorsionPair):
+        self.base = base
+        self.pair_d = pair_d
+        self.pair_c = pair_c
 
     @cached_property
     def ts_d(self) -> InducedTStructure:
@@ -372,21 +373,30 @@ def verify_heart_quotient(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
 
 # -- verification: reconstruction of the corner datum -------------------------
 
-@dataclass(frozen=True)
 class ReconstructionReport:
     """Roundtrip evidence: the kernel class recovered from the heart
     datum, the pair it induces on the corner, and the per-claim
     verdicts."""
 
-    membership: tuple[bool, ...]
-    recovered_pair: TorsionPair
-    hom_table: tuple[tuple[int, ...], ...]
-    kernel_is_serre: bool
-    pair_recovered: bool
-    equivalence_holds: bool
-    context_recovered: bool
-    free_class_generates: bool
-    matches_kernel: bool
+    __slots__ = ("membership", "recovered_pair", "hom_table",
+                 "kernel_is_serre", "pair_recovered", "equivalence_holds",
+                 "context_recovered", "free_class_generates", "matches_kernel")
+
+    def __init__(self, membership: tuple[bool, ...],
+                 recovered_pair: TorsionPair,
+                 hom_table: tuple[tuple[int, ...], ...],
+                 kernel_is_serre: bool, pair_recovered: bool,
+                 equivalence_holds: bool, context_recovered: bool,
+                 free_class_generates: bool, matches_kernel: bool):
+        self.membership = membership
+        self.recovered_pair = recovered_pair
+        self.hom_table = hom_table
+        self.kernel_is_serre = kernel_is_serre
+        self.pair_recovered = pair_recovered
+        self.equivalence_holds = equivalence_holds
+        self.context_recovered = context_recovered
+        self.free_class_generates = free_class_generates
+        self.matches_kernel = matches_kernel
 
     @property
     def ok(self) -> bool:

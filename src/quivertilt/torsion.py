@@ -24,7 +24,6 @@ NextClosure (Ganter, "Two basic algorithms in concept analysis", 1984).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse
@@ -41,6 +40,7 @@ from .modules import (
     ses_from_submodule,
     submodule_from_subspace,
 )
+from .values import Value
 
 
 @lru_cache(maxsize=None)
@@ -93,16 +93,19 @@ def reject_subspace(gens: tuple[Module, ...], m: Module) -> Subspace:
     return cur
 
 
-@dataclass(frozen=True)
-class ClassSpec:
-    """Generators plus polarity ("torsion" or "free")."""
+class ClassSpec(Value):
+    """Generators plus polarity ("torsion" or "free"), compared by value."""
 
-    generators: tuple[Module, ...]
-    polarity: str
+    __slots__ = ("generators", "polarity")
 
-    def __post_init__(self):
-        if self.polarity not in ("torsion", "free"):
-            raise ValueError(f"unknown polarity {self.polarity!r}")
+    def __init__(self, generators: tuple[Module, ...], polarity: str):
+        if polarity not in ("torsion", "free"):
+            raise ValueError(f"unknown polarity {polarity!r}")
+        self.generators = generators
+        self.polarity = polarity
+
+    def _fields(self) -> tuple:
+        return (self.generators, self.polarity)
 
     def contains(self, m: Module) -> bool:
         if m.dim == 0:
@@ -112,10 +115,17 @@ class ClassSpec:
         return reject_subspace(self.generators, m).dim == 0
 
 
-@dataclass(frozen=True)
-class TorsionPair:
-    torsion: ClassSpec
-    free: ClassSpec
+class TorsionPair(Value):
+    """A torsion class and a torsion-free class, compared by value."""
+
+    __slots__ = ("torsion", "free")
+
+    def __init__(self, torsion: ClassSpec, free: ClassSpec):
+        self.torsion = torsion
+        self.free = free
+
+    def _fields(self) -> tuple:
+        return (self.torsion, self.free)
 
     def torsion_subspace(self, m: Module) -> Subspace:
         return trace_subspace(self.torsion.generators, m)
@@ -141,10 +151,20 @@ class TorsionPair:
             ClassSpec(tuple(map(dual_module, self.torsion.generators)), "free"))
 
 
-@dataclass(frozen=True)
-class PairReport:
-    ok: bool
-    failures: tuple[str, ...]
+class PairReport(Value):
+    """A verdict with its failure messages, compared by value."""
+
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[str, ...]):
+        self.ok = ok
+        self.failures = failures
+
+    def _fields(self) -> tuple:
+        return (self.ok, self.failures)
+
+    def __repr__(self) -> str:
+        return f"PairReport(ok={self.ok!r}, failures={self.failures!r})"
 
 
 @lru_cache(maxsize=None)

@@ -161,6 +161,11 @@ def _run_fresh(flags: list[str], script: str, *args: str) -> bytes:
     return proc.stdout
 
 
+def fresh_stdout(script: str) -> str:
+    """The standard output of script in a fresh interpreter."""
+    return _run_fresh([], script).decode()
+
+
 def raised_without_asserts(path: str, helper: str, error: str) -> bytes:
     """Run the function helper of the test file at path under python -O
     and return the message of the exception named error that it raises;

@@ -10,14 +10,13 @@ compatible on each side, matching the two corner pairs.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from conftest import (counting, hat_decompose, injective_module, kron,
                       self_test)
 
 from quivertilt import enumeration, torsion
-from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
+from quivertilt.algebras import (CornerData, corner_algebra, opposite_algebra,
+                                 path_algebra)
 from quivertilt.enumeration import is_isomorphic, universe
 from quivertilt.giraud import (
     co_giraud_context,
@@ -348,7 +347,8 @@ def test_colocalization_rejects_a_corner_over_another_algebra(a2):
     # A corner that claims the opposite of its own corner algebra: the
     # corner of the opposite parent is then not the opposite of it.
     cd = corner_algebra(a2, (0, 1))
-    bad = replace(cd, sub=opposite_algebra(cd.sub))
+    bad = CornerData(cd.parent, cd.positions, cd.e_vec,
+                     opposite_algebra(cd.sub), cd.kept, cd.eA, cd.eA_e_coords)
     with pytest.raises(ValueError, match="not the opposite"):
         co_giraud_context(bad)
 

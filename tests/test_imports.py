@@ -15,13 +15,17 @@ name, and that has no entry in UNCALLED_PUBLIC.  The fourth fails on a
 public method of a library class whose name nothing in src/, tests/ or
 perfbench/ reaches as an attribute.  The fifth is a ratchet: it fails
 unless the functions that carry a module-level cache (`lru_cache` or
-`cache`) are exactly those in GLOBAL_CACHES.
+`cache`) are exactly those in GLOBAL_CACHES.  The last two keep the
+start-up cheap: no library module imports one of SLOW_IMPORTS, and a
+fresh `import quivertilt.cli` loads none of them.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from conftest import fresh_stdout
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quivertilt"
 PERFBENCH = SRC.parent.parent / "perfbench"
@@ -363,3 +367,51 @@ def test_library_adds_no_global_cache():
     sources = {path.relative_to(SRC).as_posix(): path.read_text()
                for path in sorted(SRC.rglob("*.py"))}
     assert cached_functions(sources) == GLOBAL_CACHES
+
+
+# Standard-library modules the package must not load: `dataclasses`
+# pulls in `inspect`, `ast`, `dis` and `tokenize`, and together they
+# cost most of a cold start of the command line.
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def imported_modules(sources: dict[str, str]) -> set[str]:
+    """"module:name" for every absolute import, at any depth, by the top
+    name of the module it imports."""
+    found = set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=name)):
+            if isinstance(node, ast.Import):
+                found.update(f"{name}:{alias.name.split('.')[0]}"
+                             for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(f"{name}:{node.module.split('.')[0]}")
+    return found
+
+
+def test_scan_sees_every_spelling_of_an_import():
+    sources = {
+        "a.py": "import dataclasses as dc\nfrom inspect import signature\n"
+                "from . import ast\n\n"
+                "def f():\n    import dis.x\n    from tokenize import open\n",
+    }
+    assert imported_modules(sources) == {
+        "a.py:dataclasses", "a.py:inspect", "a.py:dis", "a.py:tokenize"}
+
+
+def test_library_imports_no_slow_module():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in sorted(SRC.rglob("*.py"))}
+    found = imported_modules(sources)
+    assert sorted(hit for hit in found
+                  if hit.split(":")[1] in SLOW_IMPORTS) == []
+    # The scan has something to check.
+    assert "cli.py:argparse" in found
+
+
+def test_cli_import_loads_no_slow_module():
+    # In a fresh interpreter, so no test has loaded them first.
+    loaded = fresh_stdout("import sys\nimport quivertilt.cli\n"
+                          "print(' '.join(sorted(sys.modules)))\n").split()
+    assert "quivertilt.cli" in loaded
+    assert [name for name in SLOW_IMPORTS if name in loaded] == []
