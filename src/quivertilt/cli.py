@@ -43,9 +43,6 @@ from .giraud import (
     verify_bijection,
 )
 from .heart import (
-    _aisle_subspace,
-    _cut_above,
-    _cut_below,
     heart_cokernel,
     heart_kernel,
     heart_les_ok,
@@ -55,6 +52,8 @@ from .heart import (
     one_term,
     t_cohomology,
     tilted_pair_report,
+    truncate_ge1,
+    truncate_le0,
 )
 from .linalg import Field, Mat
 from .modules import (
@@ -345,9 +344,8 @@ def cmd_truncate(env: Environment, cmd: dict) -> dict:
     name, pair = _named_pair(env, cmd)
     ts = induced_t_structure(pair)
     c = _stalk(env, cmd, "complex")
-    x_sub = _aisle_subspace(ts, c)
-    low, _ = _cut_below(c, x_sub)
-    high, _ = _cut_above(c, x_sub)
+    low, _ = truncate_le0(ts, c)
+    high, _ = truncate_ge1(ts, c)
     return {"pair": name, "ok": ts.in_le(low, 0) and ts.in_ge(high, 1),
             "failures": [],
             "lower": _complex_dims(low), "upper": _complex_dims(high)}

@@ -23,11 +23,12 @@ built; `ChainMap.check` verifies one on request.
 Each complex has one projective resolution, and `lift_postcompose` is
 the only lift.  The rule "a lift through an identity is the map itself,
 at no solve" lives there alone, so composing through a complex of
-projectives, which is its own resolution, costs no solve either.  There
-are no injective coresolutions: `tiltbridge` reads the heart's right
-section, the one right-derived construction, on objects through the
-k-dual `dual_complex`, which takes a complex to the opposite algebra,
-and certifies it on the dual side, where it is left-derived.
+projectives, which is its own resolution, costs no solve either.  No
+functor is applied here to a derived morphism.  There are no injective
+coresolutions: `tiltbridge` reads the heart's right section, the one
+right-derived construction, on objects through the k-dual
+`dual_complex`, which takes a complex to the opposite algebra, and
+certifies it on the dual side, where it is left-derived.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .algebras import Algebra, opposite_algebra
 from .complexes import (
     ChainMap,
     Complex,
-    apply_functor,
     cohomology,
     is_quasi_iso,
 )
@@ -508,20 +508,3 @@ def _ext1_dim(m: Module, n: Module,
                                for a_k, row in zip(a, euler)
                                for c, b_l in zip(row, b))
 
-
-def transport_exact(fun, m: DerivedMorphism) -> DerivedMorphism:
-    """Image of a derived morphism under an exact additive functor."""
-    from .complexes import apply_functor_map
-
-    res, comparison = projective_resolution(m.source)
-    fx = apply_functor(fun, m.source)
-    f_rep = apply_functor_map(fun, m.rep)
-    _, cmp2 = projective_resolution(fx)
-    if res is m.source:
-        lifted = cmp2
-    else:
-        f_cmp = apply_functor_map(fun, comparison)
-        assert is_quasi_iso(f_cmp), "functor failed to preserve the resolution"
-        lifted = lift_postcompose(f_cmp, cmp2)
-    return DerivedMorphism(fx, apply_functor(fun, m.target),
-                           f_rep.compose(lifted))

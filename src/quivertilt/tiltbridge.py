@@ -21,7 +21,8 @@ their facts off module pairs: F and T die in the corner, the preimage
 of a corner object (F, T) is (f(iF), t(iT)), and canonical sequences
 are walked in split form; the tests check its commutation with
 truncation on sampled complexes.  The sections and the adjunction
-certificate still work on complexes and chain maps.
+certificate still work on complexes and chain maps; the certificate
+lifts each unit and each corner morphism once, and composes chain maps.
 
 The adjunction certificate has one reading, the colocalization's: the
 left section with its action on maps and the unit.  A localization is
@@ -35,6 +36,7 @@ has no action on maps and no counit of its own.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Callable
 
 from .algebras import opposite_algebra
 from .complexes import (
@@ -52,7 +54,6 @@ from .derived import (
     dual_complex,
     lift_postcompose,
     projective_resolution,
-    transport_exact,
 )
 from .enumeration import (
     ModuleUniverse,
@@ -142,11 +143,6 @@ def l_heart(hctx: HeartGiraudContext, x: Complex) -> Complex:
     return c
 
 
-def l_heart_map(hctx: HeartGiraudContext,
-                m: DerivedMorphism) -> DerivedMorphism:
-    return transport_exact(hctx.base.restriction, m)
-
-
 # -- the right section on hearts --------------------------------------------
 #
 # Phi shifts without the sign on the differentials: projective resolutions
@@ -176,16 +172,6 @@ def j_heart(hctx: HeartGiraudContext, n: Complex) -> Complex:
     h = h0_lower(hctx.ts_d, lifted).h
     assert hctx.ts_d.in_heart(h)
     return h
-
-
-def j_heart_map(hctx: HeartGiraudContext,
-                f: DerivedMorphism) -> DerivedMorphism:
-    """Functorial image of a heart morphism under the left section."""
-    _require_side(hctx, CoGiraudContext, "j_heart_map")
-    _, cmp2 = projective_resolution(f.target)
-    g = lift_postcompose(cmp2, f.rep)
-    lifted = apply_functor_map(hctx.base.j, g)
-    return DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
 
 
 def heart_co_unit(hctx: HeartGiraudContext,
@@ -272,6 +258,33 @@ def verify_heart_giraud(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
     return PairReport(not failures, tuple(failures))
 
 
+def _transposer(hctx: HeartGiraudContext, unit: DerivedMorphism,
+                ) -> Callable[[DerivedMorphism], DerivedMorphism]:
+    """f -> r(f) . unit on the heart morphisms f out of the section that
+    unit maps into r of: r(f.rep) after unit lifted through r of the
+    resolution comparison of f.source, once per source, when first met."""
+    r = hctx.base.restriction
+    lifts: dict[Complex, ChainMap] = {}
+
+    def transpose(f: DerivedMorphism) -> DerivedMorphism:
+        z = lifts.get(f.source)
+        if z is None:
+            _, comparison = projective_resolution(f.source)
+            z = lifts[f.source] = lift_postcompose(
+                apply_functor_map(r, comparison), unit.rep)
+        r_f = apply_functor_map(r, f.rep)
+        return DerivedMorphism(unit.source, r_f.target, r_f.compose(z))
+    return transpose
+
+
+def _section_image(hctx: HeartGiraudContext, g: ChainMap) -> DerivedMorphism:
+    """The left section of a corner heart morphism, given as a chain map
+    g between the projective resolutions of its ends: the heart
+    cohomology of j(g)."""
+    lifted = apply_functor_map(hctx.base.j, g)
+    return DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
+
+
 def _certify(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
              uni_c: ModuleUniverse, dim_bound: int, name: str) -> list[str]:
     """The adjunction checks of a colocalization context, read in the
@@ -287,6 +300,7 @@ def _certify(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
         if not eta.is_iso():
             failures.append(f"{name} at corner object #{k} is not invertible")
     sections = [j_heart(hctx, n) for n in downs]
+    transposes = [_transposer(hctx, eta) for eta in units]
 
     for a, x in enumerate(ups):
         lx = l_heart(hctx, x)
@@ -296,24 +310,28 @@ def _certify(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
             if hom_up.dim != hom_down.dim:
                 failures.append(f"adjunction dimensions differ at ({a},{b})")
                 continue
-            cols = [hom_down.class_coords(
-                        l_heart_map(hctx, f).compose(units[b]))
+            cols = [hom_down.class_coords(transposes[b](f))
                     for f in hom_up.basis()]
             if not _bijective(p, cols, hom_up.dim):
                 failures.append(f"adjunction transpose at ({a},{b}) "
                                 "is not bijective")
 
     for a, (n, sec) in enumerate(zip(downs, sections)):
+        _, comparison = projective_resolution(n)
         for b, (n2, sec2) in enumerate(zip(downs, sections)):
             hom_n = derived_hom0(n2, n)
-            images = [j_heart_map(hctx, f) for f in hom_n.basis()]
+            # Each basis morphism n2 -> n, lifted into the resolution of
+            # n, gives both its section image and unit . f.
+            lifts = [lift_postcompose(comparison, f) for f in hom_n.reps]
+            images = [_section_image(hctx, g) for g in lifts]
             up = derived_hom0(sec2, sec)
             if up.dim != hom_n.dim or not _bijective(
                     p, [up.class_coords(g) for g in images], hom_n.dim):
                 failures.append(f"section is not fully faithful at ({a},{b})")
-            for f, g in zip(hom_n.basis(), images):
-                lhs = l_heart_map(hctx, g).compose(units[b])
-                if not lhs.equals(units[a].compose(f)):
+            for g, image in zip(lifts, images):
+                rhs = DerivedMorphism(n2, units[a].target,
+                                      units[a].rep.compose(g))
+                if not transposes[b](image).equals(rhs):
                     failures.append(f"{name} is not natural at ({a},{b})")
                     break
     return failures

@@ -15,13 +15,14 @@ import quivertilt
 from quivertilt import heart
 from quivertilt.algebras import Algebra, opposite_algebra, path_algebra
 from quivertilt.complexes import (ChainMap, Complex, apply_functor,
-                                  apply_functor_map)
+                                  apply_functor_map, is_quasi_iso)
 from quivertilt.derived import (DerivedHom, DerivedMorphism, _check_hereditary,
                                 derived_hom0, dual_complex, is_null_homotopic,
-                                projective_resolution)
+                                lift_postcompose, projective_resolution)
 from quivertilt.enumeration import ModuleUniverse, enumerate_submodules
-from quivertilt.heart import (_cohomology_key, heart_class_reps, is_heart_zero,
-                              one_term, t_cohomology, truncate_le0)
+from quivertilt.heart import (_cohomology_key, h0_lower_map, heart_class_reps,
+                              is_heart_zero, one_term, t_cohomology,
+                              truncate_le0)
 from quivertilt.linalg import Field, Mat, combine, image_basis, solve
 from quivertilt.modules import (
     Module, ShortExactSeq, cokernel, dual_map, dual_module, fiber_product,
@@ -216,6 +217,36 @@ def hom_preimage(hom: DerivedHom, into: DerivedHom, fn,
     a = Mat.from_cols(p, cols, into.dim)
     sol = solve(a, Mat(p, into.dim, 1, into.class_coords(target)))
     return None if sol is None else hom_element(hom, sol.col(0))
+
+
+# -- functors on derived morphisms, the reference for the heart certificate --
+
+def transport_exact(fun, m: DerivedMorphism) -> DerivedMorphism:
+    """Image of a derived morphism under an exact additive functor: fun
+    of the representative after the lift of the resolution comparison of
+    fun(m.source) through fun of the comparison of m.source."""
+    _, comparison = projective_resolution(m.source)
+    f_cmp = apply_functor_map(fun, comparison)
+    assert is_quasi_iso(f_cmp), "functor failed to preserve the resolution"
+    _, cmp2 = projective_resolution(f_cmp.target)
+    lifted = lift_postcompose(f_cmp, cmp2)
+    f_rep = apply_functor_map(fun, m.rep)
+    return DerivedMorphism(f_cmp.target, f_rep.target, f_rep.compose(lifted))
+
+
+def l_heart_map(hctx, m: DerivedMorphism) -> DerivedMorphism:
+    """The corner functor of a heart context on a heart morphism."""
+    return transport_exact(hctx.base.restriction, m)
+
+
+def j_heart_map(hctx, f: DerivedMorphism) -> DerivedMorphism:
+    """The left section of a colocalization context on a corner heart
+    morphism: f lifted into the resolution of its target, sent up by j,
+    and cut to heart cohomology."""
+    _, comparison = projective_resolution(f.target)
+    g = lift_postcompose(comparison, f.rep)
+    lifted = apply_functor_map(hctx.base.j, g)
+    return DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
 
 
 # -- the chain-map reference for the split deciders --------------------------

@@ -7,7 +7,7 @@ from typing import Optional
 import pytest
 from conftest import (derived_is_zero, dual_chain_map, equality_calls,
                       hom_element, hom_preimage, perfbench_module,
-                      returned_fresh)
+                      returned_fresh, transport_exact)
 
 from quivertilt.complexes import (
     ChainMap,
@@ -28,7 +28,6 @@ from quivertilt.derived import (
     is_null_homotopic,
     lift_postcompose,
     projective_resolution,
-    transport_exact,
 )
 from quivertilt.enumeration import universe
 from quivertilt.giraud import giraud_context

@@ -27,7 +27,8 @@ import quivertilt
 from conftest import (
     chain_map_tilted_pair_report, counting, derived_zero,
     dl_commutation_report, dual_chain_map, heart_decompose,
-    heart_is_isomorphic, heart_ses_ok, hom_preimage)
+    heart_is_isomorphic, heart_ses_ok, hom_preimage, j_heart_map,
+    l_heart_map)
 
 from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
 from quivertilt import derived, heart, tiltbridge
@@ -92,9 +93,7 @@ from quivertilt.tiltbridge import (
     heart_giraud_context,
     i_heart,
     j_heart,
-    j_heart_map,
     l_heart,
-    l_heart_map,
     reconstruct_serre,
     s_heart_membership,
     verify_heart_giraud,
@@ -146,11 +145,6 @@ def _corner_stalk(g):
     return one_term(g.ctx.l.apply(g.uni_d.indecs[0]), 1)
 
 
-def _corner_identity(g):
-    return DerivedMorphism.from_chain_map(
-        ChainMap.identity(_corner_stalk(g)))
-
-
 # Each function that only one side has, with arguments it accepts on
 # that side.
 _ONE_SIDED = {
@@ -162,10 +156,9 @@ _ONE_SIDED = {
                               lambda g: (g.uni_d, g.uni_c)),
     "reconstruct_serre": (reconstruct_serre, lambda g: (g.uni_d, g.uni_c)),
     "j_heart": (j_heart, lambda g: (_corner_stalk(g),)),
-    "j_heart_map": (j_heart_map, lambda g: (_corner_identity(g),)),
     "heart_co_unit": (heart_co_unit, lambda g: (_corner_stalk(g),)),
 }
-_COLOCALIZATION_ONLY = ("j_heart", "j_heart_map", "heart_co_unit")
+_COLOCALIZATION_ONLY = ("j_heart", "heart_co_unit")
 
 
 @pytest.mark.parametrize("name", sorted(_ONE_SIDED))
@@ -342,6 +335,28 @@ def test_certificate_flags_a_section_that_is_zero(g2, monkeypatch):
 BUNDLED = Path(str(files("quivertilt").joinpath("scenarios/a2_full.json")))
 
 
+def _certificate_costs(monkeypatch, bound, *runs):
+    """The lifts and homotopy solves of verify_heart_giraud on each
+    (hctx, uni_d, uni_c) of runs at heart bound bound, with the derived
+    and truncation caches cleared before each run."""
+    calls = {"lift": 0, "solve": 0}
+    lift = counting(calls, "lift", derived.lift_postcompose)
+    for module in (derived, heart, tiltbridge):
+        monkeypatch.setattr(module, "lift_postcompose", lift)
+    monkeypatch.setattr(derived, "_solve_homotopy",
+                        counting(calls, "solve", derived._solve_homotopy))
+    costs = []
+    for hctx, uni_d, uni_c in runs:
+        for cached in (derived.projective_resolution, derived.derived_hom0,
+                       heart._preimage_in_cycles, heart._cut_below,
+                       heart._cut_above):
+            cached.cache_clear()
+        calls.update(lift=0, solve=0)
+        assert verify_heart_giraud(hctx, uni_d, uni_c, bound).ok
+        costs.append(dict(calls))
+    return costs
+
+
 def test_localization_certificate_costs_its_dual(monkeypatch):
     # On the bundled scenario's localization context at bound 3, with
     # the derived and truncation caches cleared before each run, the
@@ -350,27 +365,33 @@ def test_localization_certificate_costs_its_dual(monkeypatch):
     env = build_environment(load_scenario(BUNDLED), 3)
     hctx = heart_giraud_context(env.ctx, env.pairs["std"], env.uni_d,
                                 env.uni_c)
-    dual = hctx.dual
     dual_uni_d = universe(opposite_algebra(env.uni_d.algebra), 3)
     dual_uni_c = universe(opposite_algebra(env.uni_c.algebra), 3)
-    calls = {"lift": 0, "solve": 0}
-    lift = counting(calls, "lift", derived.lift_postcompose)
-    for module in (derived, heart, tiltbridge):
-        monkeypatch.setattr(module, "lift_postcompose", lift)
-    monkeypatch.setattr(derived, "_solve_homotopy",
-                        counting(calls, "solve", derived._solve_homotopy))
+    loc, dual = _certificate_costs(
+        monkeypatch, env.heart_bound, (hctx, env.uni_d, env.uni_c),
+        (hctx.dual, dual_uni_d, dual_uni_c))
+    assert loc == dual
 
-    def certify(h, uni_d, uni_c):
-        for cached in (derived.projective_resolution, derived.derived_hom0,
-                       heart._preimage_in_cycles, heart._cut_below,
-                       heart._cut_above):
-            cached.cache_clear()
-        calls.update(lift=0, solve=0)
-        assert verify_heart_giraud(h, uni_d, uni_c, env.heart_bound).ok
-        return dict(calls)
 
-    assert certify(hctx, env.uni_d, env.uni_c) \
-        == certify(dual, dual_uni_d, dual_uni_c)
+def test_certificate_lifts_each_unit_and_corner_morphism_once(monkeypatch):
+    # The bundled scenario's two certificates at bound 3, of the
+    # localization and of the colocalization, with the caches cleared:
+    # each makes at most two lifts per corner class (inside the unit,
+    # and the unit through the section's resolution) and one per basis
+    # morphism of each Hom(n_b, n_a), 2 * 4 + 36 = 44 where transporting
+    # every morphism made 196, and at most the 36 homotopy solves that
+    # made.
+    env = build_environment(load_scenario(BUNDLED), 3)
+    contexts = [heart_giraud_context(ctx, env.pairs["std"], env.uni_d,
+                                     env.uni_c) for ctx in (env.ctx, env.co)]
+    downs = heart_class_reps(contexts[1].ts_c, env.uni_c, env.heart_bound)
+    lifts = 2 * len(downs) + sum(derived_hom0(n2, n).dim
+                                 for n in downs for n2 in downs)
+    assert lifts == 44
+    costs = _certificate_costs(
+        monkeypatch, env.heart_bound,
+        *[(hctx, env.uni_d, env.uni_c) for hctx in contexts])
+    assert all(c["lift"] <= lifts and c["solve"] <= 36 for c in costs)
 
 
 @contextmanager
@@ -592,7 +613,7 @@ _ORACLE_ALGEBRAS = {
 }
 
 
-def _compatible_heart_contexts(name):
+def _compatible_heart_contexts(name, make=giraud_context):
     p, quiver, bound = _ORACLE_ALGEBRAS[name]
     alg = path_algebra(Field(p), quiver)
     uni_d = universe(alg, bound)
@@ -600,7 +621,7 @@ def _compatible_heart_contexts(name):
     for mask in range(1, 2 ** n_idem - 1):
         corner = corner_algebra(alg, [k for k in range(n_idem)
                                       if mask >> k & 1])
-        ctx = giraud_context(corner)
+        ctx = make(corner)
         uni_c = universe(corner.sub, 2)
         for pair in enumerate_torsion_pairs(uni_d):
             if push_pair(ctx, pair, uni_d, uni_c).ok:
@@ -687,6 +708,51 @@ def test_certificate_through_the_dual_matches_the_direct_reading(name):
         assert (got.ok, len(got.failures)) == (want.ok, len(want.failures))
         contexts += 1
     assert contexts
+
+
+def _colocalization_readings(name):
+    """The colocalization contexts that the certificate reads on the
+    pool, with their universes: the compatible colocalization contexts,
+    and the duals of the compatible localization contexts."""
+    for hctx, uni_d, uni_c in _compatible_heart_contexts(name):
+        yield (hctx.dual,
+               universe(opposite_algebra(uni_d.algebra), uni_d.dim_bound),
+               universe(opposite_algebra(uni_c.algebra), uni_c.dim_bound))
+    yield from _compatible_heart_contexts(name, co_giraud_context)
+
+
+@pytest.mark.parametrize("name", ["A2/F_2", "A2/F_3", "A3/F_2"])
+def test_certificate_composites_match_the_transported_morphisms(name):
+    # On both sides of every compatible context, at heart bound 2, each
+    # transpose column has the class coordinates of l_heart_map(f)
+    # composed with the unit, each section image is j_heart_map's, and
+    # each naturality left side equals the transported one.
+    columns = squares = 0
+    for hctx, uni_d, uni_c in _colocalization_readings(name):
+        downs = heart_class_reps(hctx.ts_c, uni_c, 2)
+        units = [heart_co_unit(hctx, n) for n in downs]
+        transposes = [tiltbridge._transposer(hctx, eta) for eta in units]
+        for x in heart_class_reps(hctx.ts_d, uni_d, 2):
+            lx = l_heart(hctx, x)
+            for n, eta, transpose in zip(downs, units, transposes):
+                hom_down = derived_hom0(n, lx)
+                for f in derived_hom0(j_heart(hctx, n), x).basis():
+                    assert hom_down.class_coords(transpose(f)) \
+                        == hom_down.class_coords(
+                            l_heart_map(hctx, f).compose(eta))
+                    columns += 1
+        for n in downs:
+            _, comparison = projective_resolution(n)
+            for n2, eta, transpose in zip(downs, units, transposes):
+                for f in derived_hom0(n2, n).basis():
+                    image = tiltbridge._section_image(
+                        hctx, lift_postcompose(comparison, f.rep))
+                    want = j_heart_map(hctx, f)
+                    assert _same(image, want)
+                    assert transpose(image).equals(
+                        l_heart_map(hctx, want).compose(eta))
+                    squares += 1
+    assert columns and squares
 
 
 # -- the chain-map reference for the split deciders --------------------------
