@@ -13,16 +13,21 @@ not checked as they are built.
 
 Complexes are hash-consed like modules (`algebras.Interned`): a complex
 is the one live object of its value, the algebra, the lowest degree,
-the components and the differentials, so the resolutions, cohomology
-and truncations cached by complex are found by identity, and the
+the components and the differentials, so the resolutions and
+truncations cached by complex are found by identity, and the
 truncations of distinct complexes that come out equal are one object.
 The intern table is weak and keeps no complex alive.
+
+Each complex computes its cohomology once per degree, on first use,
+and keeps it on itself (`cohomology_data`), as it keeps its cohomology
+stalks (`derived._stalks`); both go with the complex.  Neither table
+refers back to the complex, so dropping a complex frees them by
+reference counting alone.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebras import Algebra, Interned
 from .enumeration import SEARCH_CAP, BoundExceeded, ModuleUniverse
@@ -39,7 +44,7 @@ from .modules import (
 
 class Complex(metaclass=Interned):
     __slots__ = ("algebra", "lo", "components", "diffs", "_hash", "_dual",
-                 "__weakref__")
+                 "_cohomology", "_stalks", "__weakref__")
 
     def __init__(self, algebra: Algebra, lo: int, components: Iterable[Module],
                  diffs: Iterable[ModuleMap]):
@@ -66,6 +71,12 @@ class Complex(metaclass=Interned):
         self._hash: Optional[int] = None
         # Set by derived.dual_complex on first use, on both complexes.
         self._dual: Optional[Complex] = None
+        # Filled on first use: the CohomologyData of each degree of the
+        # support and one for all degrees outside it, each when first
+        # asked for (cohomology_data), and the nonzero cohomologies with
+        # their degrees (derived._stalks).
+        self._cohomology: Optional[list[Optional[CohomologyData]]] = None
+        self._stalks: Optional[tuple[tuple[int, Module], ...]] = None
 
     def check(self) -> None:
         """Raise ValueError unless every component lies over the algebra,
@@ -308,14 +319,24 @@ class CohomologyData:
         self.h_proj = h_proj
 
 
-@lru_cache(maxsize=None)
 def cohomology_data(c: Complex, i: int) -> CohomologyData:
-    cyc, incl = kernel(c.diff(i))
-    upper = solve(incl.mat, c.diff(i - 1).mat)
-    assert upper is not None, "boundaries are not cycles"
-    bound = ModuleMap(c.component(i - 1), cyc, upper)
-    h, proj = cokernel(bound)
-    return CohomologyData(cyc, incl, h, proj)
+    """The degree-i cycles and cohomology of c, computed on first use
+    and kept on c.  Outside its support they are zero in every degree,
+    so one entry, the last, serves all those degrees."""
+    n = len(c.components)
+    k = i - c.lo if c.lo <= i <= c.hi else n
+    table = c._cohomology
+    if table is None:
+        table = c._cohomology = [None] * (n + 1)
+    data = table[k]
+    if data is None:
+        cyc, incl = kernel(c.diff(i))
+        upper = solve(incl.mat, c.diff(i - 1).mat)
+        assert upper is not None, "boundaries are not cycles"
+        bound = ModuleMap(c.component(i - 1), cyc, upper)
+        h, proj = cokernel(bound)
+        data = table[k] = CohomologyData(cyc, incl, h, proj)
+    return data
 
 
 def cohomology(c: Complex, i: int) -> Module:
@@ -352,12 +373,23 @@ def apply_functor(fun, c: Complex) -> Complex:
 
 
 def apply_functor_map(fun, f: ChainMap) -> ChainMap:
-    src = apply_functor(fun, f.source)
-    tgt = apply_functor(fun, f.target)
-    comps = {}
-    for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
-        comps[i] = fun.apply_map(f.component(i))
-    return ChainMap(src, tgt, comps)
+    return apply_functor_maps(fun, [f])[0]
+
+
+def apply_functor_maps(fun, maps: Sequence[ChainMap]) -> list[ChainMap]:
+    """Apply an additive functor levelwise to chain maps that share
+    their ends, applying it to those ends once."""
+    if not maps:
+        return []
+    x, y = maps[0].source, maps[0].target
+    if any(f.source is not x or f.target is not y for f in maps):
+        raise ValueError("chain maps with different ends")
+    src = apply_functor(fun, x)
+    tgt = apply_functor(fun, y)
+    degrees = range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1)
+    return [ChainMap(src, tgt, {i: fun.apply_map(f.component(i))
+                                for i in degrees})
+            for f in maps]
 
 
 def enumerate_complexes(uni: ModuleUniverse, lo: int, hi: int,

@@ -453,9 +453,13 @@ def _check_hereditary(alg: Algebra) -> tuple[tuple[int, ...], ...]:
     return alg._euler_form
 
 
-def _stalks(c: Complex) -> list[tuple[int, Module]]:
-    """The nonzero cohomologies of c, with their degrees."""
-    return [(i, h) for i in c.degrees() if (h := cohomology(c, i)).dim]
+def _stalks(c: Complex) -> tuple[tuple[int, Module], ...]:
+    """The nonzero cohomologies of c, with their degrees: read once
+    from its cohomology table on first use and kept on c."""
+    if c._stalks is None:
+        c._stalks = tuple((i, h) for i in c.degrees()
+                          if (h := cohomology(c, i)).dim)
+    return c._stalks
 
 
 def stalk_hom_dim(xs: Sequence[tuple[int, Module]],
@@ -474,7 +478,14 @@ def stalk_hom_dim(xs: Sequence[tuple[int, Module]],
     """
     if not xs or not ys:
         return 0
-    euler = _check_hereditary(xs[0][1].algebra)
+    return _split_sum(xs, ys, _check_hereditary(xs[0][1].algebra))
+
+
+def _split_sum(xs: Sequence[tuple[int, Module]],
+               ys: Sequence[tuple[int, Module]],
+               euler: tuple[tuple[int, ...], ...]) -> int:
+    """The right-hand side of the split formula, by the Euler form of
+    an algebra already certified hereditary."""
     hy = dict(ys)
     total = 0
     for i, m in xs:
@@ -494,9 +505,10 @@ def derived_hom_dim(x: Complex, y: Complex) -> int:
     1988), so that is exact.  Raises NotHereditary unless the algebra has
     global dimension at most one, acyclic complexes included.
     `derived_hom0(x, y).dim` is the same number computed from chain maps
-    modulo homotopy."""
-    _check_hereditary(x.algebra)
-    return stalk_hom_dim(_stalks(x), _stalks(y))
+    modulo homotopy.  The algebra is certified once, before either
+    complex's stalks are read."""
+    euler = _check_hereditary(x.algebra)
+    return _split_sum(_stalks(x), _stalks(y), euler)
 
 
 def _ext1_dim(m: Module, n: Module,

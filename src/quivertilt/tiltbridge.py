@@ -36,7 +36,7 @@ has no action on maps and no counit of its own.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 from .algebras import opposite_algebra
 from .complexes import (
@@ -44,6 +44,7 @@ from .complexes import (
     Complex,
     apply_functor,
     apply_functor_map,
+    apply_functor_maps,
     cohomology,
     is_quasi_iso,
 )
@@ -183,16 +184,15 @@ def heart_co_unit(hctx: HeartGiraudContext,
     res, _ = projective_resolution(n)
     lifted = apply_functor(base.j, res)
     data = h0_lower(hctx.ts_d, lifted)
-    r_h = apply_functor(base.r, data.h)
     r_proj = apply_functor_map(base.r, data.proj)
     r_incl = apply_functor_map(base.r, data.incl)
-    insert = ChainMap(res, apply_functor(base.r, lifted),
+    insert = ChainMap(res, r_incl.target,
                       {k: base.unit(res.component(k))
                        for k in range(res.lo, res.hi + 1)})
     assert is_quasi_iso(r_incl), \
         "corner functor must collapse the low truncation"
     z = lift_postcompose(r_incl, insert)
-    return DerivedMorphism(n, r_h, r_proj.compose(z))
+    return DerivedMorphism(n, r_proj.target, r_proj.compose(z))
 
 
 # The stalks of the class that is not cut down, for the messages: the
@@ -259,30 +259,38 @@ def verify_heart_giraud(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
 
 
 def _transposer(hctx: HeartGiraudContext, unit: DerivedMorphism,
-                ) -> Callable[[DerivedMorphism], DerivedMorphism]:
-    """f -> r(f) . unit on the heart morphisms f out of the section that
-    unit maps into r of: r(f.rep) after unit lifted through r of the
-    resolution comparison of f.source, once per source, when first met."""
+                ) -> Callable[[Sequence[DerivedMorphism]],
+                              list[DerivedMorphism]]:
+    """fs -> [r(f) . unit for f in fs] on heart morphisms fs of one hom
+    space out of the section that unit maps into r of: each r(f.rep),
+    with r applied to the common ends once, after unit lifted through r
+    of the resolution comparison of the source, once per source, when
+    first met."""
     r = hctx.base.restriction
     lifts: dict[Complex, ChainMap] = {}
 
-    def transpose(f: DerivedMorphism) -> DerivedMorphism:
-        z = lifts.get(f.source)
+    def transpose(fs: Sequence[DerivedMorphism]) -> list[DerivedMorphism]:
+        if not fs:
+            return []
+        source = fs[0].source
+        z = lifts.get(source)
         if z is None:
-            _, comparison = projective_resolution(f.source)
-            z = lifts[f.source] = lift_postcompose(
+            _, comparison = projective_resolution(source)
+            z = lifts[source] = lift_postcompose(
                 apply_functor_map(r, comparison), unit.rep)
-        r_f = apply_functor_map(r, f.rep)
-        return DerivedMorphism(unit.source, r_f.target, r_f.compose(z))
+        return [DerivedMorphism(unit.source, r_f.target, r_f.compose(z))
+                for r_f in apply_functor_maps(r, [f.rep for f in fs])]
     return transpose
 
 
-def _section_image(hctx: HeartGiraudContext, g: ChainMap) -> DerivedMorphism:
-    """The left section of a corner heart morphism, given as a chain map
-    g between the projective resolutions of its ends: the heart
-    cohomology of j(g)."""
-    lifted = apply_functor_map(hctx.base.j, g)
-    return DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
+def _section_images(hctx: HeartGiraudContext, gs: Sequence[ChainMap],
+                    ) -> list[DerivedMorphism]:
+    """The left section of corner heart morphisms of one hom space, each
+    given as a chain map g between the projective resolutions of its
+    ends: the heart cohomology of j(g), with j applied to those
+    resolutions once."""
+    return [DerivedMorphism.from_chain_map(h0_lower_map(hctx.ts_d, lifted))
+            for lifted in apply_functor_maps(hctx.base.j, gs)]
 
 
 def _certify(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
@@ -310,8 +318,8 @@ def _certify(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
             if hom_up.dim != hom_down.dim:
                 failures.append(f"adjunction dimensions differ at ({a},{b})")
                 continue
-            cols = [hom_down.class_coords(transposes[b](f))
-                    for f in hom_up.basis()]
+            cols = [hom_down.class_coords(f)
+                    for f in transposes[b](hom_up.basis())]
             if not _bijective(p, cols, hom_up.dim):
                 failures.append(f"adjunction transpose at ({a},{b}) "
                                 "is not bijective")
@@ -323,15 +331,15 @@ def _certify(hctx: HeartGiraudContext, uni_d: ModuleUniverse,
             # Each basis morphism n2 -> n, lifted into the resolution of
             # n, gives both its section image and unit . f.
             lifts = [lift_postcompose(comparison, f) for f in hom_n.reps]
-            images = [_section_image(hctx, g) for g in lifts]
+            images = _section_images(hctx, lifts)
             up = derived_hom0(sec2, sec)
             if up.dim != hom_n.dim or not _bijective(
                     p, [up.class_coords(g) for g in images], hom_n.dim):
                 failures.append(f"section is not fully faithful at ({a},{b})")
-            for g, image in zip(lifts, images):
+            for g, moved in zip(lifts, transposes[b](images)):
                 rhs = DerivedMorphism(n2, units[a].target,
                                       units[a].rep.compose(g))
-                if not transposes[b](image).equals(rhs):
+                if not moved.equals(rhs):
                     failures.append(f"{name} is not natural at ({a},{b})")
                     break
     return failures

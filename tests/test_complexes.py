@@ -19,6 +19,7 @@ from quivertilt.complexes import (
     is_quasi_iso,
 )
 from quivertilt.algebras import corner_algebra, path_algebra
+from quivertilt.derived import _stalks
 from quivertilt.enumeration import ModuleUniverse, universe
 from quivertilt.giraud import giraud_context
 from quivertilt.linalg import Field
@@ -169,26 +170,40 @@ def test_enumerate_respects_bounds(a2):
     assert len(set(found)) == len(found)
 
 
+def _fill_tables(c: Complex) -> bool:
+    """Compute the cohomology of c, one degree beyond its support on
+    either side included, and its stalks; whether c now holds both."""
+    for i in range(c.lo - 1, c.hi + 2):
+        cohomology(c, i)
+    _stalks(c)
+    return c._cohomology is not None and c._stalks is not None
+
+
 def _pool_left_behind() -> dict:
     """With the cyclic collector off, the size of a pool of A2/F_2
     complexes (degrees -2 to 1, components of dimension at most 2, total
-    dimension at most 4) and how many of its complexes are still
-    interned once the pool is dropped."""
+    dimension at most 4), how many of them hold their cohomology and
+    stalks once each has computed them, one degree beyond its support
+    on either side included, and how many are still interned once the
+    pool is dropped."""
     alg = path_algebra(Field(2), Quiver((1, 2), ((1, 2, "a"),)))
     uni = universe(alg, 2)
     gc.disable()
     pool = enumerate_complexes(uni, -2, 1, 2, total_bound=4)
+    filled = sum(_fill_tables(c) for c in pool)
     values = [c._value() for c in pool]
     del pool
-    return {"pool": len(values),
+    return {"pool": len(values), "filled": filled,
             "left": sum(v in Complex._interned for v in values)}
 
 
 def test_enumeration_keeps_no_complex_alive():
-    # The enumeration holds its complexes in no reference cycle, so the
-    # last reference to the pool frees them by reference counting alone.
+    # Neither the enumeration nor a complex's own cohomology and stalk
+    # tables make a reference cycle: the tables never refer back to
+    # their complex, so the last reference to the pool frees every
+    # complex, tables and all, by reference counting alone.
     assert returned_fresh(__file__, "_pool_left_behind") == {
-        "pool": 1037, "left": 0}
+        "pool": 1037, "filled": 1037, "left": 0}
 
 
 def _universe_left_behind() -> dict:

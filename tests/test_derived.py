@@ -5,9 +5,11 @@ from __future__ import annotations
 from typing import Optional
 
 import pytest
-from conftest import (derived_is_zero, dual_chain_map, equality_calls,
-                      hom_element, hom_preimage, perfbench_module,
-                      returned_fresh, transport_exact)
+from conftest import (counting, derived_is_zero, dual_chain_map,
+                      equality_calls, hom_element, hom_preimage,
+                      perfbench_module, returned_fresh, transport_exact)
+
+from quivertilt import derived
 
 from quivertilt.complexes import (
     ChainMap,
@@ -529,6 +531,31 @@ def _derived_f3_equality_calls() -> dict:
         workloads.derived_run(fx, lambda k: None)))
     _, failed, _ = workloads.derived_gate(fx, out, workloads.EXPECTED)
     return {"pairs": sizes["pairs"], "failed": failed, "calls": calls}
+
+
+def _derived_f3_cohomology_calls() -> dict:
+    """Calls of `cohomology`, as bound in derived, while
+    `derived_hom_dim` runs over all pairs of the benchmark's seed-1
+    derived_f3 sample, with the sample's (complex, degree) cells and the
+    gate's count of wrong values."""
+    workloads = perfbench_module("workloads")
+    fx, sizes = workloads.derived_setup(1, False)
+    calls = {"cohomology": 0}
+    derived.cohomology = counting(calls, "cohomology", derived.cohomology)
+    out = workloads.derived_run(fx, lambda k: None)
+    _, failed, _ = workloads.derived_gate(fx, out, workloads.EXPECTED)
+    return {"pairs": sizes["pairs"], "failed": failed,
+            "cells": sum(len(c.degrees()) for c in fx["sample"]),
+            "calls": calls["cohomology"]}
+
+
+def test_derived_hom_dim_reads_each_cohomology_once():
+    # All 5,625 pairs of the 75 seeded two-term complexes over A2/F_3,
+    # in a fresh interpreter: each complex computes its cohomology
+    # stalks once and keeps them, so the split formula asks for each
+    # (complex, degree) cohomology once, not once per pair it is in.
+    assert returned_fresh(__file__, "_derived_f3_cohomology_calls") == {
+        "pairs": 5625, "failed": 0, "cells": 147, "calls": 147}
 
 
 def test_derived_hom_dim_compares_modules_by_identity():

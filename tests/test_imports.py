@@ -311,7 +311,6 @@ def test_library_has_no_unreached_methods():
 # no caller can clear or scope, so the list may only shrink: a new one
 # is added here in the same change that adds it to the library.
 GLOBAL_CACHES = {
-    "complexes.py:cohomology_data",
     "derived.py:derived_hom0",
     "derived.py:projective_resolution",
     "enumeration.py:enumerate_submodules",

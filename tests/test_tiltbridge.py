@@ -31,7 +31,7 @@ from conftest import (
     l_heart_map)
 
 from quivertilt.algebras import corner_algebra, opposite_algebra, path_algebra
-from quivertilt import derived, heart, tiltbridge
+from quivertilt import complexes, derived, heart, tiltbridge
 from quivertilt.cli import build_environment, load_scenario
 from quivertilt.complexes import (
     ChainMap,
@@ -394,6 +394,30 @@ def test_certificate_lifts_each_unit_and_corner_morphism_once(monkeypatch):
     assert all(c["lift"] <= lifts and c["solve"] <= 36 for c in costs)
 
 
+def test_certificate_applies_the_functor_once_per_hom_space(monkeypatch):
+    # The bundled scenario's two certificates at bound 3, of the
+    # localization (verify-adjhearts) and of the colocalization
+    # (verify-cadjhearts): the transposes of one hom space share their
+    # ends, and so do the section images, so the corner functor and the
+    # section are applied to those ends once per hom space, and the unit
+    # reads the images of its truncation's ends off its two maps.
+    # Applying them afresh for every chain map made 369 and 373 calls.
+    env = build_environment(load_scenario(BUNDLED), 3)
+    calls = {"apply": 0}
+    counted = counting(calls, "apply", complexes.apply_functor)
+    for module in (complexes, tiltbridge):
+        monkeypatch.setattr(module, "apply_functor", counted)
+    got = []
+    for ctx in (env.ctx, env.co):
+        hctx = heart_giraud_context(ctx, env.pairs["std"], env.uni_d,
+                                    env.uni_c)
+        calls["apply"] = 0
+        assert verify_heart_giraud(hctx, env.uni_d, env.uni_c,
+                                   env.heart_bound).ok
+        got.append(calls["apply"])
+    assert got == [139, 143]
+
+
 @contextmanager
 def _with_section(hctx, section):
     """hctx, with its side's section (i_heart of a localization, j_heart
@@ -736,21 +760,24 @@ def test_certificate_composites_match_the_transported_morphisms(name):
             lx = l_heart(hctx, x)
             for n, eta, transpose in zip(downs, units, transposes):
                 hom_down = derived_hom0(n, lx)
-                for f in derived_hom0(j_heart(hctx, n), x).basis():
-                    assert hom_down.class_coords(transpose(f)) \
+                basis = derived_hom0(j_heart(hctx, n), x).basis()
+                for f, moved in zip(basis, transpose(basis), strict=True):
+                    assert hom_down.class_coords(moved) \
                         == hom_down.class_coords(
                             l_heart_map(hctx, f).compose(eta))
                     columns += 1
         for n in downs:
             _, comparison = projective_resolution(n)
             for n2, eta, transpose in zip(downs, units, transposes):
-                for f in derived_hom0(n2, n).basis():
-                    image = tiltbridge._section_image(
-                        hctx, lift_postcompose(comparison, f.rep))
+                basis = derived_hom0(n2, n).basis()
+                images = tiltbridge._section_images(
+                    hctx, [lift_postcompose(comparison, f.rep)
+                           for f in basis])
+                for f, image, moved in zip(basis, images, transpose(images),
+                                           strict=True):
                     want = j_heart_map(hctx, f)
                     assert _same(image, want)
-                    assert transpose(image).equals(
-                        l_heart_map(hctx, want).compose(eta))
+                    assert moved.equals(l_heart_map(hctx, want).compose(eta))
                     squares += 1
     assert columns and squares
 
