@@ -43,8 +43,8 @@ from .modules import (
 
 
 class Complex(metaclass=Interned):
-    __slots__ = ("algebra", "lo", "components", "diffs", "_hash", "_dual",
-                 "_cohomology", "_stalks", "__weakref__")
+    __slots__ = ("algebra", "lo", "hi", "components", "diffs", "_hash",
+                 "_dual", "_cohomology", "_stalks", "__weakref__")
 
     def __init__(self, algebra: Algebra, lo: int, components: Iterable[Module],
                  diffs: Iterable[ModuleMap]):
@@ -66,6 +66,7 @@ class Complex(metaclass=Interned):
             lo = 0
         self.algebra = algebra
         self.lo = lo
+        self.hi = lo + len(components) - 1
         self.components = tuple(components)
         self.diffs = tuple(diffs)
         self._hash: Optional[int] = None
@@ -100,10 +101,6 @@ class Complex(metaclass=Interned):
     @classmethod
     def from_module(cls, m: Module, degree: int = 0) -> "Complex":
         return cls(m.algebra, degree, [m], [])
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.components) - 1
 
     def is_zero(self) -> bool:
         return not self.components

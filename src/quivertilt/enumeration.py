@@ -237,7 +237,8 @@ def enumerate_submodules(m: Module) -> tuple[Subspace, ...]:
     """Every action-stable subspace of m, zero and full included.
 
     Cyclic submodules are generated vector by vector, then the set is
-    closed under pairwise sums.
+    closed under adding a cyclic submodule: every submodule is the sum
+    of the cyclic submodules of its vectors.
     """
     p = m.algebra.field.p
     if p ** m.dim > SEARCH_CAP:
@@ -247,10 +248,11 @@ def enumerate_submodules(m: Module) -> tuple[Subspace, ...]:
         vecs = [v] + [m.action[b].apply(v) for b in range(m.algebra.dim)]
         s = Subspace(p, m.dim, vecs)
         seen.setdefault(s.basis.data, s)
-    work = list(seen.values())
+    cyclic = list(seen.values())
+    work = list(cyclic)
     while work:
         s = work.pop()
-        for t in list(seen.values()):
+        for t in cyclic:
             u = s.sum_with(t)
             if u.basis.data not in seen:
                 seen[u.basis.data] = u

@@ -13,9 +13,10 @@ The truncations of a complex depend on the pair only through that
 preimage, the aisle subspace of degree zero, and the aisle subspace
 depends on it only through the torsion part of H^0.  The subspace is
 built once per (complex, torsion part) and the truncations once per
-(complex, aisle subspace), so every pair that cuts a complex at the
-same subspace gets back the same truncation objects, and with them the
-same cohomology, rank caches and cache keys.
+(complex, aisle subspace), together with the exactness of the sequence
+they form, so every pair that cuts a complex at the same subspace gets
+back the same truncation objects, and with them the same cohomology,
+rank caches and cache keys.
 
 Over a hereditary algebra every heart object splits as F[1] + T with F
 free and T torsion (Happel-Reiten-Smalo, Mem. AMS 575, 1996): the
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import pairwise
+from typing import Optional
 
 from .complexes import (
     ChainMap,
@@ -169,7 +171,6 @@ def _preimage_in_cycles(c: Complex, th: Subspace) -> Subspace:
     return Subspace(c.algebra.field.p, c.component(0).dim, vecs)
 
 
-@lru_cache(maxsize=None)
 def _cut_below(c: Complex, x_sub: Subspace) -> tuple[Complex, ChainMap]:
     """c with degree zero shrunk to x_sub and nothing above, with its
     inclusion into c."""
@@ -188,7 +189,6 @@ def _cut_below(c: Complex, x_sub: Subspace) -> tuple[Complex, ChainMap]:
     return tr, ChainMap(tr, c, incl_comps)
 
 
-@lru_cache(maxsize=None)
 def _cut_above(c: Complex, x_sub: Subspace) -> tuple[Complex, ChainMap]:
     """c with degree zero divided by x_sub and nothing below, with the
     projection from c."""
@@ -207,6 +207,38 @@ def _cut_above(c: Complex, x_sub: Subspace) -> tuple[Complex, ChainMap]:
     return q, ChainMap(c, q, proj_comps)
 
 
+def _inexact_degree(c: Complex, incl: ChainMap, proj: ChainMap,
+                    ) -> Optional[int]:
+    """The first degree where 0 -> tr -> c -> q -> 0 is not exact, for
+    the inclusion tr -> c and the projection c -> q; None when it is
+    exact in every degree."""
+    for i in range(min(c.lo, incl.source.lo), max(c.hi, proj.target.hi) + 1):
+        mono = incl.component(i)
+        epi = proj.component(i)
+        # With mono injective, epi surjective and epi.mono = 0, the
+        # image of mono lies in the kernel of epi, and the two are
+        # equal exactly when their dimensions are.
+        if (not mono.is_injective() or not epi.is_surjective()
+                or mono.source.dim + epi.target.dim != mono.target.dim
+                or not epi.compose(mono).is_zero()):
+            return i
+    return None
+
+
+@lru_cache(maxsize=None)
+def _cut(c: Complex, x_sub: Subspace,
+         ) -> tuple[tuple[Complex, ChainMap], tuple[Complex, ChainMap],
+                    Optional[int]]:
+    """c cut at x_sub both ways: the aisle part with its inclusion, the
+    coaisle part with its projection, and the first degree where the
+    truncation sequence is not exact (None when it is exact).  Built
+    and decided once per (complex, aisle subspace), so every pair that
+    cuts c at the same subspace shares all three."""
+    below = _cut_below(c, x_sub)
+    above = _cut_above(c, x_sub)
+    return below, above, _inexact_degree(c, below[1], above[1])
+
+
 def truncate_le0(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
     """The aisle truncation, with its inclusion into c.
 
@@ -215,7 +247,7 @@ def truncate_le0(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
     depends on the pair only through that subspace, so pairs that cut c
     at the same subspace get back the same objects.
     """
-    return _cut_below(c, _aisle_subspace(ts, c))
+    return _cut(c, _aisle_subspace(ts, c))[0]
 
 
 def truncate_ge1(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
@@ -225,7 +257,7 @@ def truncate_ge1(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
     above is kept, everything below is dropped.  Like `truncate_le0` it
     is shared by the pairs that cut c at the same subspace.
     """
-    return _cut_above(c, _aisle_subspace(ts, c))
+    return _cut(c, _aisle_subspace(ts, c))[1]
 
 
 def truncate_ge(ts: InducedTStructure, c: Complex) -> tuple[Complex, ChainMap]:
@@ -680,7 +712,9 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
     Each complex's aisle subspace is computed once and cut both ways.
     Levelwise exactness of 0 -> tr -> c -> q -> 0 is decided by
     dimension: the inclusion is injective, the projection surjective,
-    their composite zero, and dim tr + dim q = dim c.
+    their composite zero, and dim tr + dim q = dim c.  It is decided
+    once per cut, when the cut is built, and read back by every pair
+    that cuts the complex at the same subspace.
 
     Over a hereditary algebra every complex is isomorphic in D^b to the
     sum of its shifted cohomologies (Happel, LMS LN 119, 1988), so
@@ -700,26 +734,15 @@ def t_structure_report(ts: InducedTStructure, complexes: list[Complex],
     lows = []
     highs = []
     for k, c in enumerate(complexes):
-        x_sub = _aisle_subspace(ts, c)
-        tr, incl = _cut_below(c, x_sub)
-        q, proj = _cut_above(c, x_sub)
+        (tr, _), (q, _), inexact_at = _cut(c, _aisle_subspace(ts, c))
         lows.append(tr)
         highs.append(q)
         if not ts.in_le(tr, 0):
             failures.append(f"truncation of #{k} misses the aisle")
         if not ts.in_ge(q, 1):
             failures.append(f"quotient of #{k} misses the coaisle")
-        for i in range(min(c.lo, tr.lo), max(c.hi, q.hi) + 1):
-            mono = incl.component(i)
-            epi = proj.component(i)
-            # With mono injective, epi surjective and epi.mono = 0, the
-            # image of mono lies in the kernel of epi, and the two are
-            # equal exactly when their dimensions are.
-            if (not mono.is_injective() or not epi.is_surjective()
-                    or mono.source.dim + epi.target.dim != mono.target.dim
-                    or not epi.compose(mono).is_zero()):
-                failures.append(f"truncation of #{k} not exact at {i}")
-                break
+        if inexact_at is not None:
+            failures.append(f"truncation of #{k} not exact at {inexact_at}")
     # One class key per truncation, on the module classes met in this
     # report; its stalks are those of the class representatives.
     seen: dict[Module, Module] = {}

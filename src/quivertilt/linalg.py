@@ -255,7 +255,7 @@ def rank(m: Mat) -> int:
 class Subspace:
     """A subspace of F_p^n held by a reduced-echelon row basis."""
 
-    __slots__ = ("p", "ambient", "basis", "pivots")
+    __slots__ = ("p", "ambient", "basis", "pivots", "_hash")
 
     def __init__(self, p: int, ambient: int, vectors: Iterable[Iterable[int]]):
         flat: list[int] = []
@@ -273,6 +273,7 @@ class Subspace:
         self.basis = Mat(p, len(pivots), ambient,
                          reduced.data[: len(pivots) * ambient])
         self.pivots = pivots
+        self._hash: Optional[int] = None
 
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
@@ -349,7 +350,9 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.ambient, self.basis))
+        if self._hash is None:
+            self._hash = hash((self.p, self.ambient, self.basis))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subspace(p={self.p}, ambient={self.ambient}, dim={self.dim})"

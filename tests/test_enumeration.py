@@ -21,7 +21,7 @@ from quivertilt.enumeration import (
     universe,
 )
 from quivertilt.algebras import path_algebra
-from quivertilt.linalg import Field, Mat
+from quivertilt.linalg import Field, Mat, Subspace, all_vectors
 from quivertilt.modules import (
     direct_sum,
     module_from_vertex_data,
@@ -149,3 +149,42 @@ def test_submodules_of_a3_projective(a3):
     subs = enumerate_submodules(p1)
     # The uniserial chain 0 < S3 < P2 < P1.
     assert [s.dim for s in subs] == [0, 1, 2, 3]
+
+
+def _stable_subspaces(m):
+    """Every subspace of m found by adding one vector at a time from
+    zero, keeping those that every basis element of the algebra maps
+    into themselves, in the order of `enumerate_submodules`."""
+    p = m.algebra.field.p
+    found = {Subspace.zero(p, m.dim)}
+    work = list(found)
+    while work:
+        s = work.pop()
+        for v in all_vectors(p, m.dim):
+            t = Subspace(p, m.dim, s.basis.row_list() + [v])
+            if t not in found:
+                found.add(t)
+                work.append(t)
+    stable = [s for s in found
+              if all(s.contains(m.action[b].apply(row))
+                     for b in range(m.algebra.dim)
+                     for row in s.basis.row_list())]
+    return sorted(stable, key=lambda s: (s.dim, s.basis.data))
+
+
+@pytest.mark.parametrize("p, quiver, total", [
+    (2, Quiver((1, 2), ((1, 2, "a"),)), 88),
+    (3, Quiver((1, 2), ((1, 2, "a"),)), 120),
+    (2, Quiver((1, 2, 3), ((1, 2, "a"), (2, 3, "b"))), 200),
+    (2, Quiver((1, 2, 3), ((1, 2, "a"), (3, 2, "b"))), 201),
+], ids=["A2/F_2", "A2/F_3", "A3/F_2", "A3 1->2<-3/F_2"])
+def test_submodules_agree_with_brute_force(p, quiver, total):
+    # Over every member at bound 3, the closure of the cyclic submodules
+    # under sums is the set of all action-stable subspaces, in order.
+    alg = path_algebra(Field(p), quiver)
+    seen = 0
+    for m in universe(alg, 3).members:
+        subs = enumerate_submodules(m)
+        assert list(subs) == _stable_subspaces(m), m
+        seen += len(subs)
+    assert seen == total

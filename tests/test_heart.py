@@ -1171,14 +1171,16 @@ def test_t_structure_report_flags_an_inexact_truncation(a2, monkeypatch,
              if truncate_le0(ts, c)[0].component(0).dim
              and truncate_ge1(ts, c)[0].component(0).dim)
     mono = truncate_le0(ts, sample[k])[1].component(0)
-    # The report cuts each complex at its aisle subspace itself.
-    real = heart._cut_above
+    # The cut decides its exactness when it is built, with the
+    # projection that the quotient builder hands it: break that
+    # projection, and build the cut again.
+    target = sample[k].component(0)
+    real = heart.quotient_by_subspace
 
-    def patched(c, x_sub):
-        q, proj = real(c, x_sub)
-        if c is not sample[k]:
-            return q, proj
-        epi = proj.component(0)
+    def patched(m, x_sub):
+        q_mod, epi = real(m, x_sub)
+        if m is not target:
+            return q_mod, epi
         if broken == "composite":
             # Coordinate rows, the first one seeing the aisle part.
             n = epi.source.dim
@@ -1195,13 +1197,15 @@ def test_t_structure_report_flags_an_inexact_truncation(a2, monkeypatch,
             assert mono.source.dim + bad.target.dim != mono.target.dim
             assert bad.compose(mono).is_zero()
         assert mono.is_injective() and bad.is_surjective()
-        comps = {i: proj.component(i)
-                 for i in range(proj.lo, proj.lo + len(proj.comps))}
-        comps[0] = bad
-        return q, ChainMap(c, q, comps)
+        return bad.target, bad
 
-    monkeypatch.setattr(heart, "_cut_above", patched)
-    report = t_structure_report(ts, sample)
+    monkeypatch.setattr(heart, "quotient_by_subspace", patched)
+    heart._cut.cache_clear()
+    try:
+        report = t_structure_report(ts, sample)
+    finally:
+        # The broken cut must not outlive the test.
+        heart._cut.cache_clear()
     assert report.failures == (f"truncation of #{k} not exact at 0",)
 
 
@@ -1212,8 +1216,7 @@ def test_truncation_solves_read_unit_rows(a2, monkeypatch):
     uni1 = universe(a2, 1)
     uni2 = universe(a2, 2)
     sample = enumerate_complexes(uni1, -1, 1, 1, total_bound=3)
-    for cached in (heart._preimage_in_cycles, heart._cut_below,
-                   heart._cut_above):
+    for cached in (heart._preimage_in_cycles, heart._cut):
         cached.cache_clear()
     # Each complex keeps its cohomology: forget the sample's, so that
     # its cohomology solves run again and are counted.
@@ -1274,14 +1277,16 @@ def test_pairs_that_cut_alike_share_the_truncation(a2):
 def test_report_cuts_each_complex_once_per_aisle_subspace(a2, monkeypatch):
     # Over all five pairs the report builds one submodule and one
     # quotient per distinct (complex, aisle subspace), not one per
-    # (pair, complex).
+    # (pair, complex), and decides the exactness of each cut once: the
+    # inclusion is tested for injectivity once in each degree of each
+    # distinct cut, and nowhere else.
     structures, sample = _a2_pairs_and_sample(a2)
-    for cached in (heart._preimage_in_cycles, heart._cut_below,
-                   heart._cut_above):
+    for cached in (heart._preimage_in_cycles, heart._cut):
         cached.cache_clear()
-    calls = {"sub": 0, "quo": 0}
+    calls = {"sub": 0, "quo": 0, "injective": 0}
     real_sub = heart.submodule_from_subspace
     real_quo = heart.quotient_by_subspace
+    real_injective = ModuleMap.is_injective
 
     def counted_sub(*args):
         calls["sub"] += 1
@@ -1291,14 +1296,26 @@ def test_report_cuts_each_complex_once_per_aisle_subspace(a2, monkeypatch):
         calls["quo"] += 1
         return real_quo(*args)
 
+    def counted_injective(f):
+        calls["injective"] += 1
+        return real_injective(f)
+
     monkeypatch.setattr(heart, "submodule_from_subspace", counted_sub)
     monkeypatch.setattr(heart, "quotient_by_subspace", counted_quo)
+    monkeypatch.setattr(ModuleMap, "is_injective", counted_injective)
     for ts in structures:
         assert t_structure_report(ts, sample).ok
-    cuts = {(c, heart._aisle_subspace(ts, c))
-            for ts in structures for c in sample}
+    cuts = {}
+    for ts in structures:
+        for c in sample:
+            cuts.setdefault((c, heart._aisle_subspace(ts, c)), ts)
     assert len(cuts) < len(structures) * len(sample)
-    assert calls == {"sub": len(cuts), "quo": len(cuts)}
+    degrees = 0
+    for (c, _), ts in cuts.items():
+        tr = truncate_le0(ts, c)[0]
+        q = truncate_ge1(ts, c)[0]
+        degrees += len(range(min(c.lo, tr.lo), max(c.hi, q.hi) + 1))
+    assert calls == {"sub": len(cuts), "quo": len(cuts), "injective": degrees}
 
 
 def test_report_computes_each_aisle_subspace_once(monkeypatch):

@@ -314,8 +314,7 @@ GLOBAL_CACHES = {
     "derived.py:derived_hom0",
     "derived.py:projective_resolution",
     "enumeration.py:enumerate_submodules",
-    "heart.py:_cut_above",
-    "heart.py:_cut_below",
+    "heart.py:_cut",
     "heart.py:_ext",
     "heart.py:_preimage_in_cycles",
     "modules.py:_factorizations",

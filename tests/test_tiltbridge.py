@@ -348,8 +348,7 @@ def _certificate_costs(monkeypatch, bound, *runs):
     costs = []
     for hctx, uni_d, uni_c in runs:
         for cached in (derived.projective_resolution, derived.derived_hom0,
-                       heart._preimage_in_cycles, heart._cut_below,
-                       heart._cut_above):
+                       heart._preimage_in_cycles, heart._cut):
             cached.cache_clear()
         calls.update(lift=0, solve=0)
         assert verify_heart_giraud(hctx, uni_d, uni_c, bound).ok
